@@ -19,7 +19,7 @@ from .errors import StructuralError
 from .groups import FiniteGroup
 from .maps import OpCounter, enumerate_autos, enumerate_homs, is_bijective
 from .matrices import EndoMatrix, ProductGroup, recompose
-from .determinant import is_invertible_via_det
+from .determinant import determinant_step_bound, is_invertible_via_det
 
 __all__ = [
     "BenchRecord",
@@ -65,15 +65,6 @@ def naive_step_bound(h: FiniteGroup, k: FiniteGroup) -> int:
     return order * (order - 1) // 2
 
 
-def determinant_step_bound(h: FiniteGroup, k: FiniteGroup, branch: str = "h") -> int:
-    """Pivot lookups plus factor comparisons for a successful determinant run."""
-    if branch == "h":
-        return k.order + h.order * (h.order - 1) // 2
-    if branch == "k":
-        return h.order + k.order * (k.order - 1) // 2
-    raise StructuralError(f"no step bound for branch {branch!r}")
-
-
 def sample_a_member(
     h: FiniteGroup, k: FiniteGroup, rng: random.Random
 ) -> EndoMatrix:
@@ -83,22 +74,16 @@ def sample_a_member(
     return EndoMatrix((h, k), ((alpha, beta), (gamma, delta)))
 
 
-_pool_cache: dict[tuple[int, int], tuple] = {}
-
-
 def _component_pools(h: FiniteGroup, k: FiniteGroup):
-    key = (id(h), id(k))
-    hit = _pool_cache.get(key)
-    if hit is not None and hit[0] is h and hit[1] is k:
-        return hit[2]
-    pools = (
-        tuple(enumerate_autos(h).members),
-        tuple(enumerate_homs(k, h, restrict_codomain=h.center()).members),
-        tuple(enumerate_homs(h, k, restrict_codomain=k.center()).members),
-        tuple(enumerate_autos(k).members),
-    )
-    _pool_cache[key] = (h, k, pools)
-    return pools
+    memo = h._cache.setdefault("bench_pools", {})
+    if k not in memo:
+        memo[k] = (
+            tuple(enumerate_autos(h).members),
+            tuple(enumerate_homs(k, h, restrict_codomain=h.center()).members),
+            tuple(enumerate_homs(h, k, restrict_codomain=k.center()).members),
+            tuple(enumerate_autos(k).members),
+        )
+    return memo[k]
 
 
 def naive_is_invertible(

@@ -11,8 +11,8 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .bench import determinant_step_bound, run_bench
-from .determinant import det_h, det_k, invert_via_det
+from .bench import run_bench
+from .determinant import branch_determinant, invert_via_det
 from .errors import (
     DeterminantUndefinedError,
     GroupdetError,
@@ -21,29 +21,16 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .groups import FiniteGroup, build_group
+from .groups import CATALOG, build_group, catalog_groups
 from .matrices import EndoMatrix, map_to_dict, matrix_from_dict, matrix_to_dict
 from .pairs import PairReport, classify_pair
 
 __all__ = ["CATALOG", "catalog_groups", "main"]
 
-# The groups the examples revolve around: small cyclics, the three
-# nonabelian groups of order at most 8, and enough composite orders to
-# exercise common-factor detection.
-CATALOG = ("C2", "C3", "C4", "C5", "C6", "C8", "C12", "S3", "D8", "Q8")
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RESOURCE = 2
 EXIT_VIOLATION = 3
-
-
-def catalog_groups(max_order: Optional[int] = None) -> list[FiniteGroup]:
-    """The catalog, built, optionally filtered to orders <= max_order."""
-    groups = [build_group(spec) for spec in CATALOG]
-    if max_order is not None:
-        groups = [g for g in groups if g.order <= max_order]
-    return groups
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,6 +104,16 @@ def _emit(args, payload: dict | list, text: str) -> None:
         print(text)
 
 
+def _print_undefined(exc: DeterminantUndefinedError) -> None:
+    payload = {
+        "error": "determinant-undefined",
+        "message": str(exc),
+        "pivot_index": exc.pivot_index,
+        "fallback": "naive",
+    }
+    print(json.dumps(payload, indent=2))
+
+
 def _report_text(r: PairReport) -> str:
     length = f" (length {r.total_length})" if r.total_length is not None else ""
     lines = [
@@ -145,17 +142,7 @@ def cmd_invert(args) -> int:
     try:
         inverse = invert_via_det(m, branch=args.branch if m.n == 2 else "auto")
     except DeterminantUndefinedError as exc:
-        print(
-            json.dumps(
-                {
-                    "error": "determinant-undefined",
-                    "message": str(exc),
-                    "pivot_index": exc.pivot_index,
-                    "fallback": "naive",
-                },
-                indent=2,
-            )
-        )
+        _print_undefined(exc)
         return EXIT_OK
     except InversionError as exc:
         print(json.dumps({"error": "not-invertible", "message": str(exc)}, indent=2))
@@ -166,48 +153,24 @@ def cmd_invert(args) -> int:
 
 def cmd_det(args) -> int:
     m = _load_matrix(args)
-    if args.branch == "auto":
-        h, k = m.factors
-        order = (
-            ["h", "k"]
-            if determinant_step_bound(h, k, "h") <= determinant_step_bound(h, k, "k")
-            else ["k", "h"]
-        )
-    else:
-        order = [args.branch]
-    last: Optional[DeterminantUndefinedError] = None
-    for branch in order:
-        try:
-            value = det_h(m) if branch == "h" else det_k(m)
-        except DeterminantUndefinedError as exc:
-            last = exc
-            continue
-        g = value.domain
-        table = "\n".join(
-            f"  {g.labels[x]} -> {g.labels[value.values[x]]}" for x in range(g.order)
-        )
-        _emit(
-            args,
-            {"branch": branch, "determinant": map_to_dict(value)},
-            f"det_{branch} over {g.name}:\n{table}",
-        )
+    try:
+        branch, value = branch_determinant(m, args.branch)
+    except DeterminantUndefinedError as exc:
+        _print_undefined(exc)
         return EXIT_OK
-    assert last is not None
-    print(
-        json.dumps(
-            {
-                "error": "determinant-undefined",
-                "message": str(last),
-                "pivot_index": last.pivot_index,
-                "fallback": "naive",
-            },
-            indent=2,
-        )
+    g = value.domain
+    table = "\n".join(f"  {g.labels[x]} -> {g.labels[value.values[x]]}" for x in range(g.order))
+    _emit(
+        args,
+        {"branch": branch, "determinant": map_to_dict(value)},
+        f"det_{branch} over {g.name}:\n{table}",
     )
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
+    if args.trials < 1:
+        raise ParseError(f"--trials must be at least 1, got {args.trials}")
     h, k = build_group(args.h_spec), build_group(args.k_spec)
     records = run_bench(h, k, trials=args.trials, seed=args.seed, branch=args.branch)
     if args.json:

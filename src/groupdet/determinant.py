@@ -40,7 +40,7 @@ from .maps import (
     pointwise_diff,
     pointwise_sum,
 )
-from .matrices import EndoMatrix, ProductGroup, in_A
+from .matrices import EndoMatrix, ProductGroup, in_A, recompose
 
 __all__ = [
     "FSequence",
@@ -49,6 +49,8 @@ __all__ = [
     "det_h",
     "det_k",
     "det_A",
+    "determinant_step_bound",
+    "branch_determinant",
     "f_determinant",
     "is_invertible_via_det",
     "invert_via_det",
@@ -108,26 +110,59 @@ class PartialDet:
         return self.maps[(s, s)]
 
 
+def _schur(
+    a: GroupMap, b: GroupMap, w: GroupMap, c: GroupMap, counter: Optional[OpCounter]
+) -> GroupMap:
+    """a - b . w . c: the entry left when a pivot block with inverse w is eliminated.
+
+    Charges one evaluation per element of the entry's domain.
+    """
+    out = pointwise_diff(a, compose(b, compose(w, c)), require_commuting=True)
+    if counter is not None:
+        counter.evaluations += out.domain.order
+    return out
+
+
+def _inverse_blocks(
+    d: GroupMap, b: GroupMap, c: GroupMap, w: GroupMap, counter: Optional[OpCounter]
+) -> tuple[GroupMap, GroupMap, GroupMap, GroupMap]:
+    """The four blocks of the inverse of (a, b; c, p), where w = p^-1 and d = a - b . w . c:
+
+        ( d^-1,             -d^-1 . b . w               )
+        ( -w . c . d^-1,    (1 + w . c . d^-1 . b) . w  )
+
+    Raises InversionError when d is not bijective: the matrix is then singular.
+    """
+    if not is_bijective(d, counter):
+        raise InversionError("determinant is not bijective; matrix is not invertible")
+    d_inv = invert(d, counter)
+    theta = compose(w, compose(c, compose(d_inv, b)))
+    return (
+        d_inv,
+        negate(compose(d_inv, compose(b, w))),
+        negate(compose(w, compose(c, d_inv))),
+        compose(pointwise_sum(identity_map(w.domain), theta, require_commuting=True), w),
+    )
+
+
 def _eliminate(
     state: PartialDet, pivot: int, counter: Optional[OpCounter]
 ) -> PartialDet:
     """One elimination step; raises DeterminantUndefinedError on a dead pivot."""
     if pivot not in state.survivors:
         raise PreconditionError(f"index {pivot} is not a surviving factor")
-    piv = state.maps[(pivot, pivot)]
-    if not is_bijective(piv):
+    maps = state.maps
+    if not is_bijective(maps[(pivot, pivot)]):
         raise DeterminantUndefinedError(
             f"pivot entry ({pivot}, {pivot}) is not bijective", pivot_index=pivot
         )
-    piv_inv = invert(piv, counter)
+    w = invert(maps[(pivot, pivot)], counter)
     rest = tuple(i for i in state.survivors if i != pivot)
-    out: dict[tuple[int, int], GroupMap] = {}
-    for i in rest:
-        for j in rest:
-            correction = compose(state.maps[(i, pivot)], compose(piv_inv, state.maps[(pivot, j)]))
-            out[(i, j)] = pointwise_diff(state.maps[(i, j)], correction, require_commuting=True)
-            if counter is not None:
-                counter.evaluations += out[(i, j)].domain.order
+    out = {
+        (i, j): _schur(maps[(i, j)], maps[(i, pivot)], w, maps[(pivot, j)], counter)
+        for i in rest
+        for j in rest
+    }
     return PartialDet(state.factors, rest, state.eliminated + (pivot,), out)
 
 
@@ -166,11 +201,7 @@ def det_h(m: EndoMatrix, counter: Optional[OpCounter] = None) -> GroupMap:
     (alpha, beta), (gamma, delta) = m.entries
     if not is_bijective(delta):
         raise DeterminantUndefinedError("delta is not bijective", pivot_index=1)
-    delta_inv = invert(delta, counter)
-    out = pointwise_diff(alpha, compose(beta, compose(delta_inv, gamma)), require_commuting=True)
-    if counter is not None:
-        counter.evaluations += out.domain.order
-    return out
+    return _schur(alpha, beta, invert(delta, counter), gamma, counter)
 
 
 def det_k(m: EndoMatrix, counter: Optional[OpCounter] = None) -> GroupMap:
@@ -180,11 +211,7 @@ def det_k(m: EndoMatrix, counter: Optional[OpCounter] = None) -> GroupMap:
     (alpha, beta), (gamma, delta) = m.entries
     if not is_bijective(alpha):
         raise DeterminantUndefinedError("alpha is not bijective", pivot_index=0)
-    alpha_inv = invert(alpha, counter)
-    out = pointwise_diff(delta, compose(gamma, compose(alpha_inv, beta)), require_commuting=True)
-    if counter is not None:
-        counter.evaluations += out.domain.order
-    return out
+    return _schur(delta, gamma, invert(alpha, counter), beta, counter)
 
 
 def det_A(m: EndoMatrix, counter: Optional[OpCounter] = None) -> GroupMap:
@@ -194,6 +221,46 @@ def det_A(m: EndoMatrix, counter: Optional[OpCounter] = None) -> GroupMap:
     if m.n == 2:
         return det_h(m, counter)
     return f_determinant(m, FSequence.canonical(m.n), counter)[-1].final_map
+
+
+def determinant_step_bound(h: FiniteGroup, k: FiniteGroup, branch: str = "h") -> int:
+    """Pivot lookups plus factor comparisons for a determinant run: |K| + C(|H|, 2) on 'h'."""
+    if branch not in ("h", "k"):
+        raise StructuralError(f"no step bound for branch {branch!r}")
+    pivot, tested = (k, h) if branch == "h" else (h, k)
+    return pivot.order + tested.order * (tested.order - 1) // 2
+
+
+def branch_determinant(
+    m: EndoMatrix, branch: str = "auto", counter: Optional[OpCounter] = None
+) -> tuple[str, GroupMap]:
+    """The determinant of a 2 x 2 matrix on the first branch with a bijective pivot.
+
+    'h' inverts delta and gives det_h on the first factor, 'k' inverts alpha
+    and gives det_k on the second, and 'auto' tries the branch with the
+    smaller ``determinant_step_bound`` first and falls back to the other.
+    Returns (branch, determinant); raises DeterminantUndefinedError, with the
+    last pivot index tried, when no branch tried has a bijective pivot.
+    """
+    if m.n != 2:
+        raise PreconditionError("branch determinants exist only for 2 x 2 matrices")
+    order = branch
+    if branch == "auto":
+        h, k = m.factors
+        cheaper_h = determinant_step_bound(h, k, "h") <= determinant_step_bound(h, k, "k")
+        order = "hk" if cheaper_h else "kh"
+    elif branch not in ("h", "k"):
+        raise PreconditionError(f"unknown branch {branch!r}; use 'h', 'k' or 'auto'")
+    last: Optional[DeterminantUndefinedError] = None
+    for b in order:
+        try:
+            return b, (det_h(m, counter) if b == "h" else det_k(m, counter))
+        except DeterminantUndefinedError as exc:
+            last = exc
+    raise DeterminantUndefinedError(
+        "no bijective diagonal entry; determinant route undecidable",
+        pivot_index=last.pivot_index if last else None,
+    )
 
 
 def _full_sequences(n: int):
@@ -214,17 +281,15 @@ def is_invertible_via_det(
 ) -> bool:
     """Decide invertibility through a determinant instead of a full size-mn check.
 
-    For 2 x 2 matrices ``branch`` picks which diagonal entry to invert:
-    'h' inverts delta and tests det_h on the first factor, 'k' inverts alpha
-    and tests det_k on the second, and 'auto' tries the cheaper branch first
-    (by the headline cost |other factor| + C(|tested factor|, 2)) and falls
-    back to the remaining one when the pivot is not bijective.  For larger
-    matrices the canonical elimination sequence is tried first, then every
-    other sequence.  Raises DeterminantUndefinedError when no admissible
-    pivot choice exists; the caller should then fall back to a direct check.
+    For 2 x 2 matrices ``branch`` picks which diagonal entry to invert, as in
+    ``branch_determinant``, and the determinant found is tested for
+    bijectivity.  For larger matrices the canonical elimination sequence is
+    tried first, then every other sequence.  Raises DeterminantUndefinedError
+    when no admissible pivot choice exists; the caller should then fall back
+    to a direct check.
     """
     if m.n == 2:
-        return _decide_2x2(m, branch, counter) is not None
+        return is_bijective(branch_determinant(m, branch, counter)[1], counter)
     if branch != "auto":
         raise PreconditionError("explicit branches exist only for 2 x 2 matrices")
     last_error: Optional[DeterminantUndefinedError] = None
@@ -241,36 +306,6 @@ def is_invertible_via_det(
     )
 
 
-def _branch_order(m: EndoMatrix, branch: str) -> list[str]:
-    if branch in ("h", "k"):
-        return [branch]
-    if branch != "auto":
-        raise PreconditionError(f"unknown branch {branch!r}; use 'h', 'k' or 'auto'")
-    h, k = m.factors[0].order, m.factors[1].order
-    cost_h = k + h * (h - 1) // 2
-    cost_k = h + k * (k - 1) // 2
-    return ["h", "k"] if cost_h <= cost_k else ["k", "h"]
-
-
-def _decide_2x2(
-    m: EndoMatrix, branch: str, counter: Optional[OpCounter]
-) -> Optional[tuple[str, GroupMap, bool]]:
-    """Shared 2 x 2 driver: returns (branch used, determinant, verdict)."""
-    last: Optional[DeterminantUndefinedError] = None
-    for b in _branch_order(m, branch):
-        try:
-            det = det_h(m, counter) if b == "h" else det_k(m, counter)
-        except DeterminantUndefinedError as exc:
-            last = exc
-            continue
-        verdict = is_bijective(det, counter)
-        return (b, det, verdict) if verdict else None
-    raise DeterminantUndefinedError(
-        "no bijective diagonal entry; determinant route undecidable",
-        pivot_index=last.pivot_index if last else None,
-    )
-
-
 def invert_via_det(
     m: EndoMatrix,
     branch: str = "auto",
@@ -278,64 +313,19 @@ def invert_via_det(
 ) -> EndoMatrix:
     """The closed-form inverse of an invertible matrix with a usable pivot.
 
-    2 x 2 with delta and det_h bijective (the 'h' branch):
-
-        ( D^-1,              -D^-1 . beta . delta^-1                )
-        ( -delta^-1 . gamma . D^-1,  (1 + delta^-1 gamma D^-1 beta) . delta^-1 )
-
-    with D = det_h; the 'k' branch is the mirror image through det_k.  For
+    2 x 2: with D the determinant ``branch_determinant`` finds and w the
+    inverse of its pivot (delta for 'h', alpha for 'k'), the inverse is
+    given blockwise by D^-1, -D^-1 b w, -w c D^-1 and (1 + w c D^-1 b) w,
+    where b and c are the off-diagonal entries in D's row and column.  For
     more factors the matrix is split into its first admissible pivot factor
     against the product of the others and the same formulas are applied
     blockwise, inverting the smaller block recursively.  Raises
     DeterminantUndefinedError when no pivot route exists and InversionError
     when a determinant exists but is not bijective.
     """
-    if m.n == 2:
-        return _invert_2x2(m, branch, counter)
-    if branch != "auto":
+    if m.n != 2 and branch != "auto":
         raise PreconditionError("explicit branches exist only for 2 x 2 matrices")
-    return _invert_block(m, counter)
-
-
-def _invert_2x2(m: EndoMatrix, branch: str, counter: Optional[OpCounter]) -> EndoMatrix:
-    h, k = m.factors
-    (alpha, beta), (gamma, delta) = m.entries
-    last: Optional[DeterminantUndefinedError] = None
-    for b in _branch_order(m, branch):
-        try:
-            if b == "h":
-                det = det_h(m, counter)
-                if not is_bijective(det, counter):
-                    raise InversionError("det_h is not bijective; matrix is not invertible")
-                piv_inv = invert(delta, counter)
-                det_inv = invert(det, counter)
-                alpha_p = det_inv
-                beta_p = negate(compose(det_inv, compose(beta, piv_inv)))
-                gamma_p = negate(compose(piv_inv, compose(gamma, det_inv)))
-                theta = compose(piv_inv, compose(gamma, compose(det_inv, beta)))
-                delta_p = compose(
-                    pointwise_sum(identity_map(k), theta, require_commuting=True),
-                    piv_inv,
-                )
-            else:
-                det = det_k(m, counter)
-                if not is_bijective(det, counter):
-                    raise InversionError("det_k is not bijective; matrix is not invertible")
-                piv_inv = invert(alpha, counter)
-                det_inv = invert(det, counter)
-                delta_p = det_inv
-                gamma_p = negate(compose(det_inv, compose(gamma, piv_inv)))
-                beta_p = negate(compose(piv_inv, compose(beta, det_inv)))
-                theta = compose(piv_inv, compose(beta, compose(det_inv, gamma)))
-                alpha_p = compose(
-                    pointwise_sum(identity_map(h), theta, require_commuting=True),
-                    piv_inv,
-                )
-            return EndoMatrix((h, k), [[alpha_p, beta_p], [gamma_p, delta_p]])
-        except DeterminantUndefinedError as exc:
-            last = exc
-            continue
-    raise last if last else DeterminantUndefinedError("no usable branch")
+    return _invert_block(m, branch, counter)
 
 
 def _combined_row(m: EndoMatrix, s: int, rest: Sequence[int], sub_pg: ProductGroup) -> GroupMap:
@@ -366,48 +356,36 @@ def _submatrix(m: EndoMatrix, rest: Sequence[int]) -> EndoMatrix:
     return EndoMatrix(tuple(m.factors[i] for i in rest), entries, trusted=True)
 
 
-def _invert_block(m: EndoMatrix, counter: Optional[OpCounter]) -> EndoMatrix:
+def _invert_block(m: EndoMatrix, branch: str, counter: Optional[OpCounter]) -> EndoMatrix:
     """Invert an n x n matrix by 2 x 2 block reduction over the first usable pivot.
 
-    A sub-block that fails to invert only rules out that pivot choice, so the
-    loop moves on; the matrix is reported singular only when some pivot route
-    completes and its determinant is not bijective.
+    A 2 x 2 matrix is inverted on ``branch``.  Otherwise a sub-block that
+    fails to invert only rules out that pivot choice, so the loop moves on;
+    the matrix is reported singular only when some pivot route completes and
+    its determinant is not bijective.
     """
-    from .matrices import recompose
-
     if m.n == 2:
-        return _invert_2x2(m, "auto", counter)
+        used, det = branch_determinant(m, branch, counter)
+        p = 1 if used == "h" else 0  # the pivot index; s survives as det's factor
+        s = 1 - p
+        e = m.entries
+        ss, sp, ps, pp = _inverse_blocks(det, e[s][p], e[p][s], invert(e[p][p], counter), counter)
+        return EndoMatrix(m.factors, [[ss, sp], [ps, pp]] if s == 0 else [[pp, ps], [sp, ss]])
     n = m.n
     last_exc: Optional[Exception] = None
     for s in range(n):
         rest = tuple(i for i in range(n) if i != s)
-        sub = _submatrix(m, rest)
         try:
-            sub_inv = _invert_block(sub, counter)
+            sub_inv = _invert_block(_submatrix(m, rest), "auto", counter)
         except (DeterminantUndefinedError, InversionError) as exc:
             last_exc = exc
             continue
         sub_pg = ProductGroup.of(*(m.factors[i] for i in rest))
-        delta_inv = recompose(sub_inv, sub_pg)
-        alpha = m.entries[s][s]
-        beta = _combined_row(m, s, rest, sub_pg)
-        gamma = _combined_col(m, s, rest, sub_pg)
-        det = pointwise_diff(
-            alpha, compose(beta, compose(delta_inv, gamma)), require_commuting=True
-        )
-        if counter is not None:
-            counter.evaluations += det.domain.order
-        if not is_bijective(det, counter):
-            raise InversionError("block determinant is not bijective; matrix is not invertible")
-        det_inv = invert(det, counter)
-        alpha_p = det_inv
-        beta_p = negate(compose(det_inv, compose(beta, delta_inv)))
-        gamma_p = negate(compose(delta_inv, compose(gamma, det_inv)))
-        theta = compose(delta_inv, compose(gamma, compose(det_inv, beta)))
-        delta_p = compose(
-            pointwise_sum(identity_map(sub_pg.product), theta, require_commuting=True),
-            delta_inv,
-        )
+        w = recompose(sub_inv, sub_pg)
+        b = _combined_row(m, s, rest, sub_pg)
+        c = _combined_col(m, s, rest, sub_pg)
+        det = _schur(m.entries[s][s], b, w, c, counter)
+        alpha_p, beta_p, gamma_p, delta_p = _inverse_blocks(det, b, c, w, counter)
         entries: list[list[Optional[GroupMap]]] = [[None] * n for _ in range(n)]
         entries[s][s] = alpha_p
         for pos, j in enumerate(rest):
@@ -484,19 +462,8 @@ def detiff_check(m: EndoMatrix) -> DetIffReport:
     k_ok = is_bijective(dk)
     if not (h_ok and k_ok):
         return DetIffReport(h_ok, k_ok, None)
-    dh_inv = invert(dh)
-    dk_inv = invert(dk)
-    alpha_inv = invert(alpha)
-    delta_inv = invert(delta)
-    lhs_h = pointwise_sum(
-        compose(alpha_inv, compose(beta, compose(dk_inv, compose(gamma, alpha_inv)))),
-        alpha_inv,
-        require_commuting=True,
-    )
-    lhs_k = pointwise_sum(
-        compose(delta_inv, compose(gamma, compose(dh_inv, compose(beta, delta_inv)))),
-        delta_inv,
-        require_commuting=True,
-    )
-    holds = lhs_h.values == dh_inv.values and lhs_k.values == dk_inv.values
+    # each identity says det^-1 is the corner block of the other branch's inverse
+    lhs_h = _inverse_blocks(dk, gamma, beta, invert(alpha), None)[3]
+    lhs_k = _inverse_blocks(dh, beta, gamma, invert(delta), None)[3]
+    holds = lhs_h.values == invert(dh).values and lhs_k.values == invert(dk).values
     return DetIffReport(h_ok, k_ok, holds)

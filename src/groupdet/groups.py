@@ -28,6 +28,8 @@ __all__ = [
     "DirectFactorization",
     "CommonFactorWitness",
     "build_group",
+    "CATALOG",
+    "catalog_groups",
     "group_from_table",
     "load_table_file",
     "direct_product",
@@ -302,16 +304,6 @@ class FiniteGroup:
             self._cache["factorizations"] = tuple(out)
         return self._cache["factorizations"]
 
-    def direct_factors(self, nontrivial_only: bool = True) -> tuple["Subgroup", ...]:
-        """Subgroups occurring as a direct factor (the whole group included)."""
-        seen: dict[tuple[int, ...], Subgroup] = {}
-        for fact in self.direct_factorizations():
-            for side in (fact.left, fact.right):
-                if nontrivial_only and len(side.elements) == 1:
-                    continue
-                seen.setdefault(side.elements, side)
-        return tuple(seen[k] for k in sorted(seen))
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
@@ -514,20 +506,6 @@ def factor_projection_values(product: FiniteGroup, i: int) -> tuple[int, ...]:
     return tuple(product_decode(x, orders, strides)[i] for x in range(product.order))
 
 
-def canonical_factorization(product: FiniteGroup) -> DirectFactorization:
-    """The recorded factorization (first factor, product of the rest)."""
-    factors = _require_product(product)
-    left = Subgroup(product, factor_embedding_values(product, 0))
-    orders = [g.order for g in factors]
-    strides = product_strides(orders)
-    rest = []
-    for x in range(product.order):
-        if product_decode(x, orders, strides)[0] == factors[0].identity:
-            rest.append(x)
-    right = Subgroup(product, rest)
-    return DirectFactorization(product, left, right)
-
-
 # --------------------------------------------------------------------------
 # Catalog constructors
 # --------------------------------------------------------------------------
@@ -715,9 +693,18 @@ def build_group(spec: str) -> FiniteGroup:
     return g
 
 
-def group_spec(g: FiniteGroup) -> str:
-    """The build expression for a catalog-built group (its name)."""
-    return g.name
+# The groups the examples revolve around: small cyclics, the three
+# nonabelian groups of order at most 8, and enough composite orders to
+# exercise common-factor detection.
+CATALOG = ("C2", "C3", "C4", "C5", "C6", "C8", "C12", "S3", "D8", "Q8")
+
+
+def catalog_groups(max_order: Optional[int] = None) -> list[FiniteGroup]:
+    """The catalog, built, optionally filtered to orders <= max_order."""
+    groups = [build_group(spec) for spec in CATALOG]
+    if max_order is not None:
+        groups = [g for g in groups if g.order <= max_order]
+    return groups
 
 
 # --------------------------------------------------------------------------

@@ -57,13 +57,6 @@ class OpCounter:
     lookups: int = 0
     evaluations: int = 0
 
-    def merged(self, other: "OpCounter") -> "OpCounter":
-        return OpCounter(
-            self.comparisons + other.comparisons,
-            self.lookups + other.lookups,
-            self.evaluations + other.evaluations,
-        )
-
     def as_dict(self) -> dict[str, int]:
         return {
             "comparisons": self.comparisons,
@@ -323,14 +316,6 @@ class HomSet:
     def __getitem__(self, i: int) -> GroupMap:
         return self.members[i]
 
-    @property
-    def is_trivial(self) -> bool:
-        return len(self.members) == 1
-
-
-_hom_cache: dict[tuple, HomSet] = {}
-_auto_cache: dict[int, HomSet] = {}
-
 
 def _candidate_images(
     domain: FiniteGroup,
@@ -349,9 +334,6 @@ def _candidate_images(
     return pools
 
 
-_prefix_cache: dict[int, tuple] = {}
-
-
 def _prefix_layers(domain: FiniteGroup):
     """Closure chain of the generator prefixes, for incremental backtracking.
 
@@ -360,7 +342,7 @@ def _prefix_layers(domain: FiniteGroup):
     an order where the parent is always assigned first, and ``closures[i]``
     holds the whole closure so far as an index array.
     """
-    if id(domain) not in _prefix_cache:
+    if "prefix_layers" not in domain._cache:
         gens = domain.generators()
         t = domain.table
         seen = [False] * domain.order
@@ -383,9 +365,8 @@ def _prefix_layers(domain: FiniteGroup):
             layers.append(tuple(new))
             closures.append(np.array(members, dtype=np.intp))
         gen_cols = [np.array([t[x][g] for x in range(domain.order)], dtype=np.intp) for g in gens]
-        # the group itself is kept in the value so the id key cannot be reused
-        _prefix_cache[id(domain)] = (domain, gens, layers, closures, gen_cols)
-    return _prefix_cache[id(domain)][1:]
+        domain._cache["prefix_layers"] = (gens, layers, closures, gen_cols)
+    return domain._cache["prefix_layers"]
 
 
 def _maps_from_generator_images(
@@ -453,17 +434,17 @@ def enumerate_homs(
     generator) products.  Results are cached and canonically sorted.
     """
     allowed: Optional[tuple[int, ...]] = None
-    key = (id(domain), id(codomain), None)
     if restrict_codomain is not None:
         if restrict_codomain.parent is not codomain:
             raise PreconditionError("restriction subgroup must live in the codomain")
         allowed = restrict_codomain.elements
-        key = (id(domain), id(codomain), allowed)
-    if key not in _hom_cache:
+    memo = domain._cache.setdefault("homs", {})
+    key = (codomain, allowed)
+    if key not in memo:
         pools = _candidate_images(domain, codomain, allowed, exact_order=False)
         members = _maps_from_generator_images(domain, codomain, pools)
-        _hom_cache[key] = HomSet(domain, codomain, tuple(members))
-    return _hom_cache[key]
+        memo[key] = HomSet(domain, codomain, tuple(members))
+    return memo[key]
 
 
 def enumerate_endos(g: FiniteGroup) -> HomSet:
@@ -472,11 +453,11 @@ def enumerate_endos(g: FiniteGroup) -> HomSet:
 
 def enumerate_autos(g: FiniteGroup) -> HomSet:
     """Every automorphism, via order-preserving generator images."""
-    if id(g) not in _auto_cache:
+    if "autos" not in g._cache:
         pools = _candidate_images(g, g, None, exact_order=True)
         members = _maps_from_generator_images(g, g, pools, bijective_only=True)
-        _auto_cache[id(g)] = HomSet(g, g, tuple(members))
-    return _auto_cache[id(g)]
+        g._cache["autos"] = HomSet(g, g, tuple(members))
+    return g._cache["autos"]
 
 
 def power_map(f: GroupMap, k: int) -> GroupMap:

@@ -69,9 +69,6 @@ __all__ = [
 
 DEFAULT_AUT_ENUM_LIMIT = 64
 
-_product_cache: dict[tuple[int, ...], FiniteGroup] = {}
-
-
 class ProductGroup:
     """A direct product together with its canonical injections and projections."""
 
@@ -96,10 +93,11 @@ class ProductGroup:
     @classmethod
     def of(cls, *factors: FiniteGroup) -> "ProductGroup":
         """Product over exactly these factors, composite blocks kept whole."""
-        key = tuple(id(f) for f in factors)
-        if key not in _product_cache:
-            _product_cache[key] = direct_product(*factors, flatten=False)
-        return cls(_product_cache[key])
+        # memoised on the first factor; with no factors direct_product raises
+        memo = factors[0]._cache.setdefault("products", {}) if factors else {}
+        if factors not in memo:
+            memo[factors] = direct_product(*factors, flatten=False)
+        return cls(memo[factors])
 
     @property
     def n(self) -> int:

@@ -145,6 +145,14 @@ def test_bench_json(capsys):
     assert {r["steps_headline"] for r in det} == {19}
 
 
+@pytest.mark.parametrize("trials", ["0", "-2"])
+def test_bench_rejects_nonpositive_trials(trials, capsys):
+    assert main(["bench", "C3", "C4", "--trials", trials]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--trials must be at least 1" in err
+
+
 def test_sweep_small(capsys):
     assert main(["sweep", "4"]) == 0
     out = capsys.readouterr().out
@@ -173,3 +181,4 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "headline steps" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
