@@ -23,7 +23,6 @@ from .groups import (
 )
 from .maps import (
     GroupMap,
-    HomSet,
     enumerate_autos,
     identity_map,
     is_bijective,

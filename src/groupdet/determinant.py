@@ -362,7 +362,9 @@ def _invert_block(m: EndoMatrix, branch: str, counter: Optional[OpCounter]) -> E
     A 2 x 2 matrix is inverted on ``branch``.  Otherwise a sub-block that
     fails to invert only rules out that pivot choice, so the loop moves on;
     the matrix is reported singular only when some pivot route completes and
-    its determinant is not bijective.
+    its determinant is not bijective.  The result is built trusted: it is the
+    matrix of the inverse endomorphism, whose entries are homomorphisms with
+    commuting row images.
     """
     if m.n == 2:
         used, det = branch_determinant(m, branch, counter)
@@ -370,7 +372,8 @@ def _invert_block(m: EndoMatrix, branch: str, counter: Optional[OpCounter]) -> E
         s = 1 - p
         e = m.entries
         ss, sp, ps, pp = _inverse_blocks(det, e[s][p], e[p][s], invert(e[p][p], counter), counter)
-        return EndoMatrix(m.factors, [[ss, sp], [ps, pp]] if s == 0 else [[pp, ps], [sp, ss]])
+        entries = [[ss, sp], [ps, pp]] if s == 0 else [[pp, ps], [sp, ss]]
+        return EndoMatrix(m.factors, entries, trusted=True)
     n = m.n
     last_exc: Optional[Exception] = None
     for s in range(n):
@@ -396,7 +399,7 @@ def _invert_block(m: EndoMatrix, branch: str, counter: Optional[OpCounter]) -> E
                 entries[i][j] = compose(
                     sub_pg.projections[pi], compose(delta_p, sub_pg.injections[pj])
                 )
-        return EndoMatrix(m.factors, entries)
+        return EndoMatrix(m.factors, entries, trusted=True)
     raise DeterminantUndefinedError(
         "no factor admits an invertible complementary block",
         pivot_index=getattr(last_exc, "pivot_index", None),

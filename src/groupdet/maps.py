@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .errors import (
     InversionError,
     PreconditionError,
@@ -147,11 +145,12 @@ def _derived_map(
     values: tuple[int, ...],
     hom: Optional[bool] = None,
 ) -> GroupMap:
-    """A map whose values were computed from maps that are already validated.
+    """A map whose values were read from validated maps or group tables.
 
     ``values`` must be a tuple of codomain indices, one per domain element; it
     is stored as given, without the public constructor's coercion and range
-    check.  Callers are the map algebra below and ``matrices.recompose``.
+    check.  Callers are the map algebra and the hom/auto search below, and
+    ``matrices.recompose`` and ``matrices.decompose``.
     """
     f = object.__new__(GroupMap)
     f.domain = domain
@@ -339,8 +338,13 @@ def _prefix_layers(domain: FiniteGroup):
 
     For each prefix gens[:i+1], ``layers[i]`` lists the elements that enter the
     closure at step i as (element, earlier element, generator index) triples in
-    an order where the parent is always assigned first, and ``closures[i]``
-    holds the whole closure so far as an index array.
+    an order where the parent is always assigned first.  ``checks[i]`` lists
+    the products (x, x * gens[j], j) that become fully defined at step i:
+    every x of the previous closure with the new generator gens[i], and every
+    x of the new layer with each gens[j], j <= i.  Over steps 0..i these are
+    every element of the closure with every generator so far, each once; the
+    products that define a layer element hold by construction and are left
+    out.
     """
     if "prefix_layers" not in domain._cache:
         gens = domain.generators()
@@ -349,8 +353,9 @@ def _prefix_layers(domain: FiniteGroup):
         seen[domain.identity] = True
         members = [domain.identity]
         layers = []
-        closures = []
+        checks = []
         for i in range(len(gens)):
+            old = len(members)
             new: list[tuple[int, int, int]] = []
             queue = list(members)
             while queue:
@@ -362,10 +367,14 @@ def _prefix_layers(domain: FiniteGroup):
                         new.append((y, x, j))
                         members.append(y)
                         queue.append(y)
+            defining = {(x, j) for _, x, j in new}
+            pairs = [(x, i) for x in members[:old]]
+            pairs += [(x, j) for x in members[old:] for j in range(i + 1)]
             layers.append(tuple(new))
-            closures.append(np.array(members, dtype=np.intp))
-        gen_cols = [np.array([t[x][g] for x in range(domain.order)], dtype=np.intp) for g in gens]
-        domain._cache["prefix_layers"] = (gens, layers, closures, gen_cols)
+            checks.append(
+                tuple((x, t[x][gens[j]], j) for x, j in pairs if (x, j) not in defining)
+            )
+        domain._cache["prefix_layers"] = (gens, layers, checks)
     return domain._cache["prefix_layers"]
 
 
@@ -375,47 +384,47 @@ def _maps_from_generator_images(
     pools: Sequence[Sequence[int]],
     bijective_only: bool = False,
 ) -> list[GroupMap]:
-    """Depth-first search over generator images; validated maps come out sorted.
+    """Depth-first search over generator images; homomorphisms come out sorted.
 
-    Each level assigns one generator image, extends the map over the closure
-    of the generators so far, and prunes immediately unless the partial map is
-    a homomorphism there (checked as f(x * g) = f(x) * f(g), which propagates
-    to all words), and injective when only bijections are wanted.
+    Level i assigns the image of gens[i], extends the map over the new layer
+    of the closure, and prunes at the first product of ``checks[i]`` with
+    f(x * g) != f(x) * f(g).  Levels 0..i together check every element of the
+    closure with every generator so far, which makes the map a homomorphism
+    on it.  When only bijections are wanted, a level whose checks pass is
+    also pruned when an element of its new layer maps to the identity: the
+    kernel on the earlier closure is already trivial, so this keeps it
+    trivial, and a homomorphism with trivial kernel is injective.
     """
-    gens, layers, closures, gen_cols = _prefix_layers(domain)
+    gens, layers, checks = _prefix_layers(domain)
     tc = codomain.table
-    tc_np = np.array(tc, dtype=np.intp)
+    e = codomain.identity
     n = domain.order
     k = len(gens)
     out: list[GroupMap] = []
     if k == 0:
-        return [GroupMap(domain, codomain, [codomain.identity] * n, hom=True)]
+        return [_derived_map(domain, codomain, (e,) * n, hom=True)]
     values = [-1] * n
-    values[domain.identity] = codomain.identity
+    values[domain.identity] = e
     images = [-1] * k
 
     def descend(i: int) -> None:
         layer = layers[i]
-        closure = closures[i]
+        check = checks[i]
+        last = i + 1 == k
         for c in pools[i]:
             images[i] = c
             for x, prev, j in layer:
                 values[x] = tc[values[prev]][images[j]]
-            va = np.fromiter(values, dtype=np.intp, count=n)
-            vs = va[closure]
-            ok = not bijective_only or np.unique(vs).size == closure.size
-            if ok:
-                for j in range(i + 1):
-                    if not np.array_equal(va[gen_cols[j][closure]], tc_np[vs, images[j]]):
-                        ok = False
-                        break
-            if ok:
-                if i + 1 == k:
-                    out.append(GroupMap(domain, codomain, values, hom=True))
+            for x, xg, j in check:
+                if values[xg] != tc[values[x]][images[j]]:
+                    break
+            else:
+                if bijective_only and any(values[x] == e for x, _, _ in layer):
+                    continue
+                if last:
+                    out.append(_derived_map(domain, codomain, tuple(values), hom=True))
                 else:
                     descend(i + 1)
-        for x, _, _ in layer:
-            values[x] = -1
 
     descend(0)
     out.sort(key=lambda m: m.values)
@@ -430,8 +439,10 @@ def enumerate_homs(
     """Every homomorphism domain -> codomain, optionally with image inside a subgroup.
 
     Candidates assign each generator an image whose order divides the
-    generator's, then each candidate map is validated on all (element,
-    generator) products.  Results are cached and canonically sorted.
+    generator's.  The search extends a candidate one generator at a time and
+    checks, at each level, only the (element, generator) products that level
+    newly defines (``_prefix_layers``), so every product is checked once.
+    Results are cached and canonically sorted.
     """
     allowed: Optional[tuple[int, ...]] = None
     if restrict_codomain is not None:

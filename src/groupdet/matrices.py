@@ -96,8 +96,8 @@ class ProductGroup:
         # memoised on the first factor; with no factors direct_product raises
         memo = factors[0]._cache.setdefault("products", {}) if factors else {}
         if factors not in memo:
-            memo[factors] = direct_product(*factors, flatten=False)
-        return cls(memo[factors])
+            memo[factors] = cls(direct_product(*factors, flatten=False))
+        return memo[factors]
 
     @property
     def n(self) -> int:
@@ -196,11 +196,18 @@ def decompose(phi: GroupMap, pg: Optional[ProductGroup] = None) -> EndoMatrix:
         raise PreconditionError("map is not an endomorphism of the given product")
     if not phi.is_homomorphism():
         raise PreconditionError("decompose needs a homomorphism")
+    v = phi.values
+    facs = pg.factors
     entries = [
-        [compose(pg.projections[i], compose(phi, pg.injections[j])) for j in range(pg.n)]
-        for i in range(pg.n)
+        [
+            _derived_map(facs[j], facs[i], tuple(proj.values[v[x]] for x in inj.values), hom=True)
+            for j, inj in enumerate(pg.injections)
+        ]
+        for i, proj in enumerate(pg.projections)
     ]
-    return EndoMatrix(pg.factors, entries)
+    # entry (i, j) is pi_i . phi . iota_j, a homomorphism; a row commutes because
+    # elements of different factors commute in the product and phi keeps them so
+    return EndoMatrix(pg.factors, entries, trusted=True)
 
 
 def recompose(m: EndoMatrix, pg: Optional[ProductGroup] = None) -> GroupMap:
@@ -483,6 +490,9 @@ def map_from_dict(d: dict) -> GroupMap:
         raise ParseError(f"map payload missing field {exc}") from None
     if not isinstance(values, (list, tuple)):
         raise ParseError("map payload 'values' must be a list")
+    for v in values:
+        if not isinstance(v, int) or isinstance(v, bool):
+            raise ParseError(f"map payload value {v!r} is not an integer")
     return GroupMap(domain, codomain, values)
 
 

@@ -10,7 +10,7 @@ cross-checks every such equivalence while assembling its report.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .autcompare import compare_aut_vs_A

@@ -7,12 +7,15 @@ from groupdet import (
     DeterminantUndefinedError,
     EndoMatrix,
     FSequence,
+    GroupMap,
     InversionError,
     OpCounter,
     PreconditionError,
     ProductGroup,
     build_group,
+    catalog_groups,
     compose,
+    decompose,
     det_A,
     det_h,
     det_k,
@@ -300,11 +303,29 @@ def test_three_factor_inverses():
         is_invertible_via_det(identity_matrix(facs), branch="k")
 
 
+def test_inverses_pass_full_validation():
+    # inverses are built trusted; fresh public maps make the validating
+    # constructor recheck every entry and every row
+    groups = catalog_groups()
+    pgs = [ProductGroup.of(h, k) for i, h in enumerate(groups) for k in groups[i:]
+           if h.order * k.order <= 32]
+    pgs.append(_pg("C2", "C2", "C3"))
+    inverted = 0
+    for pg in pgs:
+        for phi in enumerate_autos(pg.product):
+            try:
+                w = invert_via_det(decompose(phi, pg))
+            except DeterminantUndefinedError:
+                continue
+            fresh = [[GroupMap(e.domain, e.codomain, e.values) for e in row] for row in w.entries]
+            assert EndoMatrix(pg.factors, fresh) == w
+            inverted += 1
+    assert inverted > 0
+
+
 def test_three_factor_dead_pivots():
     """The two automorphisms swapping the order-2 factors admit no pivot
     route at all, while remaining genuinely invertible."""
-    from groupdet import decompose
-
     facs = tuple(build_group(s) for s in ("C2", "C2", "C3"))
     pg = ProductGroup.of(*facs)
     undecidable = 0

@@ -1,4 +1,6 @@
 """Map algebra, homomorphism enumeration, and normality machinery."""
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,6 +177,35 @@ def test_enumerate_homs_matches_naive_oracle_up_to_order_8():
             expected = _naive_hom_count(h, k)
             got = len(enumerate_homs(h, k).members)
             assert got == expected, (h.name, k.name, got, expected)
+
+
+def _generator_image_oracle(g, bijective_only):
+    """Sorted value tuples of every endomorphism (or automorphism) of g.
+
+    Tries every tuple of generator images, extends it along ``word_tree``
+    and keeps it when it passes the full n^2 product check against the raw
+    table; no prefix layers and no pruning.
+    """
+    n, t = g.order, g.table
+    bfs, parents = g.word_tree()
+    found = []
+    for images in itertools.product(range(n), repeat=len(g.generators())):
+        values = [g.identity] * n
+        for x in bfs[1:]:
+            prev, gi = parents[x]
+            values[x] = t[values[prev]][images[gi]]
+        if bijective_only and len(set(values)) != n:
+            continue
+        if all(values[t[a][b]] == t[values[a]][values[b]] for a in range(n) for b in range(n)):
+            found.append(tuple(values))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("spec", ["C2xC2", "C2xC4", "S3xC2", "C2xC2xC3", "C4xC6"])
+def test_enumeration_matches_generator_image_oracle(spec):
+    g = build_group(spec)
+    assert [m.values for m in enumerate_autos(g)] == _generator_image_oracle(g, True)
+    assert [m.values for m in enumerate_endos(g)] == _generator_image_oracle(g, False)
 
 
 def test_is_bijective_counter_semantics():

@@ -6,12 +6,15 @@ import pytest
 from groupdet import (
     EndoMatrix,
     FactorizationError,
+    GroupMap,
+    ParseError,
     PreconditionError,
     ProductGroup,
     ResourceLimitError,
     StructuralError,
     astruc_factorize,
     build_group,
+    catalog_groups,
     compose,
     decompose,
     enumerate_A,
@@ -89,6 +92,21 @@ def test_decompose_recompose_round_trip_on_autos():
     for phi in enumerate_autos(pg.product).members:
         m = decompose(phi, pg)
         assert recompose(m, pg).values == phi.values
+
+
+def test_decompose_passes_full_validation_on_catalog_products():
+    # decompose builds its matrix trusted; fresh public maps make the
+    # validating constructor recheck every entry and every row
+    groups = catalog_groups()
+    for i, h in enumerate(groups):
+        for k in groups[i:]:
+            if h.order * k.order > 32:
+                continue
+            pg = ProductGroup.of(h, k)
+            for phi in enumerate_autos(pg.product):
+                m = decompose(phi, pg)
+                fresh = [[GroupMap(e.domain, e.codomain, e.values) for e in row] for row in m.entries]
+                assert EndoMatrix(pg.factors, fresh) == m
 
 
 def test_recompose_decompose_round_trip_on_matrices():
@@ -345,3 +363,14 @@ def test_serialization_round_trip():
         back = matrix_from_dict(matrix_to_dict(m))
         assert back.entries == m.entries
         assert [g.name for g in back.factors] == [g.name for g in m.factors]
+
+
+@pytest.mark.parametrize("bad", [1.9, True, "2"])
+def test_payload_values_must_be_integers(bad):
+    payload = {"domain": "C4", "codomain": "C4", "values": [0, 1, 2, bad]}
+    with pytest.raises(ParseError):
+        map_from_dict(payload)
+    m = matrix_to_dict(identity_matrix((build_group("C4"), build_group("C2"))))
+    m["entries"][0][0] = payload
+    with pytest.raises(ParseError):
+        matrix_from_dict(m)
