@@ -186,6 +186,12 @@ class FiniteGroup:
             self._cache["center"] = Subgroup(self, zs)
         return self._cache["center"]
 
+    def center_set(self) -> frozenset[int]:
+        """The center's elements as a set, for membership tests."""
+        if "center_set" not in self._cache:
+            self._cache["center_set"] = frozenset(self.center().elements)
+        return self._cache["center_set"]
+
     def derived_subgroup(self) -> "Subgroup":
         """The subgroup generated by all commutators."""
         if "derived" not in self._cache:
@@ -346,7 +352,7 @@ class Subgroup:
         )
 
     def is_central(self) -> bool:
-        zs = set(self.parent.center().elements)
+        zs = self.parent.center_set()
         return all(x in zs for x in self.elements)
 
     def as_group(self) -> tuple[FiniteGroup, dict[int, int]]:
@@ -592,10 +598,21 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     return FiniteGroup(table, name=f"E{p}^{k}", labels=labels)
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: table file is not UTF-8 text") from None
+
+
 def load_table_file(path: str) -> FiniteGroup:
     """Load a group table file: order line, N table rows, optional labels: line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    return _table_from_text(path, _read_text(path))
+
+
+def _table_from_text(path: str, text: str) -> FiniteGroup:
+    lines = [ln.strip() for ln in text.split("\n") if ln.strip()]
     if not lines:
         raise ParseError(f"{path}: empty table file")
     try:
@@ -630,12 +647,13 @@ def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGr
 
 _ATOM_RE = re.compile(r"^(C(\d+)|D(\d+)|S(\d+)|Q8|E(\d+)\^(\d+))$")
 
-_build_cache: dict[str, FiniteGroup] = {}
+# Normalized spec -> (contents of its table files, group).
+_build_cache: dict[str, tuple[tuple[Optional[str], ...], FiniteGroup]] = {}
 
 
-def _build_atom(atom: str) -> FiniteGroup:
+def _build_atom(atom: str, text: Optional[str]) -> FiniteGroup:
     if atom.startswith("@"):
-        return load_table_file(atom[1:])
+        return _table_from_text(atom[1:], text)
     m = _ATOM_RE.match(atom)
     if not m:
         raise ParseError(f"unrecognized group atom {atom!r}")
@@ -651,45 +669,53 @@ def _build_atom(atom: str) -> FiniteGroup:
     return elementary_abelian(int(m.group(5)), int(m.group(6)))
 
 
+_PRODUCT_RE = re.compile(r"\s+x\s+")
+
+
 def _split_atoms(spec: str) -> list[str]:
+    """Split a product on each "x" with whitespace on both sides.
+
+    A part that starts with "@" is one path atom, spaces and "x" included.
+    Any other part must hold no whitespace and may use the compact form
+    "C2xC4".
+    """
     s = spec.strip()
     if not s:
         raise ParseError("empty group expression")
-    if any(ch.isspace() for ch in s):
-        tokens = s.split()
-        atoms, expect_atom = [], True
-        for tok in tokens:
-            if expect_atom:
-                if tok == "x":
-                    raise ParseError(f"malformed group expression {spec!r}")
-                atoms.append(tok)
-            elif tok != "x":
-                raise ParseError(f"expected 'x' between atoms in {spec!r}")
-            expect_atom = not expect_atom
-        if expect_atom:
-            raise ParseError(f"trailing 'x' in group expression {spec!r}")
-        return atoms
-    if s.startswith("@"):
-        return [s]
-    return s.split("x")
+    if re.match(r"x\s", s):
+        raise ParseError(f"malformed group expression {spec!r}")
+    if re.search(r"\sx$", s):
+        raise ParseError(f"trailing 'x' in group expression {spec!r}")
+    atoms: list[str] = []
+    for part in _PRODUCT_RE.split(s):
+        if part.startswith("@"):
+            atoms.append(part)
+        elif any(ch.isspace() for ch in part):
+            raise ParseError(f"expected 'x' between atoms in {spec!r}")
+        else:
+            atoms += part.split("x")
+    return atoms
 
 
 def build_group(spec: str) -> FiniteGroup:
     """Build a group from an expression like ``"C4"`` or ``"S3 x C4"``.
 
     Results are cached per normalized spec, so repeated builds return the
-    same object.  Product expressions record flat factor metadata used by the
-    matrix layer.
+    same object.  Table files are read on every build, and the cached group
+    is returned only while their contents are unchanged.  Product
+    expressions record flat factor metadata used by the matrix layer.
     """
     atoms = _split_atoms(spec)
     if any(not a for a in atoms):
         raise ParseError(f"malformed group expression {spec!r}")
     key = " x ".join(atoms)
-    if key in _build_cache:
-        return _build_cache[key]
-    parts = [_build_atom(a) for a in atoms]
+    texts = tuple(_read_text(a[1:]) if a.startswith("@") else None for a in atoms)
+    cached = _build_cache.get(key)
+    if cached is not None and cached[0] == texts:
+        return cached[1]
+    parts = [_build_atom(a, text) for a, text in zip(atoms, texts)]
     g = parts[0] if len(parts) == 1 else direct_product(*parts)
-    _build_cache[key] = g
+    _build_cache[key] = (texts, g)
     return g
 
 

@@ -10,7 +10,8 @@ so the assumption is checked rather than silently used.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, Optional, Sequence
 
 from .errors import (
     InversionError,
@@ -275,7 +276,7 @@ def is_central_automorphism(f: GroupMap) -> bool:
     if not (f.is_homomorphism() and is_bijective(f)):
         return False
     g = f.domain
-    center = set(g.center().elements)
+    center = g.center_set()
     t, inv = g.table, g.inverse
     return all(t[f.values[x]][inv[x]] in center for x in range(g.order))
 
@@ -334,17 +335,22 @@ def _candidate_images(
 
 
 def _prefix_layers(domain: FiniteGroup):
-    """Closure chain of the generator prefixes, for incremental backtracking.
+    """Search steps for the generator prefixes, one step list per level.
 
-    For each prefix gens[:i+1], ``layers[i]`` lists the elements that enter the
-    closure at step i as (element, earlier element, generator index) triples in
-    an order where the parent is always assigned first.  ``checks[i]`` lists
-    the products (x, x * gens[j], j) that become fully defined at step i:
-    every x of the previous closure with the new generator gens[i], and every
-    x of the new layer with each gens[j], j <= i.  Over steps 0..i these are
-    every element of the closure with every generator so far, each once; the
-    products that define a layer element hold by construction and are left
-    out.
+    Level i sets the image of gens[i] and extends the map over the elements
+    that enter the closure at step i (the closure of gens[:i+1] less that of
+    gens[:i]).  Each step (target, source, j, new) reads
+    f(source) * f(gens[j]), where target = source * gens[j] in the domain.
+    A ``new`` step assigns that value to target, the first time target is
+    defined; its source is always defined earlier.  Every other step compares
+    it with the value target already has.  The compare steps of level i are
+    the products that level newly defines: every x of the previous closure
+    with gens[i], and every x of the new layer with each gens[j], j <= i,
+    less the products that assign a layer element, which hold by
+    construction.  Over levels 0..i they cover every element of the closure
+    with every generator so far, each once.  Each compare step comes right
+    after the later of its two ends is assigned, so a failing candidate
+    stops as early as the level allows.
     """
     if "prefix_layers" not in domain._cache:
         gens = domain.generators()
@@ -352,8 +358,7 @@ def _prefix_layers(domain: FiniteGroup):
         seen = [False] * domain.order
         seen[domain.identity] = True
         members = [domain.identity]
-        layers = []
-        checks = []
+        levels = []
         for i in range(len(gens)):
             old = len(members)
             new: list[tuple[int, int, int]] = []
@@ -370,11 +375,20 @@ def _prefix_layers(domain: FiniteGroup):
             defining = {(x, j) for _, x, j in new}
             pairs = [(x, i) for x in members[:old]]
             pairs += [(x, j) for x in members[old:] for j in range(i + 1)]
-            layers.append(tuple(new))
-            checks.append(
-                tuple((x, t[x][gens[j]], j) for x, j in pairs if (x, j) not in defining)
-            )
-        domain._cache["prefix_layers"] = (gens, layers, checks)
+            # ready[m] holds the compare steps whose later end is the m-th
+            # new element; ready[0] those with both ends in the old closure.
+            rank = {y: m for m, (y, _, _) in enumerate(new, 1)}
+            ready: list[list[tuple[int, int, int, bool]]] = [[] for _ in range(len(new) + 1)]
+            for x, j in pairs:
+                if (x, j) not in defining:
+                    xg = t[x][gens[j]]
+                    ready[max(rank.get(x, 0), rank.get(xg, 0))].append((xg, x, j, False))
+            steps = ready[0]
+            for m, (y, x, j) in enumerate(new, 1):
+                steps.append((y, x, j, True))
+                steps += ready[m]
+            levels.append(tuple(steps))
+        domain._cache["prefix_layers"] = (gens, levels)
     return domain._cache["prefix_layers"]
 
 
@@ -382,53 +396,57 @@ def _maps_from_generator_images(
     domain: FiniteGroup,
     codomain: FiniteGroup,
     pools: Sequence[Sequence[int]],
-    bijective_only: bool = False,
-) -> list[GroupMap]:
-    """Depth-first search over generator images; homomorphisms come out sorted.
+    injective: bool = False,
+) -> Iterator[tuple[int, ...]]:
+    """Yield the values of every homomorphism with gens[i] -> some c in pools[i].
 
-    Level i assigns the image of gens[i], extends the map over the new layer
-    of the closure, and prunes at the first product of ``checks[i]`` with
-    f(x * g) != f(x) * f(g).  Levels 0..i together check every element of the
-    closure with every generator so far, which makes the map a homomorphism
-    on it.  When only bijections are wanted, a level whose checks pass is
-    also pruned when an element of its new layer maps to the identity: the
-    kernel on the earlier closure is already trivial, so this keeps it
-    trivial, and a homomorphism with trivial kernel is injective.
+    A depth-first search over generator images, in pool order.  Level i sets
+    the image of gens[i] and runs the level's steps (``_prefix_layers``); it
+    stops at the first compare step with f(x * g) != f(x) * f(g).  Levels
+    0..i together check every element of the closure with every generator so
+    far, which makes a map that passes them a homomorphism on that closure.
+
+    With ``injective``, a candidate is also dropped as soon as a step assigns
+    the identity to a new element.  The values a step assigns are fixed by the
+    generator images, so if the candidate completes, the completed map is a
+    homomorphism that sends that non-identity element to the identity: its
+    kernel is not trivial and it is not injective.  Conversely a completed
+    map that never assigned the identity has trivial kernel, so it is
+    injective.  A caller that needs only one extension takes the first value
+    and drops the generator.
     """
-    gens, layers, checks = _prefix_layers(domain)
+    gens, levels = _prefix_layers(domain)
     tc = codomain.table
     e = codomain.identity
-    n = domain.order
     k = len(gens)
-    out: list[GroupMap] = []
-    if k == 0:
-        return [_derived_map(domain, codomain, (e,) * n, hom=True)]
-    values = [-1] * n
+    values = [-1] * domain.order
     values[domain.identity] = e
+    if k == 0:
+        yield tuple(values)
+        return
     images = [-1] * k
+    kernel = e if injective else -1  # -1 is no element, so homs never stop here
 
-    def descend(i: int) -> None:
-        layer = layers[i]
-        check = checks[i]
+    def descend(i: int) -> Iterator[tuple[int, ...]]:
+        steps = levels[i]
         last = i + 1 == k
         for c in pools[i]:
             images[i] = c
-            for x, prev, j in layer:
-                values[x] = tc[values[prev]][images[j]]
-            for x, xg, j in check:
-                if values[xg] != tc[values[x]][images[j]]:
+            for target, source, j, new in steps:
+                v = tc[values[source]][images[j]]
+                if new:
+                    if v == kernel:
+                        break
+                    values[target] = v
+                elif values[target] != v:
                     break
             else:
-                if bijective_only and any(values[x] == e for x, _, _ in layer):
-                    continue
                 if last:
-                    out.append(_derived_map(domain, codomain, tuple(values), hom=True))
+                    yield tuple(values)
                 else:
-                    descend(i + 1)
+                    yield from descend(i + 1)
 
-    descend(0)
-    out.sort(key=lambda m: m.values)
-    return out
+    yield from descend(0)
 
 
 def enumerate_homs(
@@ -442,6 +460,7 @@ def enumerate_homs(
     generator's.  The search extends a candidate one generator at a time and
     checks, at each level, only the (element, generator) products that level
     newly defines (``_prefix_layers``), so every product is checked once.
+    Homomorphisms do not form a group, so the whole search tree is walked.
     Results are cached and canonically sorted.
     """
     allowed: Optional[tuple[int, ...]] = None
@@ -453,8 +472,9 @@ def enumerate_homs(
     key = (codomain, allowed)
     if key not in memo:
         pools = _candidate_images(domain, codomain, allowed, exact_order=False)
-        members = _maps_from_generator_images(domain, codomain, pools)
-        memo[key] = HomSet(domain, codomain, tuple(members))
+        found = sorted(_maps_from_generator_images(domain, codomain, pools))
+        members = tuple(_derived_map(domain, codomain, v, hom=True) for v in found)
+        memo[key] = HomSet(domain, codomain, members)
     return memo[key]
 
 
@@ -463,11 +483,44 @@ def enumerate_endos(g: FiniteGroup) -> HomSet:
 
 
 def enumerate_autos(g: FiniteGroup) -> HomSet:
-    """Every automorphism, via order-preserving generator images."""
+    """Every automorphism, built from coset representatives of a stabiliser chain.
+
+    Let A_i be the automorphisms that fix gens[:i] pointwise, so A_0 = Aut(g)
+    and A_k = {1}.  For each candidate image c of gens[i] (an element of the
+    same order), the search with gens[:i] pinned to themselves and gens[i]
+    sent to c stops at its first completion t_c, or ends without one, which
+    proves that no automorphism of A_i sends gens[i] to c.  Every a in A_i
+    with a(gens[i]) = c has t_c^-1 a in A_{i+1}, and every t_c s with s in
+    A_{i+1} lies in A_i and sends gens[i] to c, so
+
+        A_i = disjoint union over c of  t_c A_{i+1}.
+
+    Aut(g) is therefore the set of products t_0 t_1 ... t_{k-1}, one
+    representative per level, and each automorphism is met exactly once.
+    Products are composed as value tuples (t s)(x) = t(s(x)), not through
+    ``compose``.
+    """
     if "autos" not in g._cache:
+        gens = g.generators()
         pools = _candidate_images(g, g, None, exact_order=True)
-        members = _maps_from_generator_images(g, g, pools, bijective_only=True)
-        g._cache["autos"] = HomSet(g, g, tuple(members))
+        group = [tuple(range(g.order))]
+        for i in reversed(range(len(gens))):
+            pinned = [(x,) for x in gens[:i]]
+            reps = []
+            for c in pools[i]:
+                search = _maps_from_generator_images(
+                    g, g, pinned + [(c,)] + pools[i + 1:], injective=True
+                )
+                t = next(search, None)
+                if t is not None:
+                    reps.append(t)
+            # itemgetter(*s)(t) is the tuple t[s[x]] over x; s has at least
+            # two entries here (a group with a generator), so it is a tuple.
+            getters = [itemgetter(*s) for s in group]
+            group = [get(t) for t in reps for get in getters]
+        group.sort()
+        members = tuple(_derived_map(g, g, v, hom=True) for v in group)
+        g._cache["autos"] = HomSet(g, g, members)
     return g._cache["autos"]
 
 

@@ -296,7 +296,7 @@ def in_A(m: EndoMatrix) -> bool:
         if not is_bijective(m.entries[i][i]):
             return False
     for i in range(n):
-        center = set(m.factors[i].center().elements)
+        center = m.factors[i].center_set()
         for j in range(n):
             if i != j and not m.entries[i][j].image() <= center:
                 return False

@@ -93,6 +93,42 @@ def test_table_file_round_trip(tmp_path):
     assert via_spec.table == g.table
 
 
+def _write_table(path, g):
+    lines = [str(g.order)] + [" ".join(str(v) for v in row) for row in g.table]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_table_file_edits_are_reread(tmp_path):
+    path = tmp_path / "t.txt"
+    _write_table(path, build_group("C2"))
+    first = build_group(f"@{path}")
+    assert first.order == 2
+    assert build_group(f"@{path}") is first
+    _write_table(path, build_group("C3"))
+    edited = build_group(f"@{path}")
+    assert edited.order == 3
+    assert build_group(f"@{path}") is edited
+
+
+def test_table_file_path_with_spaces(tmp_path):
+    folder = tmp_path / "dir with space"
+    folder.mkdir()
+    path = folder / "t.txt"
+    _write_table(path, build_group("S3"))
+    assert build_group(f"@{path}").table == build_group("S3").table
+    assert build_group(f"@{path} x C2").order == 12
+    assert build_group(f"C2 x @{path}").order == 12
+
+
+def test_undecodable_table_file_is_a_parse_error(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_bytes(b"\xff\xfe2\n0 1\n1 0\n")
+    with pytest.raises(ParseError):
+        build_group(f"@{path}")
+    with pytest.raises(ParseError):
+        load_table_file(str(path))
+
+
 def test_elementary_abelian_and_products():
     e8 = build_group("E2^3")
     assert e8.order == 8 and e8.is_abelian

@@ -201,11 +201,29 @@ def _generator_image_oracle(g, bijective_only):
     return sorted(found)
 
 
-@pytest.mark.parametrize("spec", ["C2xC2", "C2xC4", "S3xC2", "C2xC2xC3", "C4xC6"])
+@pytest.mark.parametrize(
+    "spec", ["C2xC2", "C2xC4", "S3xC2", "C2xC2xC3", "C4xC6", "Q8 x C2", "D8 x C2"]
+)
 def test_enumeration_matches_generator_image_oracle(spec):
     g = build_group(spec)
     assert [m.values for m in enumerate_autos(g)] == _generator_image_oracle(g, True)
     assert [m.values for m in enumerate_endos(g)] == _generator_image_oracle(g, False)
+
+
+# Closed forms: |GL(4, 2)|, |GL(3, 3)|, |GL(2, Z/12)| = |GL(2, Z/4)| * |GL(2, Z/3)|
+# = 96 * 48, and |GL(2, Z/8)| = 8^4 * (1 - 1/2) * (1 - 1/4).
+@pytest.mark.parametrize(
+    "spec, count",
+    [("E2^4", 20160), ("E3^3", 11232), ("C12 x C12", 4608), ("C8 x C8", 1536)],
+)
+def test_automorphism_counts_match_closed_forms(spec, count):
+    g = build_group(spec)
+    autos = enumerate_autos(g)
+    assert len(autos) == count
+    assert len({f.values for f in autos}) == count
+    for f in autos:
+        fresh = GroupMap(g, g, f.values)
+        assert fresh.is_homomorphism() and is_bijective(fresh)
 
 
 def test_is_bijective_counter_semantics():
