@@ -10,10 +10,11 @@ unitriangular matrices that fail to commute.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import islice
+from typing import Optional
 
 from .determinant import invert_via_det
-from .errors import PreconditionError, ResourceLimitError, StructuralError
+from .errors import PreconditionError, StructuralError
 from .groups import (
     CommonFactorWitness,
     DirectFactorization,
@@ -23,16 +24,24 @@ from .groups import (
 )
 from .maps import (
     GroupMap,
+    _chain_products,
+    _derived_map,
+    aut_order,
+    compose,
     enumerate_autos,
+    enumerate_homs,
     identity_map,
     is_bijective,
     is_central_automorphism,
+    pointwise_diff,
     zero_map,
 )
 from .matrices import (
     DEFAULT_AUT_ENUM_LIMIT,
     EndoMatrix,
     ProductGroup,
+    _check_enum_bound,
+    decompose,
     enumerate_A,
     enumerate_Z,
     identity_matrix,
@@ -93,24 +102,26 @@ class AutComparison:
         }
 
 
-def _compare(
-    pg: ProductGroup,
-    aut_matrices: list[EndoMatrix],
-    set_matrices: list[EndoMatrix],
-    member: Callable[[EndoMatrix], bool],
-) -> AutComparison:
-    aut_keys = {m.key() for m in aut_matrices}
-    set_minus_aut = tuple(
-        m for m in set_matrices if m.key() not in aut_keys
-    )[:WITNESS_CAP]
-    aut_minus_set = tuple(m for m in aut_matrices if not member(m))[:WITNESS_CAP]
-    return AutComparison(
-        aut_order=len(aut_matrices),
-        a_order=len(set_matrices),
-        a_subset_aut=not set_minus_aut,
-        aut_subset_a=not aut_minus_set,
-        violating_matrices=(set_minus_aut, aut_minus_set),
-    )
+def _lambda_composites(h: FiniteGroup, k: FiniteGroup):
+    """Yield (lam, phi, pairs) for lam in Aut(h) and each distinct composite phi.
+
+    phi = xi.mu runs over the composites of xi: k -> Z(h) and mu: h -> Z(k);
+    ``pairs`` lists the (xi, mu) whose composite has phi's values, in (xi, mu)
+    order, and composites come in the order of their first pair.  This is
+    the triple loop of the det_h side of the determinant: a test of lam
+    against xi.mu depends on lam and the values of xi.mu alone, so it runs
+    once per distinct composite and stands for every pair in ``pairs``.
+    """
+    mus = enumerate_homs(h, k, restrict_codomain=k.center()).members
+    xis = enumerate_homs(k, h, restrict_codomain=h.center()).members
+    composites: dict[tuple[int, ...], tuple[GroupMap, list]] = {}
+    for xi in xis:
+        for mu in mus:
+            phi = compose(xi, mu)
+            composites.setdefault(phi.values, (phi, []))[1].append((xi, mu))
+    for lam in enumerate_autos(h).members:
+        for phi, pairs in composites.values():
+            yield lam, phi, pairs
 
 
 def compare_aut_vs_A(
@@ -118,13 +129,65 @@ def compare_aut_vs_A(
     k: FiniteGroup,
     max_product_order: int = DEFAULT_AUT_ENUM_LIMIT,
 ) -> AutComparison:
-    """Decide both inclusions between Aut(H x K) and A by enumeration."""
-    from .matrices import enumerate_aut_matrices
+    """Decide both inclusions between Aut(H x K) and A by counting.
 
+    |A| = |Aut h| |Aut k| |Hom(k, Z(h))| |Hom(h, Z(k))|, one entry per cell.
+    A member [[lam, xi], [mu', nu]] recomposes to an automorphism iff its
+    determinant det_h = lam - xi.nu^-1.mu' is bijective.  For each nu,
+    mu = nu^-1.mu' runs over Hom(h, Z(k)) once as mu' does, so
+
+        |A n Aut| = |Aut k| * #{(lam, xi, mu) : lam - xi.mu bijective},
+
+    counted by one loop over lam and the distinct composites xi.mu
+    (``_lambda_composites``).  A is inside Aut iff no triple fails, and Aut
+    is inside A iff |A n Aut| = |Aut(H x K)|, which the stabiliser chain
+    gives (``aut_order``) without listing Aut(H x K).
+
+    Witnesses, up to WITNESS_CAP per side: ``set_minus_aut`` holds
+    [[lam, xi], [nu.mu, nu]] over failing triples in loop order, nu
+    fastest; ``aut_minus_set`` holds the automorphisms outside A, found
+    among the chain products (level 0 fastest), made and decomposed one at a
+    time until |Aut| - |A n Aut| of them, or WITNESS_CAP, are found.
+    """
+    _check_enum_bound((h, k), max_product_order)
     pg = ProductGroup.of(h, k)
-    aut_mats = enumerate_aut_matrices(pg, max_product_order)
-    a_mats = enumerate_A((h, k), max_product_order)
-    return _compare(pg, aut_mats, a_mats, in_A)
+    nus = enumerate_autos(k).members
+    a_order = (
+        len(enumerate_autos(h))
+        * len(nus)
+        * len(enumerate_homs(k, h, restrict_codomain=h.center()))
+        * len(enumerate_homs(h, k, restrict_codomain=k.center()))
+    )
+    failing = 0
+    failures = []  # (lam, pairs) of failing composites, enough for the witnesses
+    for lam, phi, pairs in _lambda_composites(h, k):
+        if not is_bijective(pointwise_diff(lam, phi)):
+            if failing < WITNESS_CAP:
+                failures.append((lam, pairs))
+            failing += len(pairs)
+    set_minus_aut = tuple(islice(
+        (
+            EndoMatrix((h, k), [[lam, xi], [compose(nu, mu), nu]], trusted=True)
+            for lam, pairs in failures
+            for xi, mu in pairs
+            for nu in nus
+        ),
+        WITNESS_CAP,
+    ))
+    in_both = a_order - len(nus) * failing
+    g = pg.product
+    aut = aut_order(g)
+    chain = (decompose(_derived_map(g, g, v, hom=True), pg) for v in _chain_products(g))
+    aut_minus_set = tuple(islice(
+        (m for m in chain if not in_A(m)), min(WITNESS_CAP, aut - in_both)
+    ))
+    return AutComparison(
+        aut_order=aut,
+        a_order=a_order,
+        a_subset_aut=failing == 0,
+        aut_subset_a=in_both == aut,
+        violating_matrices=(set_minus_aut, aut_minus_set),
+    )
 
 
 def central_aut_group(g: FiniteGroup) -> tuple[GroupMap, ...]:
@@ -140,16 +203,20 @@ def compare_autc_vs_Z(
     max_product_order: int = DEFAULT_AUT_ENUM_LIMIT,
 ) -> AutComparison:
     """Decide both inclusions between Aut_c(H x K) and Z by enumeration."""
-    from .matrices import decompose
-
+    _check_enum_bound((h, k), max_product_order)
     pg = ProductGroup.of(h, k)
-    if pg.product.order > max_product_order:
-        raise ResourceLimitError(
-            f"product order {pg.product.order} exceeds the enumeration bound {max_product_order}"
-        )
     autc_mats = [decompose(f, pg) for f in central_aut_group(pg.product)]
     z_mats = enumerate_Z((h, k), max_product_order)
-    return _compare(pg, autc_mats, z_mats, in_Z)
+    autc_keys = {m.key() for m in autc_mats}
+    set_minus_aut = tuple(m for m in z_mats if m.key() not in autc_keys)[:WITNESS_CAP]
+    aut_minus_set = tuple(m for m in autc_mats if not in_Z(m))[:WITNESS_CAP]
+    return AutComparison(
+        aut_order=len(autc_mats),
+        a_order=len(z_mats),
+        a_subset_aut=not set_minus_aut,
+        aut_subset_a=not aut_minus_set,
+        violating_matrices=(set_minus_aut, aut_minus_set),
+    )
 
 
 @dataclass(frozen=True)

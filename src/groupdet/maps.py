@@ -10,12 +10,14 @@ so the assumption is checked rather than silently used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
     InversionError,
     PreconditionError,
+    ResourceLimitError,
     StructuralError,
     NoncommutingImagesError,
 )
@@ -38,9 +40,15 @@ __all__ = [
     "enumerate_homs",
     "enumerate_endos",
     "enumerate_autos",
+    "aut_order",
+    "AUT_LIST_LIMIT",
     "power_map",
     "fitting_decomposition",
 ]
+
+# enumerate_autos refuses to list a group with more automorphisms than this:
+# a million automorphisms of a group of order 64 take about 0.6 GB as maps.
+AUT_LIST_LIMIT = 1_000_000
 
 
 @dataclass
@@ -482,8 +490,8 @@ def enumerate_endos(g: FiniteGroup) -> HomSet:
     return enumerate_homs(g, g)
 
 
-def enumerate_autos(g: FiniteGroup) -> HomSet:
-    """Every automorphism, built from coset representatives of a stabiliser chain.
+def _aut_chain(g: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """Coset representatives of the stabiliser chain of the generators.
 
     Let A_i be the automorphisms that fix gens[:i] pointwise, so A_0 = Aut(g)
     and A_k = {1}.  For each candidate image c of gens[i] (an element of the
@@ -495,16 +503,16 @@ def enumerate_autos(g: FiniteGroup) -> HomSet:
 
         A_i = disjoint union over c of  t_c A_{i+1}.
 
-    Aut(g) is therefore the set of products t_0 t_1 ... t_{k-1}, one
-    representative per level, and each automorphism is met exactly once.
-    Products are composed as value tuples (t s)(x) = t(s(x)), not through
-    ``compose``.
+    Level i holds the value tuples of the t_c, in pool order.  Aut(g) is
+    therefore the set of products t_0 t_1 ... t_{k-1}, one representative per
+    level, each automorphism met exactly once, and |Aut(g)| is the product
+    of the level sizes.
     """
-    if "autos" not in g._cache:
+    if "aut_chain" not in g._cache:
         gens = g.generators()
         pools = _candidate_images(g, g, None, exact_order=True)
-        group = [tuple(range(g.order))]
-        for i in reversed(range(len(gens))):
+        levels = []
+        for i in range(len(gens)):
             pinned = [(x,) for x in gens[:i]]
             reps = []
             for c in pools[i]:
@@ -514,12 +522,58 @@ def enumerate_autos(g: FiniteGroup) -> HomSet:
                 t = next(search, None)
                 if t is not None:
                     reps.append(t)
-            # itemgetter(*s)(t) is the tuple t[s[x]] over x; s has at least
-            # two entries here (a group with a generator), so it is a tuple.
-            getters = [itemgetter(*s) for s in group]
-            group = [get(t) for t in reps for get in getters]
-        group.sort()
-        members = tuple(_derived_map(g, g, v, hom=True) for v in group)
+            levels.append(tuple(reps))
+        g._cache["aut_chain"] = tuple(levels)
+    return g._cache["aut_chain"]
+
+
+def aut_order(g: FiniteGroup) -> int:
+    """|Aut(g)|, the product of the level sizes of ``_aut_chain``; lists nothing."""
+    return prod(len(reps) for reps in _aut_chain(g))
+
+
+def _chain_products(g: FiniteGroup) -> Iterator[tuple[int, ...]]:
+    """Yield the value tuple of every automorphism, one at a time.
+
+    Each is a product t_0 t_1 ... t_{k-1} of ``_aut_chain`` representatives,
+    composed as value tuples, (t s)(x) = t(s(x)), not through ``compose``.
+    The level-0 representative varies fastest; the partial product
+    t_{i+1} ... t_{k-1} of the slower levels is formed once per prefix.
+    """
+    levels = _aut_chain(g)
+    if not levels:
+        yield tuple(range(g.order))
+        return
+
+    def walk(i: int, right: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+        # itemgetter(*right)(t) is the tuple t[right[x]] over x; right has at
+        # least two entries (a group with a generator), so it is a tuple.
+        get = itemgetter(*right)
+        if i == 0:
+            for t in levels[0]:
+                yield get(t)
+        else:
+            for t in levels[i]:
+                yield from walk(i - 1, get(t))
+
+    yield from walk(len(levels) - 1, tuple(range(g.order)))
+
+
+def enumerate_autos(g: FiniteGroup) -> HomSet:
+    """Every automorphism, sorted: the products of ``_aut_chain`` representatives.
+
+    Raises ResourceLimitError when |Aut(g)| exceeds AUT_LIST_LIMIT, before
+    any product is formed.
+    """
+    if "autos" not in g._cache:
+        order = aut_order(g)
+        if order > AUT_LIST_LIMIT:
+            raise ResourceLimitError(
+                f"{g.name} has {order} automorphisms, over the listing bound {AUT_LIST_LIMIT}"
+            )
+        members = tuple(
+            _derived_map(g, g, v, hom=True) for v in sorted(_chain_products(g))
+        )
         g._cache["autos"] = HomSet(g, g, members)
     return g._cache["autos"]
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .autcompare import compare_aut_vs_A
+from .autcompare import _lambda_composites, compare_aut_vs_A
 from .errors import ResourceLimitError, StructuralError
 from .groups import (
     CommonFactorWitness,
@@ -209,21 +209,21 @@ def a_subgroup_check(
 
     The criterion: lambda + xi.mu and nu + mu.xi are bijective for every
     lambda in Aut(h), nu in Aut(k), mu: h -> Z(k), xi: k -> Z(h).  The two
-    sums depend on disjoint triples, so the check runs as two triple loops.
-    On failure the witness is the offending non-bijective sum.
+    sums depend on disjoint triples, so the check runs as two triple loops;
+    the first is the det_h loop of ``autcompare._lambda_composites``, which
+    tests each distinct composite xi.mu once per lambda.  On failure the
+    witness is the offending non-bijective sum.
     """
     if h.order * k.order > max_product_order:
         raise ResourceLimitError(
             f"product order {h.order * k.order} exceeds bound {max_product_order}"
         )
+    for lam, phi, _ in _lambda_composites(h, k):
+        s = pointwise_sum(lam, phi, require_commuting=True)
+        if not is_bijective(s):
+            return False, s
     mus = enumerate_homs(h, k, restrict_codomain=k.center()).members
     xis = enumerate_homs(k, h, restrict_codomain=h.center()).members
-    for lam in enumerate_autos(h).members:
-        for xi in xis:
-            for mu in mus:
-                s = pointwise_sum(lam, compose(xi, mu), require_commuting=True)
-                if not is_bijective(s):
-                    return False, s
     for nu in enumerate_autos(k).members:
         for mu in mus:
             for xi in xis:

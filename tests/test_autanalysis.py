@@ -3,15 +3,20 @@ import json
 
 import pytest
 
+from groupdet import autcompare
 from groupdet import (
+    CATALOG,
     AutComparison,
     PreconditionError,
+    ProductGroup,
     ResourceLimitError,
     StructuralError,
     build_group,
     central_aut_group,
     compare_aut_vs_A,
     compare_autc_vs_Z,
+    enumerate_A,
+    enumerate_aut_matrices,
     enumerate_autos,
     in_A,
     is_bijective,
@@ -151,3 +156,81 @@ def test_lemcomm_witness_consistent_with_comparison():
     cmp = compare_aut_vs_A(h, k)
     _, aut_minus_set = cmp.violating_matrices
     assert w.key() in {m.key() for m in aut_minus_set}
+
+
+def _listing_comparison(h, k, max_product_order):
+    """Aut(H x K) against A by listing both sides and comparing key sets.
+
+    Every automorphism of the product is decomposed and every member of A
+    built; no count, chain order or determinant is used.  Returns the figures
+    of an AutComparison and the key sets of both differences.
+    """
+    pg = ProductGroup.of(h, k)
+    aut_mats = enumerate_aut_matrices(pg, max_product_order)
+    a_mats = enumerate_A((h, k), max_product_order)
+    aut_keys = {m.key() for m in aut_mats}
+    a_keys = {m.key() for m in a_mats}
+    set_minus_aut = a_keys - aut_keys
+    aut_minus_set = aut_keys - a_keys
+    return {
+        "aut_order": len(aut_mats),
+        "a_order": len(a_mats),
+        "a_subset_aut": not set_minus_aut,
+        "aut_subset_a": not aut_minus_set,
+        "equal": not set_minus_aut and not aut_minus_set,
+        "witness_counts": (
+            min(WITNESS_CAP, len(set_minus_aut)),
+            min(WITNESS_CAP, len(aut_minus_set)),
+        ),
+    }, set_minus_aut, aut_minus_set
+
+
+def _check_witnesses(cmp, set_minus_aut_keys=None, aut_minus_set_keys=None):
+    set_minus_aut, aut_minus_set = cmp.violating_matrices
+    for m in set_minus_aut:
+        assert in_A(m) and not is_bijective(recompose(m))
+    for m in aut_minus_set:
+        assert not in_A(m) and is_bijective(recompose(m))
+    for side, keys in ((set_minus_aut, set_minus_aut_keys), (aut_minus_set, aut_minus_set_keys)):
+        assert len({m.key() for m in side}) == len(side)
+        if keys is not None:
+            assert {m.key() for m in side} <= keys
+
+
+def test_counting_matches_listing_on_catalog_pairs(monkeypatch):
+    groups = [_g(s) for s in CATALOG]
+    pairs = [(h, k) for i, h in enumerate(groups) for k in groups[i:]]
+    assert len(pairs) == 55
+    for h, k in pairs:
+        want, set_minus_aut, aut_minus_set = _listing_comparison(h, k, 144)
+        cmp = compare_aut_vs_A(h, k, max_product_order=144)
+        got = {
+            "aut_order": cmp.aut_order,
+            "a_order": cmp.a_order,
+            "a_subset_aut": cmp.a_subset_aut,
+            "aut_subset_a": cmp.aut_subset_a,
+            "equal": cmp.equal,
+            "witness_counts": tuple(len(side) for side in cmp.violating_matrices),
+        }
+        assert got == want, (h.name, k.name)
+        _check_witnesses(cmp, set_minus_aut, aut_minus_set)
+    # Without the cap the witnesses are both differences in full, so the
+    # counted |A n Aut| that bounds the chain walk is checked as well.
+    monkeypatch.setattr(autcompare, "WITNESS_CAP", 10**9)
+    for h, k in pairs:
+        if h.order * k.order <= 64:
+            _, set_minus_aut, aut_minus_set = _listing_comparison(h, k, 64)
+            uncapped = compare_aut_vs_A(h, k).violating_matrices
+            assert [{m.key() for m in side} for side in uncapped] == [
+                set_minus_aut, aut_minus_set
+            ], (h.name, k.name)
+
+
+def test_comparison_without_listing_the_product_automorphisms():
+    # |Aut(C2^4 x C4)| = 10,321,920; listing them exhausted memory.
+    cmp = compare_aut_vs_A(_g("E2^3"), _g("C2 x C4"))
+    assert cmp.aut_order == 10_321_920
+    assert cmp.a_order == 5_505_024  # |Aut E2^3| |Aut(C2 x C4)| |Hom|^2 = 168 * 8 * 64 * 64
+    assert not cmp.a_subset_aut and not cmp.aut_subset_a
+    assert [len(side) for side in cmp.violating_matrices] == [WITNESS_CAP] * 2
+    _check_witnesses(cmp)

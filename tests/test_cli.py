@@ -65,6 +65,23 @@ def test_classify_incomplete_exit(capsys):
     assert main(["classify", "C12", "C12", "--max-order", "144"]) == 0
 
 
+def test_classify_counts_instead_of_listing_product_automorphisms(capsys):
+    # |Aut(E2^3 x C2 x C4)| = 10,321,920: listing them ran out of memory.
+    assert main(["classify", "E2^3", "C2 x C4"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["a_equals_aut"] is False
+    assert payload["a_is_subgroup"] is False
+    assert payload["incomplete"] is False
+
+
+def test_automorphism_listing_bound_exit_2(capsys):
+    # |Aut(E2^5)| = |GL(5, 2)| = 9,999,360 is over the listing bound.
+    assert main(["bench", "E2^5", "C2"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "listing bound" in err
+
+
 def test_parse_errors_exit_1(capsys):
     assert main(["classify", "C0", "C4"]) == 1
     assert main(["classify", "D3", "C4"]) == 1

@@ -1,5 +1,6 @@
 """Map algebra, homomorphism enumeration, and normality machinery."""
 import itertools
+import time
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from groupdet import (
     InversionError,
     OpCounter,
     PreconditionError,
+    ResourceLimitError,
     StructuralError,
+    aut_order,
     build_group,
     compose,
     enumerate_autos,
@@ -136,6 +139,7 @@ def test_end_and_aut_counts():
         assert len(enumerate_endos(build_group(spec)).members) == n, spec
     for spec, n in AUT_COUNTS.items():
         assert len(enumerate_autos(build_group(spec)).members) == n, spec
+        assert aut_order(build_group(spec)) == n, spec
 
 
 def test_homset_sorted_canonically():
@@ -218,12 +222,28 @@ def test_enumeration_matches_generator_image_oracle(spec):
 )
 def test_automorphism_counts_match_closed_forms(spec, count):
     g = build_group(spec)
+    assert aut_order(g) == count
     autos = enumerate_autos(g)
     assert len(autos) == count
     assert len({f.values for f in autos}) == count
     for f in autos:
         fresh = GroupMap(g, g, f.values)
         assert fresh.is_homomorphism() and is_bijective(fresh)
+
+
+def test_aut_order_counts_without_listing():
+    g = build_group("E2^6")
+    t0 = time.perf_counter()
+    assert aut_order(g) == 20_158_709_760  # |GL(6, 2)|
+    assert time.perf_counter() - t0 < 1.0
+    assert "autos" not in g._cache
+
+
+def test_enumerate_autos_refuses_over_the_listing_bound():
+    g = build_group("E2^5")
+    assert aut_order(g) == 9_999_360  # |GL(5, 2)|
+    with pytest.raises(ResourceLimitError):
+        enumerate_autos(g)
 
 
 def test_is_bijective_counter_semantics():

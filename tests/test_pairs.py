@@ -14,6 +14,7 @@ from groupdet import (
     build_group,
     classify_pair,
     identity_map,
+    is_bijective,
     is_centrally_incompatible,
     is_centrally_totally_incompatible_of_length,
     is_incompatible,
@@ -124,6 +125,10 @@ def test_a_subgroup_check_examples():
     assert not ok
     # the witness is 1 + xi.mu = identity + identity, the zero map on C2
     assert w.values == (0, 0)
+    # both sides fail here; the lambda + xi.mu side is tried first
+    h, k = _g("C2 x C4"), _g("C2")
+    ok, w = a_subgroup_check(h, k)
+    assert not ok and w.domain is h and not is_bijective(w)
     with pytest.raises(ResourceLimitError):
         a_subgroup_check(_g("C12"), _g("C12"))
 
