@@ -16,9 +16,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Optional, Sequence
-
-import numpy as np
 
 from .errors import ParseError, PreconditionError, StructuralError, ValidationError
 
@@ -35,59 +34,93 @@ __all__ = [
     "direct_product",
     "are_isomorphic",
     "common_nontrivial_factor",
-    "FULL_ASSOCIATIVITY_LIMIT",
 ]
 
-# Tables up to this order get the full n^3 associativity check; larger ones
-# are spot-checked on 10 * n^2 random triples.
-FULL_ASSOCIATIVITY_LIMIT = 256
 
-_SAMPLED_TRIPLES_FACTOR = 10
-_SAMPLE_SEED = 0x5EED
+def _validate_table(table: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Check that ``table`` is a group table; return its rows and its identity.
 
+    Exact at every order, in three steps, each raising ValidationError:
 
-def _validate_table(table: Sequence[Sequence[int]], order: int) -> None:
-    """Check Latin-square and associativity properties, raising ValidationError."""
-    arr = np.asarray(table, dtype=np.int64)
-    if arr.shape != (order, order):
-        raise ValidationError(f"table shape {arr.shape} does not match order {order}")
-    if arr.min() < 0 or arr.max() >= order:
-        raise ValidationError("table entries must lie in 0..order-1")
-    want = np.arange(order)
-    for i in range(order):
-        if not np.array_equal(np.sort(arr[i]), want):
-            raise ValidationError(f"row {i} is not a permutation: not a Latin square")
-        if not np.array_equal(np.sort(arr[:, i]), want):
-            raise ValidationError(f"column {i} is not a permutation: not a Latin square")
-    if order <= FULL_ASSOCIATIVITY_LIMIT:
-        left = arr[arr, :]          # left[a,b,c] = (a*b)*c
-        right = arr[:, arr]         # right[a,b,c] = a*(b*c)
-        if not np.array_equal(left, right):
-            bad = np.argwhere(left != right)[0]
-            a, b, c = (int(v) for v in bad)
+    1. every entry is a plain ``int`` (not a bool), the table is square, and
+       every row and every column is a permutation of ``0..n-1``;
+    2. some element e has row e and column e both equal to ``0..n-1``;
+    3. Light's associativity test passes over a generating set S:
+       (x*a)*y = x*(a*y) for every x, y and every a in S.
+
+    Step 3 suffices: the elements a passing it for all x, y are closed under
+    products (Clifford and Preston, *The Algebraic Theory of Semigroups*,
+    vol. 1, 1961), and contain the identity, so when S generates they are
+    everything.  S is built by breadth-first right multiplication from the
+    identity, adding the smallest unreached element as a new generator
+    whenever the search stalls, so every element is a product of
+    generators.  The test costs |S| * n^2 table lookups.
+    """
+    try:
+        rows = tuple(tuple(row) for row in table)
+    except TypeError:
+        raise ValidationError("a group table must be a sequence of rows") from None
+    n = len(rows)
+    if n == 0:
+        raise ValidationError("a group table must have at least one element")
+    span = set(range(n))
+    for i, row in enumerate(rows):
+        if len(row) != n:
+            raise ValidationError(f"row {i} has {len(row)} entries, expected {n}")
+        if set(map(type, row)) != {int}:
+            bad = next(v for v in row if type(v) is not int)
+            raise ValidationError(f"table entry {bad!r} in row {i} is not an integer")
+        if set(row) != span:
             raise ValidationError(
-                f"associativity fails at triple ({a}, {b}, {c}): "
-                f"({a}*{b})*{c} = {int(left[a, b, c])} but {a}*({b}*{c}) = {int(right[a, b, c])}"
+                f"row {i} is not a permutation of 0..{n - 1}: not a Latin square"
             )
-    else:
-        rng = np.random.default_rng(_SAMPLE_SEED)
-        trips = rng.integers(0, order, size=(_SAMPLED_TRIPLES_FACTOR * order * order, 3))
-        a, b, c = trips[:, 0], trips[:, 1], trips[:, 2]
-        left = arr[arr[a, b], c]
-        right = arr[a, arr[b, c]]
-        if not np.array_equal(left, right):
-            k = int(np.argwhere(left != right)[0][0])
+    for j, col in enumerate(zip(*rows)):
+        if set(col) != span:
             raise ValidationError(
-                f"associativity fails at sampled triple "
-                f"({int(a[k])}, {int(b[k])}, {int(c[k])})"
+                f"column {j} is not a permutation of 0..{n - 1}: not a Latin square"
             )
+
+    plain = tuple(range(n))
+    e = next((x for x in range(n) if rows[x] == plain), None)
+    if e is None or any(rows[x][e] != x for x in range(n)):
+        raise ValidationError("table has no identity element")
+
+    gens: list[int] = []
+    seen = [False] * n
+    seen[e] = True
+    reached = [e]
+    for u in range(n):
+        if seen[u]:
+            continue
+        gens.append(u)
+        for x in reached:  # also visits the elements appended below
+            for g in gens:
+                y = rows[x][g]
+                if not seen[y]:
+                    seen[y] = True
+                    reached.append(y)
+
+    for a in gens:
+        # times_a(row_x)[y] = x*(a*y); there is a generator only when n >= 2,
+        # so itemgetter gets at least two keys and returns a tuple.
+        row_a = rows[a]
+        times_a = itemgetter(*row_a)
+        for x, row_x in enumerate(rows):
+            row_xa = rows[row_x[a]]
+            if times_a(row_x) != row_xa:
+                y = next(y for y in range(n) if row_xa[y] != row_x[row_a[y]])
+                raise ValidationError(
+                    f"associativity fails at triple ({x}, {a}, {y}): "
+                    f"({x}*{a})*{y} = {row_xa[y]} but {x}*({a}*{y}) = {row_x[row_a[y]]}"
+                )
+    return rows, e
 
 
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
-    The table is validated on construction (Latin square always; associativity
-    fully up to order ``FULL_ASSOCIATIVITY_LIMIT``, sampled above that).
+    The table is validated exactly on construction (``_validate_table``:
+    integer entries, Latin square, identity, Light's associativity test).
     Instances are immutable; derived data (center, subgroups, ...) is computed
     lazily and cached.
     """
@@ -99,15 +132,12 @@ class FiniteGroup:
         labels: Optional[Sequence[str]] = None,
         _factors: Optional[tuple["FiniteGroup", ...]] = None,
     ):
-        rows = tuple(tuple(int(v) for v in row) for row in table)
+        rows, identity = _validate_table(table)
         order = len(rows)
-        if order == 0:
-            raise ValidationError("a group table must have at least one element")
-        _validate_table(rows, order)
         self.table = rows
         self.order = order
         self.name = name or f"table of order {order}"
-        self.identity = self._find_identity()
+        self.identity = identity
         self.inverse = tuple(rows[x].index(self.identity) for x in range(order))
         if labels is not None:
             if len(labels) != order:
@@ -118,12 +148,6 @@ class FiniteGroup:
         # Factor metadata for groups built as direct products (None otherwise).
         self.factors = _factors
         self._cache: dict = {}
-
-    def _find_identity(self) -> int:
-        for e in range(self.order):
-            if all(self.table[e][x] == x and self.table[x][e] == x for x in range(self.order)):
-                return e
-        raise ValidationError("table has no identity element")
 
     # -- element arithmetic ------------------------------------------------
 
@@ -243,32 +267,6 @@ class FiniteGroup:
                         break
             self._cache["generators"] = tuple(gens)
         return self._cache["generators"]
-
-    def word_tree(self) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-        """Breadth-first expression of every element over ``generators()``.
-
-        Returns (bfs order, parents) where parents[x] = (prev, gen_index) with
-        x = prev * gens[gen_index]; the identity has parent (-1, -1).
-        """
-        if "word_tree" not in self._cache:
-            gens = self.generators()
-            t = self.table
-            parents: list[tuple[int, int]] = [(-2, -2)] * self.order
-            parents[self.identity] = (-1, -1)
-            order_out = [self.identity]
-            queue = [self.identity]
-            while queue:
-                x = queue.pop(0)
-                for gi, g in enumerate(gens):
-                    y = t[x][g]
-                    if parents[y] == (-2, -2):
-                        parents[y] = (x, gi)
-                        order_out.append(y)
-                        queue.append(y)
-            if len(order_out) != self.order:
-                raise StructuralError("generators() failed to generate the group")
-            self._cache["word_tree"] = (tuple(order_out), parents)
-        return self._cache["word_tree"]
 
     def all_subgroups(self) -> tuple["Subgroup", ...]:
         """Every subgroup, found by closing generator sets level by level."""
@@ -748,9 +746,13 @@ def _order_profile(g: FiniteGroup) -> tuple[tuple[int, int], ...]:
 def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]]:
     """An isomorphism g1 -> g2 as a value array, or None.
 
-    Searches generator images (matching element orders exactly) and validates
-    candidate maps on all (element, generator) products.
+    After cheap invariant checks, takes the first injective homomorphism of
+    the generator-image search in ``maps``, with each generator sent to an
+    element of the same order; between groups of equal order it is a
+    bijection.
     """
+    from .maps import _candidate_images, _maps_from_generator_images
+
     if g1.order != g2.order:
         return None
     if g1 is g2:
@@ -762,34 +764,8 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]
         or g1.derived_subgroup().order != g2.derived_subgroup().order
     ):
         return None
-    gens = g1.generators()
-    bfs, parents = g1.word_tree()
-    pools = [
-        [y for y in range(g2.order) if g2.element_orders[y] == g1.element_orders[g]]
-        for g in gens
-    ]
-    t1, t2 = g1.table, g2.table
-    n = g1.order
-    for images in itertools.product(*pools):
-        values = [-1] * n
-        values[g1.identity] = g2.identity
-        for x in bfs[1:]:
-            prev, gi = parents[x]
-            values[x] = t2[values[prev]][images[gi]]
-        if len(set(values)) != n:
-            continue
-        ok = True
-        for x in range(n):
-            vx = values[x]
-            for gi, g in enumerate(gens):
-                if values[t1[x][g]] != t2[vx][images[gi]]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return tuple(values)
-    return None
+    pools = _candidate_images(g1, g2, None, exact_order=True)
+    return next(_maps_from_generator_images(g1, g2, pools, injective=True), None)
 
 
 def common_nontrivial_factor(

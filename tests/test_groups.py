@@ -1,8 +1,15 @@
 """Group construction, structure queries, and factor machinery."""
+import random
+import re
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupdet import (
+    FiniteGroup,
+    GroupMap,
     ParseError,
     StructuralError,
     ValidationError,
@@ -11,6 +18,7 @@ from groupdet import (
     common_nontrivial_factor,
     direct_product,
     group_from_table,
+    is_bijective,
     load_table_file,
 )
 from groupdet.cli import CATALOG
@@ -71,6 +79,153 @@ def test_bad_tables_rejected():
             [3, 4, 1, 2, 0],
             [4, 2, 0, 1, 3],
         ])
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [[0, 1.9], [True, 0.0]],  # floats and bools that int() would coerce to C2
+        [["0", "1"], ["1", "0"]],  # strings
+        [[False, True], [True, False]],  # bools only
+        [[0, 1], [1]],  # ragged
+        [[0, 1, 2], [1, 2, 0]],  # not square
+        [[0, 1], [1, 2]],  # entry out of range
+        [0, 1],  # rows that are not sequences
+        [],
+    ],
+)
+def test_malformed_tables_are_validation_errors(table):
+    with pytest.raises(ValidationError):
+        group_from_table(table)
+
+
+def _swap_intercalate(table, a, u, c):
+    """Swap the two values of the 2x2 subsquare at rows (a, a*u), columns (c, u*c).
+
+    With u an involution, row a at column c and row a*u at column u*c hold
+    the same value, and so do the other two corners; swapping the two values
+    keeps a Latin square.
+    """
+    t = [list(row) for row in table]
+    b, d = t[a][u], t[u][c]
+    t[a][c], t[a][d], t[b][c], t[b][d] = t[a][d], t[a][c], t[b][d], t[b][c]
+    return t
+
+
+def test_intercalate_swap_above_order_256_is_caught_every_time():
+    g = build_group("S4 x S4")
+    assert g.order > 256
+    e, t = g.identity, g.table
+    involutions = [u for u in range(g.order) if u != e and t[u][u] == e]
+    rng = random.Random(7)
+    for _ in range(6):
+        u = rng.choice(involutions)
+        # Keep the identity's row and column intact, so the defect can only
+        # show as a failing associativity triple.
+        a = rng.choice([x for x in range(g.order) if x not in (e, u)])
+        c = rng.choice([x for x in range(g.order) if x not in (e, u)])
+        bad = _swap_intercalate(t, a, u, c)
+        assert sum(x != y for r, s in zip(t, bad) for x, y in zip(r, s)) == 4
+        with pytest.raises(ValidationError) as info:
+            group_from_table(bad)
+        m = re.search(r"triple \((\d+), (\d+), (\d+)\)", str(info.value))
+        assert m, str(info.value)
+        x, y, z = (int(v) for v in m.groups())
+        assert bad[bad[x][y]][z] != bad[x][bad[y][z]]
+
+
+def _group_oracle(t):
+    """The identity of t when t is a group table, else None: the full n^3 check."""
+    n = len(t)
+    span = list(range(n))
+    if any(sorted(row) != span for row in t) or any(
+        sorted(t[x][y] for x in range(n)) != span for y in range(n)
+    ):
+        return None
+    ids = [e for e in range(n) if all(t[e][x] == x == t[x][e] for x in range(n))]
+    if not ids:
+        return None
+    for a in range(n):
+        for b in range(n):
+            ab = t[a][b]
+            for c in range(n):
+                if t[ab][c] != t[a][t[b][c]]:
+                    return None
+    return ids[0]
+
+
+def _random_latin_square(rng, n):
+    """A random Latin square, filled cell by cell; restarts at a dead end."""
+    while True:
+        t = [[None] * n for _ in range(n)]
+        try:
+            for i in range(n):
+                for j in range(n):
+                    used = set(t[i][:j]) | {t[r][j] for r in range(i)}
+                    t[i][j] = rng.choice([v for v in range(n) if v not in used])
+        except IndexError:
+            continue
+        return t
+
+
+def _with_identity(t):
+    """Permute columns then rows so that element 0 is a two-sided identity."""
+    n = len(t)
+    cols = [t[0].index(j) for j in range(n)]
+    t = [[row[c] for c in cols] for row in t]
+    return sorted(t, key=lambda row: row[0])
+
+
+def _relabel(t, rng):
+    n = len(t)
+    s = list(range(n))
+    rng.shuffle(s)
+    out = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            out[s[x]][s[y]] = s[t[x][y]]
+    return out
+
+
+def test_validation_agrees_with_full_associativity_oracle():
+    rng = random.Random(2024)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(4, 8)
+        kind = rng.randrange(4)
+        if kind == 0:
+            t = _random_latin_square(rng, n)  # usually without identity
+        elif kind == 1:
+            t = _with_identity(_random_latin_square(rng, n))  # a random loop
+        else:
+            # Z_n or, at 4 and 8, Z_2^k: a group, relabelled; at even n kind 3
+            # first swaps one intercalate.
+            if n in (4, 8) and rng.random() < 0.5:
+                t = [[x ^ y for y in range(n)] for x in range(n)]
+            else:
+                t = [[(x + y) % n for y in range(n)] for x in range(n)]
+            if kind == 3 and n % 2 == 0:
+                u = 1 if t[1][1] == 0 else n // 2  # an involution
+                t = _swap_intercalate(t, rng.randrange(n), u, rng.randrange(n))
+            t = _relabel(t, rng)
+        want = _group_oracle(t)
+        verdicts[want is not None] += 1
+        if want is None:
+            with pytest.raises(ValidationError):
+                group_from_table(t)
+        else:
+            assert group_from_table(t).identity == want
+    assert min(verdicts.values()) >= 100, verdicts
+
+
+def test_import_does_not_load_numpy():
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, groupdet; print('numpy' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_grammar_errors():
@@ -213,6 +368,27 @@ def test_are_isomorphic_is_symmetric_on_catalog():
         assert (are_isomorphic(g1, g2) is not None) == (
             are_isomorphic(g2, g1) is not None
         )
+
+
+def test_isomorphisms_between_equal_order_catalog_groups_are_bijective_homs():
+    # The extra products have non-injective homomorphisms onto themselves
+    # that send each generator to an element of the same order.
+    specs = CATALOG + ("E2^2", "E2^3", "C2 x C4", "C2 x C6")
+    found = 0
+    for s1 in specs:
+        for s2 in specs:
+            g1, g2 = build_group(s1), build_group(s2)
+            if g1.order != g2.order:
+                continue
+            # A fresh copy of g2, so equal specs still run the search.
+            copy = FiniteGroup(g2.table, name=f"copy of {s2}")
+            iso = are_isomorphic(g1, copy)
+            assert (iso is not None) == (s1 == s2), (s1, s2)
+            if iso is not None:
+                f = GroupMap(g1, copy, iso)
+                assert f.is_homomorphism() and is_bijective(f), (s1, s2)
+                found += 1
+    assert found == len(specs)
 
 
 def test_common_nontrivial_factor_examples():

@@ -186,18 +186,25 @@ def test_enumerate_homs_matches_naive_oracle_up_to_order_8():
 def _generator_image_oracle(g, bijective_only):
     """Sorted value tuples of every endomorphism (or automorphism) of g.
 
-    Tries every tuple of generator images, extends it along ``word_tree``
-    and keeps it when it passes the full n^2 product check against the raw
-    table; no prefix layers and no pruning.
+    Tries every tuple of generator images, extends it along a breadth-first
+    word for each element and keeps it when it passes the full n^2 product
+    check against the raw table; no prefix layers and no pruning.
     """
-    n, t = g.order, g.table
-    bfs, parents = g.word_tree()
+    n, t, gens = g.order, g.table, g.generators()
+    words = []  # (x, prev, i) with x = prev * gens[i], prev reached earlier
+    reached = [g.identity]
+    for prev in reached:
+        for i, s in enumerate(gens):
+            x = t[prev][s]
+            if x not in reached:
+                reached.append(x)
+                words.append((x, prev, i))
+    assert len(reached) == n
     found = []
-    for images in itertools.product(range(n), repeat=len(g.generators())):
+    for images in itertools.product(range(n), repeat=len(gens)):
         values = [g.identity] * n
-        for x in bfs[1:]:
-            prev, gi = parents[x]
-            values[x] = t[values[prev]][images[gi]]
+        for x, prev, i in words:
+            values[x] = t[values[prev]][images[i]]
         if bijective_only and len(set(values)) != n:
             continue
         if all(values[t[a][b]] == t[values[a]][values[b]] for a in range(n) for b in range(n)):
