@@ -102,15 +102,14 @@ class AutComparison:
         }
 
 
-def _lambda_composites(h: FiniteGroup, k: FiniteGroup):
-    """Yield (lam, phi, pairs) for lam in Aut(h) and each distinct composite phi.
+def _composites(h: FiniteGroup, k: FiniteGroup):
+    """The pairs (phi, pairs), one for each distinct composite phi = xi.mu.
 
-    phi = xi.mu runs over the composites of xi: k -> Z(h) and mu: h -> Z(k);
-    ``pairs`` lists the (xi, mu) whose composite has phi's values, in (xi, mu)
-    order, and composites come in the order of their first pair.  This is
-    the triple loop of the det_h side of the determinant: a test of lam
-    against xi.mu depends on lam and the values of xi.mu alone, so it runs
-    once per distinct composite and stands for every pair in ``pairs``.
+    xi runs over Hom(k, Z(h)) and mu over Hom(h, Z(k)); ``pairs`` lists the
+    (xi, mu) whose composite has phi's values, in (xi, mu) order, and
+    composites come in the order of their first pair.  A test of 1 - xi.mu
+    or 1 + xi.mu depends on phi's values alone, so it runs once per distinct
+    composite and stands for every pair in ``pairs``.
     """
     mus = enumerate_homs(h, k, restrict_codomain=k.center()).members
     xis = enumerate_homs(k, h, restrict_codomain=h.center()).members
@@ -119,9 +118,7 @@ def _lambda_composites(h: FiniteGroup, k: FiniteGroup):
         for mu in mus:
             phi = compose(xi, mu)
             composites.setdefault(phi.values, (phi, []))[1].append((xi, mu))
-    for lam in enumerate_autos(h).members:
-        for phi, pairs in composites.values():
-            yield lam, phi, pairs
+    return composites.values()
 
 
 def compare_aut_vs_A(
@@ -132,59 +129,65 @@ def compare_aut_vs_A(
     """Decide both inclusions between Aut(H x K) and A by counting.
 
     |A| = |Aut h| |Aut k| |Hom(k, Z(h))| |Hom(h, Z(k))|, one entry per cell.
-    A member [[lam, xi], [mu', nu]] recomposes to an automorphism iff its
-    determinant det_h = lam - xi.nu^-1.mu' is bijective.  For each nu,
-    mu = nu^-1.mu' runs over Hom(h, Z(k)) once as mu' does, so
+    A member [[lam, xi'], [mu', nu]] recomposes to an automorphism iff its
+    determinant det_h = lam - xi'.nu^-1.mu' is bijective.  Write
+    xi' = lam.xi and mu' = nu.mu; as lam and nu are automorphisms, xi and mu
+    run over Hom(k, Z(h)) and Hom(h, Z(k)) once as xi' and mu' do, and
+    det_h = lam.(1 - xi.mu) (the identity pivot).  So
 
-        |A n Aut| = |Aut k| * #{(lam, xi, mu) : lam - xi.mu bijective},
+        |A minus Aut| = |Aut h| |Aut k| #{(xi, mu) : 1 - xi.mu not bijective},
 
-    counted by one loop over lam and the distinct composites xi.mu
-    (``_lambda_composites``).  A is inside Aut iff no triple fails, and Aut
-    is inside A iff |A n Aut| = |Aut(H x K)|, which the stabiliser chain
-    gives (``aut_order``) without listing Aut(H x K).
+    counted by one loop over the distinct composites xi.mu (``_composites``).
+    A is inside Aut iff no pair fails, and Aut is inside A iff
+    |A n Aut| = |Aut(H x K)|, which the stabiliser chain gives
+    (``aut_order``) without listing any automorphism group.
 
     Witnesses, up to WITNESS_CAP per side: ``set_minus_aut`` holds
-    [[lam, xi], [nu.mu, nu]] over failing triples in loop order, nu
-    fastest; ``aut_minus_set`` holds the automorphisms outside A, found
-    among the chain products (level 0 fastest), made and decomposed one at a
+    [[lam, lam.xi], [nu.mu, nu]] over the failing (xi, mu) in loop order,
+    then lam, then nu fastest, lam and nu walked through the chain products;
+    ``aut_minus_set`` holds the automorphisms outside A, found among the
+    chain products of H x K (level 0 fastest), made and decomposed one at a
     time until |Aut| - |A n Aut| of them, or WITNESS_CAP, are found.
     """
     _check_enum_bound((h, k), max_product_order)
     pg = ProductGroup.of(h, k)
-    nus = enumerate_autos(k).members
+    auts = aut_order(h) * aut_order(k)
     a_order = (
-        len(enumerate_autos(h))
-        * len(nus)
+        auts
         * len(enumerate_homs(k, h, restrict_codomain=h.center()))
         * len(enumerate_homs(h, k, restrict_codomain=k.center()))
     )
-    failing = 0
-    failures = []  # (lam, pairs) of failing composites, enough for the witnesses
-    for lam, phi, pairs in _lambda_composites(h, k):
-        if not is_bijective(pointwise_diff(lam, phi)):
-            if failing < WITNESS_CAP:
-                failures.append((lam, pairs))
-            failing += len(pairs)
+    one = identity_map(h)
+    failing = [
+        pair
+        for phi, pairs in _composites(h, k)
+        if not is_bijective(pointwise_diff(one, phi))
+        for pair in pairs
+    ]
+
+    def autos(g: FiniteGroup):
+        return (_derived_map(g, g, v, hom=True) for v in _chain_products(g))
+
     set_minus_aut = tuple(islice(
         (
-            EndoMatrix((h, k), [[lam, xi], [compose(nu, mu), nu]], trusted=True)
-            for lam, pairs in failures
-            for xi, mu in pairs
-            for nu in nus
+            EndoMatrix((h, k), [[lam, compose(lam, xi)], [compose(nu, mu), nu]], trusted=True)
+            for xi, mu in failing
+            for lam in autos(h)
+            for nu in autos(k)
         ),
         WITNESS_CAP,
     ))
-    in_both = a_order - len(nus) * failing
+    in_both = a_order - auts * len(failing)
     g = pg.product
     aut = aut_order(g)
-    chain = (decompose(_derived_map(g, g, v, hom=True), pg) for v in _chain_products(g))
+    chain = (decompose(f, pg) for f in autos(g))
     aut_minus_set = tuple(islice(
         (m for m in chain if not in_A(m)), min(WITNESS_CAP, aut - in_both)
     ))
     return AutComparison(
         aut_order=aut,
         a_order=a_order,
-        a_subset_aut=failing == 0,
+        a_subset_aut=not failing,
         aut_subset_a=in_both == aut,
         violating_matrices=(set_minus_aut, aut_minus_set),
     )

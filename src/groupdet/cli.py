@@ -133,7 +133,7 @@ def _report_text(r: PairReport) -> str:
 
 def cmd_classify(args) -> int:
     report = classify_pair(args.h_spec, args.k_spec, max_product_order=args.max_order)
-    print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
+    _emit(args, report.as_dict(), _report_text(report))
     return EXIT_RESOURCE if report.incomplete else EXIT_OK
 
 

@@ -32,6 +32,7 @@ from .groups import FiniteGroup
 from .maps import (
     GroupMap,
     OpCounter,
+    _derived_map,
     compose,
     identity_map,
     invert,
@@ -40,7 +41,7 @@ from .maps import (
     pointwise_diff,
     pointwise_sum,
 )
-from .matrices import EndoMatrix, ProductGroup, in_A, recompose
+from .matrices import EndoMatrix, ProductGroup, _product_of_composites, in_A, recompose
 
 __all__ = [
     "FSequence",
@@ -329,26 +330,17 @@ def invert_via_det(
 
 
 def _combined_row(m: EndoMatrix, s: int, rest: Sequence[int], sub_pg: ProductGroup) -> GroupMap:
-    """The map (x_j)_{j in rest} -> prod_j m[s][j](x_j) as sub-product -> H_s."""
+    """The map y -> prod_j m[s][j](pi_j(y)) over j in rest, as sub-product -> H_s."""
+    pairs = [(m.entries[s][j].values, p.values) for j, p in zip(rest, sub_pg.projections)]
     fac = m.factors[s]
-    t = fac.table
-    values = []
-    for x in range(sub_pg.product.order):
-        coords = sub_pg.decode(x)
-        acc = fac.identity
-        for pos, j in enumerate(rest):
-            acc = t[acc][m.entries[s][j].values[coords[pos]]]
-        values.append(acc)
-    return GroupMap(sub_pg.product, fac, values, hom=True)
+    return _derived_map(sub_pg.product, fac, _product_of_composites(fac, pairs), hom=True)
 
 
 def _combined_col(m: EndoMatrix, s: int, rest: Sequence[int], sub_pg: ProductGroup) -> GroupMap:
-    """The map x -> (m[i][s](x))_{i in rest} as H_s -> sub-product."""
-    fac = m.factors[s]
-    values = []
-    for x in range(fac.order):
-        values.append(sub_pg.encode([m.entries[i][s].values[x] for i in rest]))
-    return GroupMap(fac, sub_pg.product, values, hom=True)
+    """The map x -> prod_i iota_i(m[i][s](x)) over i in rest, as H_s -> sub-product."""
+    pairs = [(inj.values, m.entries[i][s].values) for i, inj in zip(rest, sub_pg.injections)]
+    prod = sub_pg.product
+    return _derived_map(m.factors[s], prod, _product_of_composites(prod, pairs), hom=True)
 
 
 def _submatrix(m: EndoMatrix, rest: Sequence[int]) -> EndoMatrix:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import ParseError, PreconditionError, StructuralError, ValidationError
+from .errors import ParseError, StructuralError, ValidationError
 
 __all__ = [
     "FiniteGroup",
@@ -130,7 +130,6 @@ class FiniteGroup:
         table: Sequence[Sequence[int]],
         name: str = "",
         labels: Optional[Sequence[str]] = None,
-        _factors: Optional[tuple["FiniteGroup", ...]] = None,
     ):
         rows, identity = _validate_table(table)
         order = len(rows)
@@ -145,8 +144,9 @@ class FiniteGroup:
             self.labels = tuple(str(s) for s in labels)
         else:
             self.labels = tuple(str(i) for i in range(order))
-        # Factor metadata for groups built as direct products (None otherwise).
-        self.factors = _factors
+        # Set by direct_product for the groups it builds (None otherwise).
+        self.factors: Optional[tuple[FiniteGroup, ...]] = None
+        self.coords: Optional[tuple[tuple[int, ...], ...]] = None
         self._cache: dict = {}
 
     # -- element arithmetic ------------------------------------------------
@@ -432,82 +432,39 @@ def _flatten_factors(gs: Sequence[FiniteGroup]) -> tuple[FiniteGroup, ...]:
     return tuple(flat)
 
 
-def product_strides(orders: Sequence[int]) -> tuple[int, ...]:
-    """Mixed-radix strides: index = sum(x_i * stride_i), last factor fastest."""
-    strides = [1] * len(orders)
-    for i in range(len(orders) - 2, -1, -1):
-        strides[i] = strides[i + 1] * orders[i + 1]
-    return tuple(strides)
-
-
-def product_encode(coords: Sequence[int], strides: Sequence[int]) -> int:
-    return sum(c * s for c, s in zip(coords, strides))
-
-
-def product_decode(x: int, orders: Sequence[int], strides: Sequence[int]) -> tuple[int, ...]:
-    return tuple((x // s) % n for s, n in zip(strides, orders))
-
-
 def direct_product(*factors: FiniteGroup, flatten: bool = True) -> FiniteGroup:
     """External direct product with factor metadata.
 
     By default products of products are flattened, so the factor list consists
     of non-product building blocks.  ``flatten=False`` keeps the factors
     exactly as given, which matters when a matrix is laid out over composite
-    blocks.  Coordinates are encoded mixed-radix with the last factor varying
-    fastest; for two factors this is (h, k) -> h*|K| + k.
+    blocks.  Elements are numbered mixed-radix with the last factor varying
+    fastest; for two factors this is (h, k) -> h*|K| + k.  This function is
+    the only code that knows the numbering: the product records ``factors``
+    and ``coords``, where ``coords[x]`` is the tuple of factor elements of x,
+    and everything else reads those.
     """
     flat = _flatten_factors(factors) if flatten else tuple(factors)
     if not flat:
         raise ValidationError("direct product needs at least one factor")
     if len(flat) == 1:
         return flat[0]
-    orders = [g.order for g in flat]
-    strides = product_strides(orders)
-    n = 1
-    for o in orders:
-        n *= o
-    coords = [product_decode(x, orders, strides) for x in range(n)]
-    table = [
-        [
-            product_encode([g.table[a[i]][b[i]] for i, g in enumerate(flat)], strides)
-            for b in coords
-        ]
-        for a in coords
-    ]
+    # Fold in one factor at a time: with n = |g|, the pair (x, y) of an
+    # element x of the product so far and y of g becomes x*n + y.
+    table: list = [[0]]
+    coords: list[tuple[int, ...]] = [()]
+    for g in flat:
+        n = g.order
+        table = [[x * n + y for x in row for y in grow] for row in table for grow in g.table]
+        coords = [c + (y,) for c in coords for y in range(n)]
     labels = ["(" + ", ".join(g.labels[c] for g, c in zip(flat, cs)) + ")" for cs in coords]
     name = " x ".join(
         f"({g.name})" if g.factors is not None else g.name for g in flat
     )
-    return FiniteGroup(table, name=name, labels=labels, _factors=flat)
-
-
-def _require_product(g: FiniteGroup) -> tuple[FiniteGroup, ...]:
-    if g.factors is None:
-        raise PreconditionError(f"group {g.name!r} carries no direct-product metadata")
-    return g.factors
-
-
-def factor_embedding_values(product: FiniteGroup, i: int) -> tuple[int, ...]:
-    """Value array of the canonical injection of factor i into the product."""
-    factors = _require_product(product)
-    orders = [g.order for g in factors]
-    strides = product_strides(orders)
-    base = [g.identity for g in factors]
-    out = []
-    for x in range(factors[i].order):
-        coords = list(base)
-        coords[i] = x
-        out.append(product_encode(coords, strides))
-    return tuple(out)
-
-
-def factor_projection_values(product: FiniteGroup, i: int) -> tuple[int, ...]:
-    """Value array of the canonical projection of the product onto factor i."""
-    factors = _require_product(product)
-    orders = [g.order for g in factors]
-    strides = product_strides(orders)
-    return tuple(product_decode(x, orders, strides)[i] for x in range(product.order))
+    product = FiniteGroup(table, name=name, labels=labels)
+    product.factors = flat
+    product.coords = tuple(coords)
+    return product
 
 
 # --------------------------------------------------------------------------

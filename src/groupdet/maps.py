@@ -159,7 +159,8 @@ def _derived_map(
     ``values`` must be a tuple of codomain indices, one per domain element; it
     is stored as given, without the public constructor's coercion and range
     check.  Callers are the map algebra and the hom/auto search below, and
-    ``matrices.recompose`` and ``matrices.decompose``.
+    the product code: ``ProductGroup``, ``recompose``, ``decompose``, the
+    block maps of ``determinant`` and the chain walk of ``autcompare``.
     """
     f = object.__new__(GroupMap)
     f.domain = domain

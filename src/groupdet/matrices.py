@@ -20,16 +20,7 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .groups import (
-    FiniteGroup,
-    build_group,
-    direct_product,
-    factor_embedding_values,
-    factor_projection_values,
-    product_decode,
-    product_encode,
-    product_strides,
-)
+from .groups import FiniteGroup, build_group, direct_product
 from .maps import (
     GroupMap,
     HomSet,
@@ -70,7 +61,12 @@ __all__ = [
 DEFAULT_AUT_ENUM_LIMIT = 64
 
 class ProductGroup:
-    """A direct product together with its canonical injections and projections."""
+    """A direct product together with its canonical injections and projections.
+
+    Both are read from ``product.coords``: projection i is coordinate column
+    i, and injection i sends y to the element whose coordinate i is y and
+    whose other coordinates are the identities of their factors.
+    """
 
     def __init__(self, product: FiniteGroup):
         if product.factors is None:
@@ -79,14 +75,19 @@ class ProductGroup:
             )
         self.product = product
         self.factors = product.factors
-        self.orders = tuple(g.order for g in self.factors)
-        self.strides = product_strides(self.orders)
-        self.injections = tuple(
-            GroupMap(f, product, factor_embedding_values(product, i), hom=True)
-            for i, f in enumerate(self.factors)
-        )
         self.projections = tuple(
-            GroupMap(product, f, factor_projection_values(product, i), hom=True)
+            _derived_map(product, f, column, hom=True)
+            for f, column in zip(self.factors, zip(*product.coords))
+        )
+        index = {c: x for x, c in enumerate(product.coords)}
+        ids = tuple(f.identity for f in self.factors)
+        self.injections = tuple(
+            _derived_map(
+                f,
+                product,
+                tuple(index[ids[:i] + (y,) + ids[i + 1:]] for y in range(f.order)),
+                hom=True,
+            )
             for i, f in enumerate(self.factors)
         )
 
@@ -103,14 +104,24 @@ class ProductGroup:
     def n(self) -> int:
         return len(self.factors)
 
-    def encode(self, coords: Sequence[int]) -> int:
-        return product_encode(coords, self.strides)
-
-    def decode(self, x: int) -> tuple[int, ...]:
-        return product_decode(x, self.orders, self.strides)
-
     def __repr__(self) -> str:
         return f"ProductGroup({' x '.join(f.name for f in self.factors)})"
+
+
+def _product_of_composites(
+    g: FiniteGroup, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
+) -> tuple[int, ...]:
+    """x -> prod_k outer_k[inner_k[x]] in g, multiplied in the order given.
+
+    Each pair (outer, inner) holds two value tuples; every inner has the same
+    domain, and every outer maps into g.
+    """
+    t = g.table
+    (outer, inner), *rest = pairs
+    out = [outer[x] for x in inner]
+    for outer, inner in rest:
+        out = [t[a][outer[x]] for a, x in zip(out, inner)]
+    return tuple(out)
 
 
 def _images_commute(a: GroupMap, b: GroupMap) -> bool:
@@ -216,23 +227,15 @@ def recompose(m: EndoMatrix, pg: Optional[ProductGroup] = None) -> GroupMap:
         pg = ProductGroup.of(*m.factors)
     if pg.factors != m.factors:
         raise StructuralError("product group does not match the matrix factors")
-    n = pg.n
+    # x -> prod_i iota_i(prod_j m[i][j](pi_j(x))), from value tuples alone
+    blocks = [
+        (inj.values, _product_of_composites(
+            f, [(e.values, p.values) for e, p in zip(row, pg.projections)]
+        ))
+        for f, inj, row in zip(pg.factors, pg.injections, m.entries)
+    ]
     prod = pg.product
-    values = []
-    rows = m.entries
-    for x in range(prod.order):
-        coords = pg.decode(x)
-        out = []
-        for i in range(n):
-            fac = pg.factors[i]
-            acc = fac.identity
-            t = fac.table
-            row = rows[i]
-            for j in range(n):
-                acc = t[acc][row[j].values[coords[j]]]
-            out.append(acc)
-        values.append(pg.encode(out))
-    return _derived_map(prod, prod, tuple(values), hom=True)
+    return _derived_map(prod, prod, _product_of_composites(prod, blocks), hom=True)
 
 
 def identity_matrix(factors: Sequence[FiniteGroup]) -> EndoMatrix:
@@ -418,11 +421,7 @@ def enumerate_aut_matrices(
     pg: ProductGroup, max_product_order: int = DEFAULT_AUT_ENUM_LIMIT
 ) -> tuple[EndoMatrix, ...]:
     """Decompose every automorphism of the product, in canonical order."""
-    if pg.product.order > max_product_order:
-        raise ResourceLimitError(
-            f"product order {pg.product.order} exceeds the enumeration bound "
-            f"{max_product_order}"
-        )
+    _check_enum_bound(pg.factors, max_product_order)
     return tuple(decompose(f, pg) for f in enumerate_autos(pg.product))
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .autcompare import _lambda_composites, compare_aut_vs_A
+from .autcompare import _composites, compare_aut_vs_A
 from .errors import ResourceLimitError, StructuralError
 from .groups import (
     CommonFactorWitness,
@@ -24,13 +24,13 @@ from .groups import (
 from .maps import (
     GroupMap,
     compose,
-    enumerate_autos,
     enumerate_homs,
+    identity_map,
     is_bijective,
     is_normal_endo,
     pointwise_sum,
 )
-from .matrices import DEFAULT_AUT_ENUM_LIMIT, map_to_dict
+from .matrices import DEFAULT_AUT_ENUM_LIMIT, _check_enum_bound, map_to_dict
 
 __all__ = [
     "PairWitness",
@@ -208,28 +208,23 @@ def a_subgroup_check(
     """Whether A over (h, k) is closed as a group of automorphisms.
 
     The criterion: lambda + xi.mu and nu + mu.xi are bijective for every
-    lambda in Aut(h), nu in Aut(k), mu: h -> Z(k), xi: k -> Z(h).  The two
-    sums depend on disjoint triples, so the check runs as two triple loops;
-    the first is the det_h loop of ``autcompare._lambda_composites``, which
-    tests each distinct composite xi.mu once per lambda.  On failure the
-    witness is the offending non-bijective sum.
+    lambda in Aut(h), nu in Aut(k), mu: h -> Z(k), xi: k -> Z(h).  Since
+    lambda + xi.mu = lambda.(1 + lambda^-1.xi.mu) and xi -> lambda^-1.xi
+    permutes Hom(k, Z(h)), the first holds for every lambda iff 1 + xi.mu is
+    bijective for every (xi, mu); likewise nu + mu.xi with 1 + mu.xi.  So
+    the check is two loops over the distinct composites of
+    ``autcompare._composites``, the h side first, and no automorphism group
+    is listed.  On failure the witness is the first non-bijective sum, the
+    same as over lambda (or nu) in sorted order, whose first member is the
+    identity.
     """
-    if h.order * k.order > max_product_order:
-        raise ResourceLimitError(
-            f"product order {h.order * k.order} exceeds bound {max_product_order}"
-        )
-    for lam, phi, _ in _lambda_composites(h, k):
-        s = pointwise_sum(lam, phi, require_commuting=True)
-        if not is_bijective(s):
-            return False, s
-    mus = enumerate_homs(h, k, restrict_codomain=k.center()).members
-    xis = enumerate_homs(k, h, restrict_codomain=h.center()).members
-    for nu in enumerate_autos(k).members:
-        for mu in mus:
-            for xi in xis:
-                s = pointwise_sum(nu, compose(mu, xi), require_commuting=True)
-                if not is_bijective(s):
-                    return False, s
+    _check_enum_bound((h, k), max_product_order)
+    for a, b in ((h, k), (k, h)):
+        one = identity_map(a)
+        for phi, _ in _composites(a, b):
+            s = pointwise_sum(one, phi, require_commuting=True)
+            if not is_bijective(s):
+                return False, s
     return True, None
 
 

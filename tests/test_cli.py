@@ -59,7 +59,7 @@ def test_classify_json(capsys):
 
 
 def test_classify_incomplete_exit(capsys):
-    assert main(["classify", "C12", "C12"]) == 2
+    assert main(["classify", "C12", "C12", "--json"]) == 2
     payload = json.loads(capsys.readouterr().out)
     assert payload["incomplete"] is True
     assert main(["classify", "C12", "C12", "--max-order", "144"]) == 0
@@ -67,11 +67,28 @@ def test_classify_incomplete_exit(capsys):
 
 def test_classify_counts_instead_of_listing_product_automorphisms(capsys):
     # |Aut(E2^3 x C2 x C4)| = 10,321,920: listing them ran out of memory.
-    assert main(["classify", "E2^3", "C2 x C4"]) == 0
+    assert main(["classify", "E2^3", "C2 x C4", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["a_equals_aut"] is False
     assert payload["a_is_subgroup"] is False
     assert payload["incomplete"] is False
+
+
+@pytest.mark.parametrize("h, k", [("E2^5", "C2"), ("C2", "E2^5")])
+def test_classify_does_not_list_a_large_factor_automorphism_group(capsys, h, k):
+    # |Aut(E2^5)| = 9,999,360 is over the listing bound; the identity pivot
+    # decides A against Aut without walking it.
+    assert main(["classify", h, k, "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["incomplete"] is False
+    assert payload["a_equals_aut"] is False
+
+
+def test_classify_prints_text_without_json(capsys):
+    assert main(["classify", "S3", "C4"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("pair (S3, C4)")
+    assert "Aut equals A:            True" in out
 
 
 def test_automorphism_listing_bound_exit_2(capsys):

@@ -1,4 +1,5 @@
 """Matrix representation of product endomorphisms: round trips, M and A."""
+import itertools
 import random
 
 import pytest
@@ -17,12 +18,15 @@ from groupdet import (
     catalog_groups,
     compose,
     decompose,
+    direct_product,
     enumerate_A,
     enumerate_Z,
     enumerate_aut_matrices,
     enumerate_autos,
     enumerate_endos,
     enumerate_homs,
+    enumerate_m_matrices,
+    group_from_table,
     identity_map,
     identity_matrix,
     in_A,
@@ -64,6 +68,60 @@ def test_product_group_projections_and_injections():
             assert t[a][b] == t[b][a]
 
 
+def _c3_with_identity_2():
+    # old element x becomes relabel[x], so the identity 0 becomes 2
+    t, relabel = build_group("C3").table, (2, 0, 1)
+    table = [[0] * 3 for _ in range(3)]
+    for a in range(3):
+        for b in range(3):
+            table[relabel[a]][relabel[b]] = relabel[t[a][b]]
+    return group_from_table(table, name="C3'")
+
+
+def _check_numbering_against_raw_tables(pg, factors):
+    """Table, projections, injections and recompose against raw coordinates."""
+    tables = [f.table for f in factors]
+    n = len(tables)
+    ids = [next(e for e in range(len(t)) if list(t[e]) == list(range(len(t)))) for t in tables]
+    coords = list(itertools.product(*(range(len(t)) for t in tables)))  # last fastest
+    index = {c: x for x, c in enumerate(coords)}
+    table = pg.product.table
+    for a, ca in enumerate(coords):
+        for b, cb in enumerate(coords):
+            assert table[a][b] == index[tuple(t[x][y] for t, x, y in zip(tables, ca, cb))]
+    for i, t in enumerate(tables):
+        assert pg.projections[i].values == tuple(c[i] for c in coords)
+        assert pg.injections[i].values == tuple(
+            index[tuple(y if j == i else ids[j] for j in range(n))] for y in range(len(t))
+        )
+    mats = enumerate_m_matrices(pg.factors)
+    assert len(mats) > 1
+    for m in mats:
+        raw = []
+        for c in coords:
+            image = []
+            for i, t in enumerate(tables):
+                acc = ids[i]
+                for j in range(n):
+                    acc = t[acc][m.entries[i][j].values[c[j]]]
+                image.append(acc)
+            raw.append(index[tuple(image)])
+        assert recompose(m, pg).values == tuple(raw)
+
+
+def test_product_numbering_matches_raw_coordinates():
+    s3, c3, c2 = build_group("S3"), _c3_with_identity_2(), build_group("C2")
+    assert c3.identity == 2
+    pg = ProductGroup.of(s3, c3, c2)
+    assert pg.product.table == direct_product(s3, c3, c2).table
+    _check_numbering_against_raw_tables(pg, (s3, c3, c2))
+    # a composite block kept whole: its elements are single coordinates
+    block = direct_product(c2, c3)
+    nested = ProductGroup(direct_product(block, s3, flatten=False))
+    assert nested.factors == (block, s3) and block.identity == 2
+    _check_numbering_against_raw_tables(nested, (block, s3))
+
+
 def test_decompose_identity_gives_identity_matrix():
     pg = _pg("C2", "C4")
     m = decompose(identity_map(pg.product), pg)
@@ -74,10 +132,9 @@ def test_decompose_identity_gives_identity_matrix():
 def test_decompose_swap_automorphism():
     s3 = build_group("S3")
     pg = _pg("S3", "S3")
-    order = pg.product.order
-    swap_phi = [pg.encode((pg.decode(x)[1], pg.decode(x)[0])) for x in range(order)]
-    from groupdet import GroupMap
-
+    (p0, p1), (i0, i1) = pg.projections, pg.injections
+    t = pg.product.table
+    swap_phi = [t[i0(p1(x))][i1(p0(x))] for x in range(pg.product.order)]
     m = decompose(GroupMap(pg.product, pg.product, swap_phi), pg)
     zero = zero_map(s3, s3).values
     ident = identity_map(s3).values
