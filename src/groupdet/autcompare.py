@@ -1,8 +1,9 @@
 """Comparisons between Aut(H x K) and the matrix sets A and Z.
 
 Everything here works at the level of decomposed matrices: an automorphism of
-the product and its matrix are identified, so "Aut equals A" and friends are
-set equalities over matrix keys.  The module also packages two constructions
+the product and its matrix are identified, so "Aut equals A" and "Aut_c
+equals Z" are set equalities, decided by one counting routine that lists
+neither side.  The module also packages two constructions
 used as standing counterexamples: the swap-style automorphism built from a
 common direct factor (which always escapes A) and the Q8/C2 pair of
 unitriangular matrices that fail to commute.
@@ -11,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from math import prod
 from typing import Optional
 
 from .determinant import invert_via_det
@@ -24,15 +26,13 @@ from .groups import (
 )
 from .maps import (
     GroupMap,
+    _aut_chain,
     _chain_products,
     _derived_map,
-    aut_order,
     compose,
-    enumerate_autos,
     enumerate_homs,
     identity_map,
     is_bijective,
-    is_central_automorphism,
     pointwise_diff,
     zero_map,
 )
@@ -43,7 +43,6 @@ from .matrices import (
     _check_enum_bound,
     decompose,
     enumerate_A,
-    enumerate_Z,
     identity_matrix,
     in_A,
     in_Z,
@@ -56,7 +55,6 @@ __all__ = [
     "AutComparison",
     "SemidirectReport",
     "compare_aut_vs_A",
-    "central_aut_group",
     "compare_autc_vs_Z",
     "verify_stem_semidirect",
     "q8_noncommuting_witness",
@@ -121,39 +119,48 @@ def _composites(h: FiniteGroup, k: FiniteGroup):
     return composites.values()
 
 
-def compare_aut_vs_A(
-    h: FiniteGroup,
-    k: FiniteGroup,
-    max_product_order: int = DEFAULT_AUT_ENUM_LIMIT,
+def _counted_comparison(
+    h: FiniteGroup, k: FiniteGroup, max_product_order: int, central: bool
 ) -> AutComparison:
-    """Decide both inclusions between Aut(H x K) and A by counting.
+    """Decide both inclusions between Aut(H x K) and A, or Aut_c(H x K) and Z.
 
-    |A| = |Aut h| |Aut k| |Hom(k, Z(h))| |Hom(h, Z(k))|, one entry per cell.
-    A member [[lam, xi'], [mu', nu]] recomposes to an automorphism iff its
-    determinant det_h = lam - xi'.nu^-1.mu' is bijective.  Write
-    xi' = lam.xi and mu' = nu.mu; as lam and nu are automorphisms, xi and mu
-    run over Hom(k, Z(h)) and Hom(h, Z(k)) once as xi' and mu' do, and
-    det_h = lam.(1 - xi.mu) (the identity pivot).  So
+    A has automorphisms on the diagonal, Z (``central``) central ones, read
+    from the chain of Aut or Aut_c (``_aut_chain``); both have Hom(k, Z(h))
+    and Hom(h, Z(k)) off it, and the set's order is the four pool sizes'
+    product.  A member [[lam, xi'], [mu', nu]] recomposes to an automorphism
+    iff its determinant det_h = lam - xi'.nu^-1.mu' is bijective.  Write
+    xi' = lam.xi and mu' = nu.mu; automorphisms, central or not, preserve the
+    centre, so xi and mu run over Hom(k, Z(h)) and Hom(h, Z(k)) once as xi'
+    and mu' do, and det_h = lam.(1 - xi.mu) (the identity pivot).  So
 
-        |A minus Aut| = |Aut h| |Aut k| #{(xi, mu) : 1 - xi.mu not bijective},
+        |set minus Aut| = |diagonal| #{(xi, mu) : 1 - xi.mu not bijective},
 
-    counted by one loop over the distinct composites xi.mu (``_composites``).
-    A is inside Aut iff no pair fails, and Aut is inside A iff
-    |A n Aut| = |Aut(H x K)|, which the stabiliser chain gives
-    (``aut_order``) without listing any automorphism group.
+    counted by one loop over the distinct composites xi.mu (``_composites``),
+    the same failing pairs for A and Z.  The set is inside Aut iff no pair
+    fails.  Aut is inside A iff |A n Aut| = |Aut(H x K)|.  A member of Z
+    that is an automorphism is central, as (h, k) -> (lam(h) h^-1 xi'(k),
+    mu'(h) nu(k) k^-1) lies in Z(H) x Z(K), so Aut_c is inside Z iff
+    |Z n Aut| = |Aut_c(H x K)|.  The chains give both orders; nothing is listed.
 
     Witnesses, up to WITNESS_CAP per side: ``set_minus_aut`` holds
     [[lam, lam.xi], [nu.mu, nu]] over the failing (xi, mu) in loop order,
     then lam, then nu fastest, lam and nu walked through the chain products;
-    ``aut_minus_set`` holds the automorphisms outside A, found among the
-    chain products of H x K (level 0 fastest), made and decomposed one at a
-    time until |Aut| - |A n Aut| of them, or WITNESS_CAP, are found.
+    ``aut_minus_set`` holds the members of the chain of H x K (level 0
+    fastest) outside the set, made and decomposed one at a time until all of
+    them, or WITNESS_CAP, are found.
     """
     _check_enum_bound((h, k), max_product_order)
     pg = ProductGroup.of(h, k)
-    auts = aut_order(h) * aut_order(k)
-    a_order = (
-        auts
+
+    def order(g: FiniteGroup) -> int:
+        return prod(len(reps) for reps in _aut_chain(g, central))
+
+    def autos(g: FiniteGroup):
+        return (_derived_map(g, g, v, hom=True) for v in _chain_products(g, central))
+
+    diagonal = order(h) * order(k)
+    set_order = (
+        diagonal
         * len(enumerate_homs(k, h, restrict_codomain=h.center()))
         * len(enumerate_homs(h, k, restrict_codomain=k.center()))
     )
@@ -164,10 +171,6 @@ def compare_aut_vs_A(
         if not is_bijective(pointwise_diff(one, phi))
         for pair in pairs
     ]
-
-    def autos(g: FiniteGroup):
-        return (_derived_map(g, g, v, hom=True) for v in _chain_products(g))
-
     set_minus_aut = tuple(islice(
         (
             EndoMatrix((h, k), [[lam, compose(lam, xi)], [compose(nu, mu), nu]], trusted=True)
@@ -177,49 +180,34 @@ def compare_aut_vs_A(
         ),
         WITNESS_CAP,
     ))
-    in_both = a_order - auts * len(failing)
-    g = pg.product
-    aut = aut_order(g)
-    chain = (decompose(f, pg) for f in autos(g))
+    in_both = set_order - diagonal * len(failing)
+    aut = order(pg.product)
+    member = in_Z if central else in_A
+    chain = (decompose(f, pg) for f in autos(pg.product))
     aut_minus_set = tuple(islice(
-        (m for m in chain if not in_A(m)), min(WITNESS_CAP, aut - in_both)
+        (m for m in chain if not member(m)), min(WITNESS_CAP, aut - in_both)
     ))
     return AutComparison(
         aut_order=aut,
-        a_order=a_order,
+        a_order=set_order,
         a_subset_aut=not failing,
         aut_subset_a=in_both == aut,
         violating_matrices=(set_minus_aut, aut_minus_set),
     )
 
 
-def central_aut_group(g: FiniteGroup) -> tuple[GroupMap, ...]:
-    """The automorphisms acting trivially on g modulo its center."""
-    return tuple(
-        f for f in enumerate_autos(g).members if is_central_automorphism(f)
-    )
+def compare_aut_vs_A(
+    h: FiniteGroup, k: FiniteGroup, max_product_order: int = DEFAULT_AUT_ENUM_LIMIT
+) -> AutComparison:
+    """Decide both inclusions between Aut(H x K) and A by counting."""
+    return _counted_comparison(h, k, max_product_order, central=False)
 
 
 def compare_autc_vs_Z(
-    h: FiniteGroup,
-    k: FiniteGroup,
-    max_product_order: int = DEFAULT_AUT_ENUM_LIMIT,
+    h: FiniteGroup, k: FiniteGroup, max_product_order: int = DEFAULT_AUT_ENUM_LIMIT
 ) -> AutComparison:
-    """Decide both inclusions between Aut_c(H x K) and Z by enumeration."""
-    _check_enum_bound((h, k), max_product_order)
-    pg = ProductGroup.of(h, k)
-    autc_mats = [decompose(f, pg) for f in central_aut_group(pg.product)]
-    z_mats = enumerate_Z((h, k), max_product_order)
-    autc_keys = {m.key() for m in autc_mats}
-    set_minus_aut = tuple(m for m in z_mats if m.key() not in autc_keys)[:WITNESS_CAP]
-    aut_minus_set = tuple(m for m in autc_mats if not in_Z(m))[:WITNESS_CAP]
-    return AutComparison(
-        aut_order=len(autc_mats),
-        a_order=len(z_mats),
-        a_subset_aut=not set_minus_aut,
-        aut_subset_a=not aut_minus_set,
-        violating_matrices=(set_minus_aut, aut_minus_set),
-    )
+    """Decide both inclusions between Aut_c(H x K) and Z by counting."""
+    return _counted_comparison(h, k, max_product_order, central=True)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ from typing import Optional
 
 from .errors import StructuralError
 from .groups import FiniteGroup
-from .maps import OpCounter, enumerate_autos, enumerate_homs, is_bijective
-from .matrices import EndoMatrix, ProductGroup, recompose
+from .maps import OpCounter, is_bijective
+from .matrices import EndoMatrix, ProductGroup, _matrix_pools, recompose
 from .determinant import determinant_step_bound, is_invertible_via_det
 
 __all__ = [
@@ -68,22 +68,12 @@ def naive_step_bound(h: FiniteGroup, k: FiniteGroup) -> int:
 def sample_a_member(
     h: FiniteGroup, k: FiniteGroup, rng: random.Random
 ) -> EndoMatrix:
-    """Uniform draw from A: diagonal automorphisms, center-valued corners."""
-    pools = _component_pools(h, k)
-    alpha, beta, gamma, delta = (rng.choice(pool) for pool in pools)
+    """Uniform draw from A, entry by entry from the pools of ``enumerate_A``."""
+    (alpha, beta), (gamma, delta) = (
+        [rng.choice(pool) for pool in row]
+        for row in _matrix_pools((h, k), central_diagonal=False)
+    )
     return EndoMatrix((h, k), ((alpha, beta), (gamma, delta)))
-
-
-def _component_pools(h: FiniteGroup, k: FiniteGroup):
-    memo = h._cache.setdefault("bench_pools", {})
-    if k not in memo:
-        memo[k] = (
-            tuple(enumerate_autos(h).members),
-            tuple(enumerate_homs(k, h, restrict_codomain=h.center()).members),
-            tuple(enumerate_homs(h, k, restrict_codomain=k.center()).members),
-            tuple(enumerate_autos(k).members),
-        )
-    return memo[k]
 
 
 def naive_is_invertible(

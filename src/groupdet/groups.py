@@ -342,11 +342,13 @@ class Subgroup:
         return x in set(self.elements)
 
     def is_normal(self) -> bool:
+        # Conjugation by a generator that maps this finite set into itself maps
+        # it onto itself, and every inner automorphism is a composite of those.
         es = set(self.elements)
         return all(
             self.parent.conj(x, g) in es
             for x in self.elements
-            for g in range(self.parent.order)
+            for g in self.parent.generators()
         )
 
     def is_central(self) -> bool:
@@ -370,8 +372,11 @@ class Subgroup:
 class DirectFactorization:
     """An internal direct factorization ``parent = left x right``.
 
-    Validated on construction: both factors normal, trivial intersection,
-    orders multiply to the parent order, and the factors commute elementwise.
+    Validated on construction: trivial intersection, orders multiply to the
+    parent order, and the factors commute elementwise.  Those make both
+    factors normal, so normality is not checked again: |AB| = |A||B| / |A n B|
+    = |G| gives G = AB, and conjugation by ab acts on A as conjugation by a,
+    since b commutes with A, so it maps A onto A (and B likewise).
     """
 
     parent: FiniteGroup
@@ -386,8 +391,6 @@ class DirectFactorization:
             raise StructuralError("factors must intersect trivially")
         if self.left.order * self.right.order != p.order:
             raise StructuralError("factor orders must multiply to the parent order")
-        if not (self.left.is_normal() and self.right.is_normal()):
-            raise StructuralError("both factors must be normal")
         t = p.table
         for a in self.left.elements:
             for b in self.right.elements:

@@ -41,12 +41,13 @@ __all__ = [
     "enumerate_endos",
     "enumerate_autos",
     "aut_order",
+    "central_aut_group",
     "AUT_LIST_LIMIT",
     "power_map",
     "fitting_decomposition",
 ]
 
-# enumerate_autos refuses to list a group with more automorphisms than this:
+# enumerate_autos and central_aut_group refuse to list more maps than this:
 # a million automorphisms of a group of order 64 take about 0.6 GB as maps.
 AUT_LIST_LIMIT = 1_000_000
 
@@ -301,10 +302,12 @@ def is_normal_endo(f: GroupMap) -> bool:
         return True
     v = g.conj
     vals = f.values
+    # Conjugations by the generators generate Inn(g), and f commutes with a
+    # composite of maps it commutes with, so the generators suffice.
     return all(
         vals[v(x, a)] == v(vals[x], a)
         for x in range(g.order)
-        for a in range(g.order)
+        for a in g.generators()
     )
 
 
@@ -491,7 +494,9 @@ def enumerate_endos(g: FiniteGroup) -> HomSet:
     return enumerate_homs(g, g)
 
 
-def _aut_chain(g: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
+def _aut_chain(
+    g: FiniteGroup, central: bool = False
+) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Coset representatives of the stabiliser chain of the generators.
 
     Let A_i be the automorphisms that fix gens[:i] pointwise, so A_0 = Aut(g)
@@ -508,10 +513,22 @@ def _aut_chain(g: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
     therefore the set of products t_0 t_1 ... t_{k-1}, one representative per
     level, each automorphism met exactly once, and |Aut(g)| is the product
     of the level sizes.
+
+    With ``central`` the chain is that of Aut_c(g), the central automorphisms
+    (f(x) x^-1 in Z(g) for every x): the pool of each generator x keeps only
+    the c with c x^-1 central.  That is exact, because an automorphism f is
+    central iff f(x) x^-1 is central for each generator x:
+    f(xy)(xy)^-1 = f(x) x^-1 . f(y) y^-1 once f(y) y^-1 is central, and every
+    element is a product of generators.  Aut_c(g) is a subgroup, so the coset
+    argument above holds with A_i the central automorphisms fixing gens[:i].
     """
-    if "aut_chain" not in g._cache:
+    key = "autc_chain" if central else "aut_chain"
+    if key not in g._cache:
         gens = g.generators()
         pools = _candidate_images(g, g, None, exact_order=True)
+        if central:
+            z, tg, inv = g.center_set(), g.table, g.inverse
+            pools = [[c for c in pool if tg[c][inv[x]] in z] for x, pool in zip(gens, pools)]
         levels = []
         for i in range(len(gens)):
             pinned = [(x,) for x in gens[:i]]
@@ -524,8 +541,8 @@ def _aut_chain(g: FiniteGroup) -> tuple[tuple[tuple[int, ...], ...], ...]:
                 if t is not None:
                     reps.append(t)
             levels.append(tuple(reps))
-        g._cache["aut_chain"] = tuple(levels)
-    return g._cache["aut_chain"]
+        g._cache[key] = tuple(levels)
+    return g._cache[key]
 
 
 def aut_order(g: FiniteGroup) -> int:
@@ -533,15 +550,15 @@ def aut_order(g: FiniteGroup) -> int:
     return prod(len(reps) for reps in _aut_chain(g))
 
 
-def _chain_products(g: FiniteGroup) -> Iterator[tuple[int, ...]]:
-    """Yield the value tuple of every automorphism, one at a time.
+def _chain_products(g: FiniteGroup, central: bool) -> Iterator[tuple[int, ...]]:
+    """Yield the value tuple of every member of Aut(g), or Aut_c(g), one at a time.
 
     Each is a product t_0 t_1 ... t_{k-1} of ``_aut_chain`` representatives,
     composed as value tuples, (t s)(x) = t(s(x)), not through ``compose``.
     The level-0 representative varies fastest; the partial product
     t_{i+1} ... t_{k-1} of the slower levels is formed once per prefix.
     """
-    levels = _aut_chain(g)
+    levels = _aut_chain(g, central)
     if not levels:
         yield tuple(range(g.order))
         return
@@ -560,23 +577,32 @@ def _chain_products(g: FiniteGroup) -> Iterator[tuple[int, ...]]:
     yield from walk(len(levels) - 1, tuple(range(g.order)))
 
 
-def enumerate_autos(g: FiniteGroup) -> HomSet:
-    """Every automorphism, sorted: the products of ``_aut_chain`` representatives.
+def _chain_listing(g: FiniteGroup, central: bool) -> HomSet:
+    """Aut(g), or Aut_c(g), sorted: the products of ``_aut_chain`` representatives.
 
-    Raises ResourceLimitError when |Aut(g)| exceeds AUT_LIST_LIMIT, before
-    any product is formed.
+    Raises ResourceLimitError over AUT_LIST_LIMIT members, before any product.
     """
-    if "autos" not in g._cache:
-        order = aut_order(g)
+    key = "autc" if central else "autos"
+    if key not in g._cache:
+        order = prod(len(reps) for reps in _aut_chain(g, central))
         if order > AUT_LIST_LIMIT:
             raise ResourceLimitError(
-                f"{g.name} has {order} automorphisms, over the listing bound {AUT_LIST_LIMIT}"
+                f"{g.name} has {order} {'central ' * central}automorphisms, "
+                f"over the listing bound {AUT_LIST_LIMIT}"
             )
-        members = tuple(
-            _derived_map(g, g, v, hom=True) for v in sorted(_chain_products(g))
-        )
-        g._cache["autos"] = HomSet(g, g, members)
-    return g._cache["autos"]
+        values = sorted(_chain_products(g, central))
+        g._cache[key] = HomSet(g, g, tuple(_derived_map(g, g, v, hom=True) for v in values))
+    return g._cache[key]
+
+
+def enumerate_autos(g: FiniteGroup) -> HomSet:
+    """Every automorphism, sorted; at most AUT_LIST_LIMIT (``_chain_listing``)."""
+    return _chain_listing(g, central=False)
+
+
+def central_aut_group(g: FiniteGroup) -> tuple[GroupMap, ...]:
+    """The automorphisms trivial on g modulo its center, sorted (``_chain_listing``)."""
+    return _chain_listing(g, central=True).members
 
 
 def power_map(f: GroupMap, k: int) -> GroupMap:

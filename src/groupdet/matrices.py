@@ -11,6 +11,7 @@ addition, accumulated in ascending column order.
 from __future__ import annotations
 
 import itertools
+from math import prod
 from typing import Optional, Sequence
 
 from .errors import (
@@ -24,6 +25,7 @@ from .groups import FiniteGroup, build_group, direct_product
 from .maps import (
     GroupMap,
     HomSet,
+    _chain_listing,
     _derived_map,
     compose,
     enumerate_autos,
@@ -310,15 +312,11 @@ def in_Z(m: EndoMatrix) -> bool:
     """Like in_A but with central automorphisms on the diagonal (2 x 2 only)."""
     if m.n != 2:
         raise PreconditionError("in_Z is defined for 2 x 2 matrices")
-    if not in_A(m):
-        return False
-    return all(is_central_automorphism(m.entries[i][i]) for i in range(2))
+    return in_A(m) and all(is_central_automorphism(m.entries[i][i]) for i in range(2))
 
 
 def _check_enum_bound(factors: Sequence[FiniteGroup], max_product_order: int) -> None:
-    total = 1
-    for f in factors:
-        total *= f.order
+    total = prod(f.order for f in factors)
     if total > max_product_order:
         raise ResourceLimitError(
             f"product order {total} exceeds the enumeration bound {max_product_order}"
@@ -328,18 +326,18 @@ def _check_enum_bound(factors: Sequence[FiniteGroup], max_product_order: int) ->
 def _matrix_pools(
     factors: Sequence[FiniteGroup], central_diagonal: bool
 ) -> list[list[HomSet]]:
-    """Per-cell hom-set pools: automorphisms on the diagonal, center-valued off it."""
+    """Per-cell hom-set pools: automorphisms on the diagonal, center-valued off it.
+
+    With ``central_diagonal`` the diagonal holds the central automorphisms,
+    listed from their own stabiliser chain (``maps._chain_listing``).
+    """
     n = len(factors)
     pools: list[list[HomSet]] = []
     for i in range(n):
         row = []
         for j in range(n):
             if i == j:
-                auts = enumerate_autos(factors[i])
-                if central_diagonal:
-                    members = tuple(f for f in auts if is_central_automorphism(f))
-                    auts = HomSet(factors[i], factors[i], members)
-                row.append(auts)
+                row.append(_chain_listing(factors[i], central_diagonal))
             else:
                 row.append(
                     enumerate_homs(factors[j], factors[i], restrict_codomain=factors[i].center())
@@ -348,36 +346,32 @@ def _matrix_pools(
     return pools
 
 
-def _matrices_from_pools(
-    factors: tuple[FiniteGroup, ...], pools: list[list[HomSet]], trusted: bool
+def _pool_matrices(
+    factors: Sequence[FiniteGroup], max_product_order: int, central_diagonal: bool
 ) -> tuple[EndoMatrix, ...]:
-    n = len(factors)
-    flat = [pools[i][j] for i in range(n) for j in range(n)]
-    out = []
-    for combo in itertools.product(*flat):
-        entries = [list(combo[i * n : (i + 1) * n]) for i in range(n)]
-        out.append(EndoMatrix(factors, entries, trusted=trusted))
-    return tuple(out)
+    """Every matrix with one entry from each pool of ``_matrix_pools``, in order."""
+    facs = tuple(factors)
+    _check_enum_bound(facs, max_product_order)
+    n = len(facs)
+    pools = _matrix_pools(facs, central_diagonal)
+    return tuple(
+        EndoMatrix(facs, [combo[i * n : (i + 1) * n] for i in range(n)], trusted=True)
+        for combo in itertools.product(*(cell for row in pools for cell in row))
+    )
 
 
 def enumerate_A(
     factors: Sequence[FiniteGroup], max_product_order: int = DEFAULT_AUT_ENUM_LIMIT
 ) -> tuple[EndoMatrix, ...]:
     """All matrices with automorphism diagonal and center-valued off-diagonal."""
-    facs = tuple(factors)
-    _check_enum_bound(facs, max_product_order)
-    pools = _matrix_pools(facs, central_diagonal=False)
-    return _matrices_from_pools(facs, pools, trusted=True)
+    return _pool_matrices(factors, max_product_order, central_diagonal=False)
 
 
 def enumerate_Z(
     factors: Sequence[FiniteGroup], max_product_order: int = DEFAULT_AUT_ENUM_LIMIT
 ) -> tuple[EndoMatrix, ...]:
     """Like enumerate_A with central automorphisms on the diagonal."""
-    facs = tuple(factors)
-    _check_enum_bound(facs, max_product_order)
-    pools = _matrix_pools(facs, central_diagonal=True)
-    return _matrices_from_pools(facs, pools, trusted=True)
+    return _pool_matrices(factors, max_product_order, central_diagonal=True)
 
 
 def enumerate_m_matrices(
@@ -390,31 +384,20 @@ def enumerate_m_matrices(
     """
     facs = tuple(factors)
     n = len(facs)
-    row_choices: list[list[tuple[GroupMap, ...]]] = []
-    for i in range(n):
-        pools = [enumerate_homs(facs[j], facs[i]) for j in range(n)]
-        rows = []
-        for combo in itertools.product(*pools):
-            ok = True
-            for a in range(n):
-                for b in range(a + 1, n):
-                    if not _images_commute(combo[a], combo[b]):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                rows.append(combo)
-        row_choices.append(rows)
-    total = 1
-    for rows in row_choices:
-        total *= len(rows)
+    row_choices = [
+        [
+            combo
+            for combo in itertools.product(*(enumerate_homs(f, target) for f in facs))
+            if all(_images_commute(combo[a], combo[b]) for a in range(n) for b in range(a + 1, n))
+        ]
+        for target in facs
+    ]
+    total = prod(len(rows) for rows in row_choices)
     if total > max_count:
         raise ResourceLimitError(f"{total} matrices exceed the bound {max_count}")
-    out = []
-    for rows in itertools.product(*row_choices):
-        out.append(EndoMatrix(facs, list(rows), trusted=True))
-    return tuple(out)
+    return tuple(
+        EndoMatrix(facs, rows, trusted=True) for rows in itertools.product(*row_choices)
+    )
 
 
 def enumerate_aut_matrices(

@@ -1,9 +1,10 @@
 """Aut-versus-A comparisons, the stem-pair structure, and standing witnesses."""
 import json
+import time
 
 import pytest
 
-from groupdet import autcompare
+from groupdet import autcompare, maps, matrices
 from groupdet import (
     CATALOG,
     AutComparison,
@@ -15,11 +16,15 @@ from groupdet import (
     central_aut_group,
     compare_aut_vs_A,
     compare_autc_vs_Z,
+    direct_product,
     enumerate_A,
+    enumerate_Z,
     enumerate_aut_matrices,
     enumerate_autos,
     in_A,
+    in_Z,
     is_bijective,
+    is_central_automorphism,
     lemcomm_witness,
     q8_noncommuting_witness,
     recompose,
@@ -158,23 +163,27 @@ def test_lemcomm_witness_consistent_with_comparison():
     assert w.key() in {m.key() for m in aut_minus_set}
 
 
-def _listing_comparison(h, k, max_product_order):
-    """Aut(H x K) against A by listing both sides and comparing key sets.
+def _listing_comparison(h, k, max_product_order, central=False):
+    """Aut(H x K) against A, or Aut_c(H x K) against Z, by listing both sides.
 
     Every automorphism of the product is decomposed and every member of A
-    built; no count, chain order or determinant is used.  Returns the figures
-    of an AutComparison and the key sets of both differences.
+    built; for Z and Aut_c both lists are filtered by the full predicates
+    ``in_Z`` and ``is_central_automorphism``.  No count, chain order or
+    determinant is used.  Returns the figures of an AutComparison and the
+    key sets of both differences.
     """
-    pg = ProductGroup.of(h, k)
-    aut_mats = enumerate_aut_matrices(pg, max_product_order)
-    a_mats = enumerate_A((h, k), max_product_order)
+    aut_mats = enumerate_aut_matrices(ProductGroup.of(h, k), max_product_order)
+    set_mats = enumerate_A((h, k), max_product_order)
+    if central:
+        aut_mats = [m for m in aut_mats if is_central_automorphism(recompose(m))]
+        set_mats = [m for m in set_mats if in_Z(m)]
     aut_keys = {m.key() for m in aut_mats}
-    a_keys = {m.key() for m in a_mats}
-    set_minus_aut = a_keys - aut_keys
-    aut_minus_set = aut_keys - a_keys
+    set_keys = {m.key() for m in set_mats}
+    set_minus_aut = set_keys - aut_keys
+    aut_minus_set = aut_keys - set_keys
     return {
         "aut_order": len(aut_mats),
-        "a_order": len(a_mats),
+        "a_order": len(set_mats),
         "a_subset_aut": not set_minus_aut,
         "aut_subset_a": not aut_minus_set,
         "equal": not set_minus_aut and not aut_minus_set,
@@ -185,25 +194,29 @@ def _listing_comparison(h, k, max_product_order):
     }, set_minus_aut, aut_minus_set
 
 
-def _check_witnesses(cmp, set_minus_aut_keys=None, aut_minus_set_keys=None):
+def _check_witnesses(cmp, set_minus_aut_keys=None, aut_minus_set_keys=None, central=False):
+    member = in_Z if central else in_A
     set_minus_aut, aut_minus_set = cmp.violating_matrices
     for m in set_minus_aut:
-        assert in_A(m) and not is_bijective(recompose(m))
+        assert member(m) and not is_bijective(recompose(m))
     for m in aut_minus_set:
-        assert not in_A(m) and is_bijective(recompose(m))
+        f = recompose(m)
+        assert not member(m) and is_bijective(f)
+        if central:
+            assert is_central_automorphism(f)
     for side, keys in ((set_minus_aut, set_minus_aut_keys), (aut_minus_set, aut_minus_set_keys)):
         assert len({m.key() for m in side}) == len(side)
         if keys is not None:
             assert {m.key() for m in side} <= keys
 
 
-def test_counting_matches_listing_on_catalog_pairs(monkeypatch):
+def _check_counting_against_listing(compare, central, monkeypatch):
     groups = [_g(s) for s in CATALOG]
     pairs = [(h, k) for i, h in enumerate(groups) for k in groups[i:]]
     assert len(pairs) == 55
     for h, k in pairs:
-        want, set_minus_aut, aut_minus_set = _listing_comparison(h, k, 144)
-        cmp = compare_aut_vs_A(h, k, max_product_order=144)
+        want, set_minus_aut, aut_minus_set = _listing_comparison(h, k, 144, central)
+        cmp = compare(h, k, max_product_order=144)
         got = {
             "aut_order": cmp.aut_order,
             "a_order": cmp.a_order,
@@ -213,17 +226,42 @@ def test_counting_matches_listing_on_catalog_pairs(monkeypatch):
             "witness_counts": tuple(len(side) for side in cmp.violating_matrices),
         }
         assert got == want, (h.name, k.name)
-        _check_witnesses(cmp, set_minus_aut, aut_minus_set)
+        _check_witnesses(cmp, set_minus_aut, aut_minus_set, central)
     # Without the cap the witnesses are both differences in full, so the
-    # counted |A n Aut| that bounds the chain walk is checked as well.
+    # counted |set n Aut| that bounds the chain walk is checked as well.
     monkeypatch.setattr(autcompare, "WITNESS_CAP", 10**9)
     for h, k in pairs:
         if h.order * k.order <= 64:
-            _, set_minus_aut, aut_minus_set = _listing_comparison(h, k, 64)
-            uncapped = compare_aut_vs_A(h, k).violating_matrices
+            _, set_minus_aut, aut_minus_set = _listing_comparison(h, k, 64, central)
+            uncapped = compare(h, k).violating_matrices
             assert [{m.key() for m in side} for side in uncapped] == [
                 set_minus_aut, aut_minus_set
             ], (h.name, k.name)
+
+
+def test_counting_matches_listing_on_catalog_pairs(monkeypatch):
+    _check_counting_against_listing(compare_aut_vs_A, False, monkeypatch)
+
+
+def test_counted_Z_comparison_matches_listing_on_catalog_pairs(monkeypatch):
+    _check_counting_against_listing(compare_autc_vs_Z, True, monkeypatch)
+
+
+def test_Z_is_A_restricted_to_central_diagonals():
+    groups = [_g(s) for s in CATALOG]
+    for i, h in enumerate(groups):
+        for k in groups[i:]:
+            if h.order * k.order <= 64:
+                want = [m.key() for m in enumerate_A((h, k)) if in_Z(m)]
+                assert [m.key() for m in enumerate_Z((h, k))] == want, (h.name, k.name)
+
+
+def test_central_aut_group_is_the_filtered_automorphism_list():
+    specs = list(CATALOG) + ["S3 x C2", "D8 x C2", "Q8 x C4", "D8 x C4", "S3 x S3"]
+    for spec in specs:
+        g = _g(spec)
+        want = [f.values for f in enumerate_autos(g) if is_central_automorphism(f)]
+        assert [f.values for f in central_aut_group(g)] == want, spec
 
 
 def test_comparison_without_listing_the_product_automorphisms():
@@ -234,3 +272,33 @@ def test_comparison_without_listing_the_product_automorphisms():
     assert not cmp.a_subset_aut and not cmp.aut_subset_a
     assert [len(side) for side in cmp.violating_matrices] == [WITNESS_CAP] * 2
     _check_witnesses(cmp)
+
+
+def test_Z_comparison_without_listing_the_product_automorphisms():
+    # The product is abelian, so Aut_c = Aut and Z = A: listing the
+    # 10,321,920 central automorphisms is over the listing bound.
+    h, k = _g("E2^3"), _g("C2 x C4")
+    t0 = time.perf_counter()
+    cmp = compare_autc_vs_Z(h, k)
+    assert time.perf_counter() - t0 < 1.0
+    assert cmp.aut_order == 10_321_920
+    assert cmp.a_order == 5_505_024
+    assert not cmp.a_subset_aut and not cmp.aut_subset_a
+    assert [len(side) for side in cmp.violating_matrices] == [WITNESS_CAP] * 2
+    _check_witnesses(cmp, central=True)
+
+
+def test_Z_side_lists_no_automorphism_group(monkeypatch):
+    def refuse(g):
+        raise AssertionError(f"listed Aut({g.name})")
+
+    # A fresh product, so nothing is cached on it yet.
+    product = direct_product(_g("Q8"), _g("C4"))
+    monkeypatch.setattr(maps, "enumerate_autos", refuse)
+    monkeypatch.setattr(matrices, "enumerate_autos", refuse)
+    cmp = compare_autc_vs_Z(_g("C4"), _g("C4"))
+    assert cmp.aut_order == 96 and cmp.a_order == 64 and not cmp.equal
+    assert len(central_aut_group(product)) == 64
+    assert "autos" not in product._cache
+    with pytest.raises(ResourceLimitError, match="central automorphisms"):
+        central_aut_group(_g("E2^5"))  # |GL(5, 2)| = 9,999,360, all central

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupdet import (
+    DirectFactorization,
     FiniteGroup,
     GroupMap,
     ParseError,
     StructuralError,
+    Subgroup,
     ValidationError,
     are_isomorphic,
     build_group,
@@ -338,6 +340,36 @@ def test_direct_factorizations_satisfy_invariants():
             for a in left.elements:
                 for b in right.elements:
                     assert g.mul(a, b) == g.mul(b, a)
+
+
+def test_direct_factorization_rejects_a_non_normal_factor():
+    # <s> and A3 in S3 meet trivially and their orders multiply to 6, but
+    # <s> is not normal; the commute check is what rejects the pair.
+    g = build_group("S3")
+    s = next(x for x in range(g.order) if g.element_order(x) == 2)
+    r = next(x for x in range(g.order) if g.element_order(x) == 3)
+    reflection = Subgroup(g, [g.identity, s])
+    a3 = Subgroup(g, g.closure([r]))
+    assert not reflection.is_normal() and a3.is_normal()
+    for left, right in ((reflection, a3), (a3, reflection)):
+        with pytest.raises(StructuralError):
+            DirectFactorization(g, left, right)
+
+
+def test_is_normal_matches_conjugation_by_every_element():
+    non_normal = 0
+    for spec in CATALOG + ("S4",):
+        g = build_group(spec)
+        for sub in g.all_subgroups():
+            es = set(sub.elements)
+            want = all(
+                g.mul(g.mul(g.inverse[a], x), a) in es
+                for x in sub.elements
+                for a in range(g.order)
+            )
+            assert sub.is_normal() == want, (spec, sub.elements)
+            non_normal += not want
+    assert non_normal > 0
 
 
 def test_indecomposables_have_only_trivial_factorizations():

@@ -287,6 +287,26 @@ def test_is_normal_endo():
         is_normal_endo(zero_map(s3, c12))
 
 
+def test_is_normal_endo_matches_conjugation_by_every_element():
+    for spec in ("S3", "D8", "Q8", "S3 x C2", "D8 x C2"):
+        g = build_group(spec)
+
+        def conj(x, a):
+            return g.mul(g.mul(g.inverse[a], x), a)
+
+        verdicts = set()
+        for f in enumerate_endos(g):
+            v = f.values
+            want = all(
+                v[conj(x, a)] == conj(v[x], a)
+                for x in range(g.order)
+                for a in range(g.order)
+            )
+            assert is_normal_endo(f) == want, (spec, v)
+            verdicts.add(want)
+        assert verdicts == {True, False}, spec
+
+
 def test_normal_endo_image_and_kernel_are_normal():
     from groupdet import Subgroup
 
