@@ -198,6 +198,35 @@ class FiniteGroup:
             self._cache["orders"] = tuple(self.element_order(x) for x in range(self.order))
         return self._cache["orders"]
 
+    @property
+    def class_sizes(self) -> tuple[int, ...]:
+        """The size of each element's conjugacy class.
+
+        The class of x is its orbit under conjugation by the generators:
+        those conjugations generate every inner automorphism, and in a
+        finite group the orbit under a generating set is the orbit under the
+        group it generates.  Each element is visited once per generator.
+        """
+        if "class_sizes" not in self._cache:
+            t, inv = self.table, self.inverse
+            conj = [(t[inv[a]], a) for a in self.generators()]
+            sizes = [0] * self.order
+            for x in range(self.order):
+                if sizes[x]:
+                    continue
+                orbit = [x]
+                sizes[x] = -1
+                for y in orbit:  # also visits the elements appended below
+                    for row, a in conj:
+                        z = t[row[y]][a]
+                        if not sizes[z]:
+                            sizes[z] = -1
+                            orbit.append(z)
+                for y in orbit:
+                    sizes[y] = len(orbit)
+            self._cache["class_sizes"] = tuple(sizes)
+        return self._cache["class_sizes"]
+
     def center(self) -> "Subgroup":
         """Elements commuting with everything, as a subgroup."""
         if "center" not in self._cache:
@@ -696,20 +725,14 @@ def catalog_groups(max_order: Optional[int] = None) -> list[FiniteGroup]:
 # --------------------------------------------------------------------------
 
 
-def _order_profile(g: FiniteGroup) -> tuple[tuple[int, int], ...]:
-    counts: dict[int, int] = {}
-    for d in g.element_orders:
-        counts[d] = counts.get(d, 0) + 1
-    return tuple(sorted(counts.items()))
-
-
 def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]]:
     """An isomorphism g1 -> g2 as a value array, or None.
 
-    After cheap invariant checks, takes the first injective homomorphism of
-    the generator-image search in ``maps``, with each generator sent to an
-    element of the same order; between groups of equal order it is a
-    bijection.
+    After cheap invariant checks (the first is the multiset of pairs of
+    element order and class size, which an isomorphism preserves), takes the
+    first injective homomorphism of the generator-image search in ``maps``,
+    with each generator sent to an element of the same order and class size;
+    between groups of equal order it is a bijection.
     """
     from .maps import _candidate_images, _maps_from_generator_images
 
@@ -718,7 +741,8 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]
     if g1 is g2:
         return tuple(range(g1.order))
     if (
-        _order_profile(g1) != _order_profile(g2)
+        sorted(zip(g1.element_orders, g1.class_sizes))
+        != sorted(zip(g2.element_orders, g2.class_sizes))
         or g1.is_abelian != g2.is_abelian
         or g1.center().order != g2.center().order
         or g1.derived_subgroup().order != g2.derived_subgroup().order

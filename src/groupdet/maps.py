@@ -300,15 +300,15 @@ def is_normal_endo(f: GroupMap) -> bool:
     g = f.domain
     if g.is_abelian:
         return True
-    v = g.conj
-    vals = f.values
+    t, inv, vals = g.table, g.inverse, f.values
     # Conjugations by the generators generate Inn(g), and f commutes with a
-    # composite of maps it commutes with, so the generators suffice.
-    return all(
-        vals[v(x, a)] == v(vals[x], a)
-        for x in range(g.order)
-        for a in g.generators()
-    )
+    # composite of maps it commutes with, so the generators suffice.  The
+    # conjugate a^-1 x a is read as t[row[x]][a] with row = t[a^-1].
+    for a in g.generators():
+        row = t[inv[a]]
+        if any(vals[t[row[x]][a]] != t[row[v]][a] for x, v in enumerate(vals)):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -335,14 +335,25 @@ def _candidate_images(
     allowed: Optional[Sequence[int]],
     exact_order: bool,
 ) -> list[list[int]]:
+    """The candidate images of each generator of ``domain``, in ``allowed`` order.
+
+    A generator's image is an element whose order divides the generator's.
+    With ``exact_order`` (for isomorphisms, so between groups of equal order)
+    it has the generator's order and class size, since an isomorphism maps
+    conjugacy classes onto classes of the same size.  The candidates cut
+    that way extend to no isomorphism, so every search over these pools
+    finds the same maps in the same order, the first completion included.
+    """
     pool = range(codomain.order) if allowed is None else allowed
+    orders = codomain.element_orders
     pools = []
     for g in domain.generators():
         d = domain.element_orders[g]
         if exact_order:
-            pools.append([y for y in pool if codomain.element_orders[y] == d])
+            size, sizes = domain.class_sizes[g], codomain.class_sizes
+            pools.append([y for y in pool if orders[y] == d and sizes[y] == size])
         else:
-            pools.append([y for y in pool if d % codomain.element_orders[y] == 0])
+            pools.append([y for y in pool if d % orders[y] == 0])
     return pools
 
 
@@ -363,6 +374,15 @@ def _prefix_layers(domain: FiniteGroup):
     with every generator so far, each once.  Each compare step comes right
     after the later of its two ends is assigned, so a failing candidate
     stops as early as the level allows.
+
+    Some compare steps are implied by the others: the products of the
+    previous closure K with gens[i] follow from the new-layer steps, the map
+    being a homomorphism on K, and one defining product (walk x * gens[i],
+    x * gens[i]^2, ... through the new layer until it re-enters K).  They
+    stay.  Without them every enumerated map was the same and the speed
+    difference was within run-to-run noise, and no test could tell the two
+    apart; so the removal would buy nothing measurable and would make the
+    correctness of every search rest on that argument alone.
     """
     if "prefix_layers" not in domain._cache:
         gens = domain.generators()
@@ -500,27 +520,43 @@ def _aut_chain(
     """Coset representatives of the stabiliser chain of the generators.
 
     Let A_i be the automorphisms that fix gens[:i] pointwise, so A_0 = Aut(g)
-    and A_k = {1}.  For each candidate image c of gens[i] (an element of the
-    same order), the search with gens[:i] pinned to themselves and gens[i]
-    sent to c stops at its first completion t_c, or ends without one, which
-    proves that no automorphism of A_i sends gens[i] to c.  Every a in A_i
-    with a(gens[i]) = c has t_c^-1 a in A_{i+1}, and every t_c s with s in
-    A_{i+1} lies in A_i and sends gens[i] to c, so
+    and A_k = {1}.  For each d in the orbit of gens[i] under A_i pick one r_d
+    in A_i with r_d(gens[i]) = d.  Every a in A_i with a(gens[i]) = d has
+    r_d^-1 a in A_{i+1}, and every r_d s with s in A_{i+1} lies in A_i and
+    sends gens[i] to d, so
 
-        A_i = disjoint union over c of  t_c A_{i+1}.
+        A_i = disjoint union over d of  r_d A_{i+1}.
 
-    Level i holds the value tuples of the t_c, in pool order.  Aut(g) is
-    therefore the set of products t_0 t_1 ... t_{k-1}, one representative per
+    Level i holds the value tuples of the r_d, in pool order.  Aut(g) is
+    therefore the set of products r_0 r_1 ... r_{k-1}, one representative per
     level, each automorphism met exactly once, and |Aut(g)| is the product
     of the level sizes.
+
+    The orbit is found from the deepest level up (the orbit half of
+    Schreier-Sims).  It starts as {gens[i]}, represented by the identity.
+    The movers are the automorphisms found by search at the deeper levels,
+    which generate A_{i+1}, and those found so far at level i; all lie in
+    A_i.  The candidates are the elements of the order and class size of
+    gens[i] (``_candidate_images``), which include every image of gens[i]
+    under an automorphism.  A candidate c not yet in the orbit gets one
+    search, with gens[:i] pinned to themselves and gens[i] sent to c.  The
+    search either stops at its first completion t_c, an element of A_i that
+    becomes a mover, or ends without one, which proves that no member of A_i
+    sends gens[i] to c.  After each hit the orbit is closed under the
+    movers: a point d with representative r_d and a mover s give the point
+    s(d) with representative s r_d, composed as value tuples, which lies in
+    A_i and sends gens[i] to s(d).  So the closure stays inside the orbit
+    under A_i, and never reaches a candidate whose search failed.  A
+    candidate in that orbit is either reached by the closure or found by its
+    own search, so at the end the orbit is complete.
 
     With ``central`` the chain is that of Aut_c(g), the central automorphisms
     (f(x) x^-1 in Z(g) for every x): the pool of each generator x keeps only
     the c with c x^-1 central.  That is exact, because an automorphism f is
     central iff f(x) x^-1 is central for each generator x:
     f(xy)(xy)^-1 = f(x) x^-1 . f(y) y^-1 once f(y) y^-1 is central, and every
-    element is a product of generators.  Aut_c(g) is a subgroup, so the coset
-    argument above holds with A_i the central automorphisms fixing gens[:i].
+    element is a product of generators.  Aut_c(g) is a subgroup, so the
+    arguments above hold with A_i the central automorphisms fixing gens[:i].
     """
     key = "autc_chain" if central else "aut_chain"
     if key not in g._cache:
@@ -529,19 +565,33 @@ def _aut_chain(
         if central:
             z, tg, inv = g.center_set(), g.table, g.inverse
             pools = [[c for c in pool if tg[c][inv[x]] in z] for x, pool in zip(gens, pools)]
+        movers: list[tuple[int, ...]] = []
         levels = []
-        for i in range(len(gens)):
+        for i in reversed(range(len(gens))):
             pinned = [(x,) for x in gens[:i]]
-            reps = []
+            orbit = {gens[i]: tuple(range(g.order))}
             for c in pools[i]:
+                if c in orbit:
+                    continue
                 search = _maps_from_generator_images(
                     g, g, pinned + [(c,)] + pools[i + 1:], injective=True
                 )
                 t = next(search, None)
-                if t is not None:
-                    reps.append(t)
-            levels.append(tuple(reps))
-        g._cache[key] = tuple(levels)
+                if t is None:
+                    continue
+                movers.append(t)
+                queue = list(orbit)
+                while queue:
+                    d = queue.pop()
+                    for s in movers:
+                        e = s[d]
+                        if e not in orbit:
+                            # itemgetter(*r)(s) is s r as a value tuple; g has
+                            # a generator, so r has at least two entries.
+                            orbit[e] = itemgetter(*orbit[d])(s)
+                            queue.append(e)
+            levels.append(tuple(orbit[c] for c in pools[i] if c in orbit))
+        g._cache[key] = tuple(reversed(levels))
     return g._cache[key]
 
 
@@ -553,10 +603,10 @@ def aut_order(g: FiniteGroup) -> int:
 def _chain_products(g: FiniteGroup, central: bool) -> Iterator[tuple[int, ...]]:
     """Yield the value tuple of every member of Aut(g), or Aut_c(g), one at a time.
 
-    Each is a product t_0 t_1 ... t_{k-1} of ``_aut_chain`` representatives,
-    composed as value tuples, (t s)(x) = t(s(x)), not through ``compose``.
+    Each is a product r_0 r_1 ... r_{k-1} of ``_aut_chain`` representatives,
+    composed as value tuples, (r s)(x) = r(s(x)), not through ``compose``.
     The level-0 representative varies fastest; the partial product
-    t_{i+1} ... t_{k-1} of the slower levels is formed once per prefix.
+    r_{i+1} ... r_{k-1} of the slower levels is formed once per prefix.
     """
     levels = _aut_chain(g, central)
     if not levels:

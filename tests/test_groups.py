@@ -463,3 +463,17 @@ def test_element_orders_multiply_out():
     assert sorted(set(g.element_orders)) == [1, 2, 3, 4, 6, 12]
     q8 = build_group("Q8")
     assert sorted(g for g in q8.element_orders) == [1, 2, 4, 4, 4, 4, 4, 4]
+
+
+def test_class_sizes_match_centralizer_index():
+    # |class of x| = |G| / |C_G(x)|, with the centralizer counted by brute force.
+    for spec in CATALOG + ("S3 x Q8", "D8 x C4"):
+        g = build_group(spec)
+        t = g.table
+        want = tuple(
+            g.order // sum(t[x][y] == t[y][x] for y in range(g.order))
+            for x in range(g.order)
+        )
+        assert g.class_sizes == want, spec
+    assert sorted(build_group("S3").class_sizes) == [1, 2, 2, 3, 3, 3]
+

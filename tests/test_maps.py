@@ -1,12 +1,14 @@
 """Map algebra, homomorphism enumeration, and normality machinery."""
 import itertools
 import time
+from math import prod
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupdet import (
+    CATALOG,
     GroupMap,
     InversionError,
     OpCounter,
@@ -15,6 +17,7 @@ from groupdet import (
     StructuralError,
     aut_order,
     build_group,
+    central_aut_group,
     compose,
     enumerate_autos,
     enumerate_endos,
@@ -23,6 +26,7 @@ from groupdet import (
     identity_map,
     invert,
     is_bijective,
+    is_central_automorphism,
     is_normal_endo,
     map_from_dict,
     negate,
@@ -31,6 +35,7 @@ from groupdet import (
     power_map,
     zero_map,
 )
+from groupdet.maps import AUT_LIST_LIMIT, _aut_chain, _maps_from_generator_images
 
 HOM_COUNTS = {
     ("C4", "C2"): 2,
@@ -251,6 +256,70 @@ def test_enumerate_autos_refuses_over_the_listing_bound():
     assert aut_order(g) == 9_999_360  # |GL(5, 2)|
     with pytest.raises(ResourceLimitError):
         enumerate_autos(g)
+
+
+def _per_candidate_chain(g, central):
+    """Stabiliser-chain representatives with one search per candidate image.
+
+    Levels run from the first generator to the last.  Level i tries every
+    element c of the order of gens[i] (with c gens[i]^-1 central, for the
+    central chain) and keeps the first automorphism, if any, that fixes
+    gens[:i] and sends gens[i] to c.  No orbit is tracked and no class size
+    is used.
+    """
+    gens, orders, t, inv = g.generators(), g.element_orders, g.table, g.inverse
+    center = set(g.center().elements)
+    pools = [
+        [c for c in range(g.order) if orders[c] == orders[x]
+         and (not central or t[c][inv[x]] in center)]
+        for x in gens
+    ]
+    levels = []
+    for i in range(len(gens)):
+        pinned = [(x,) for x in gens[:i]]
+        reps = []
+        for c in pools[i]:
+            search = _maps_from_generator_images(
+                g, g, pinned + [(c,)] + pools[i + 1:], injective=True
+            )
+            found = next(search, None)
+            if found is not None:
+                reps.append(found)
+        levels.append(reps)
+    return levels
+
+
+def _chain_product_values(levels, n):
+    """Sorted value tuples of the products r_0 r_1 ... r_{k-1}, one per level."""
+    products = [tuple(range(n))]
+    for reps in reversed(levels):
+        products = [tuple(r[x] for x in p) for r in reps for p in products]
+    return sorted(products)
+
+
+CHAIN_SPECS = [f"{a} x {b}" for a, b in itertools.combinations_with_replacement(CATALOG, 2)]
+
+
+@pytest.mark.parametrize("central", [False, True], ids=["full", "central"])
+@pytest.mark.parametrize("spec", CHAIN_SPECS + ["Q8 x Q8 x C2"])
+def test_orbit_chain_matches_per_candidate_chain(spec, central):
+    g = build_group(spec)
+    gens, t, inv = g.generators(), g.table, g.inverse
+    center = set(g.center().elements)
+    levels = _aut_chain(g, central)
+    oracle = _per_candidate_chain(g, central)
+    assert [len(reps) for reps in levels] == [len(reps) for reps in oracle]
+    for i, reps in enumerate(levels):
+        for r in reps:
+            f = GroupMap(g, g, r)
+            assert f.is_homomorphism() and is_bijective(f)
+            assert all(r[x] == x for x in gens[:i])
+            if central:
+                assert all(t[r[x]][inv[x]] in center for x in range(g.order))
+        assert len({r[gens[i]] for r in reps}) == len(reps)
+    if prod(len(reps) for reps in oracle) <= AUT_LIST_LIMIT:
+        listing = central_aut_group(g) if central else enumerate_autos(g)
+        assert [f.values for f in listing] == _chain_product_values(oracle, g.order)
 
 
 def test_is_bijective_counter_semantics():

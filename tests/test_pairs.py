@@ -1,10 +1,12 @@
 """Pair predicates and their collapse onto direct-factor structure."""
+import hashlib
 import json
 from itertools import combinations_with_replacement
 
 import pytest
 
 from groupdet import (
+    CATALOG,
     GroupMap,
     PairReport,
     PairWitness,
@@ -190,6 +192,22 @@ def test_classify_cross_checks_all_small_pairs():
         assert report.incompatible == (report.common_factor is None)
         if report.totally_incompatible:
             assert report.total_length >= 1
+
+
+# SHA-256 of the JSON text below, taken when Aut(H x K) was still built by
+# one search per candidate image.  The reports hold no Aut-vs-A witness, so
+# a change in how automorphisms are found must leave this digest unchanged.
+CATALOG_CLASSIFY_DIGEST = "5204767625cdf74cc9171ada31dd08ef30f6e51e428f2c20f5e8a708f73986e5"
+
+
+def test_classify_json_of_every_catalog_pair_is_pinned():
+    reports = [
+        classify_pair(a, b, max_product_order=144).as_dict()
+        for a, b in combinations_with_replacement(CATALOG, 2)
+    ]
+    text = json.dumps(reports, sort_keys=True)
+    assert len(reports) == 55
+    assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_CLASSIFY_DIGEST
 
 
 def test_report_consistency_guards():
