@@ -37,6 +37,35 @@ __all__ = [
 ]
 
 
+def _walk(rows: Sequence[Sequence[int]], reached: list[int], seen: set[int], gens: list[int]):
+    """Extend ``reached`` after ``gens[-1]`` was appended to ``gens``.
+
+    ``reached`` starts from the identity and must be closed under right
+    multiplication by ``gens[:-1]``; ``seen`` is its set.  Afterwards it is
+    closed under right multiplication by all of ``gens``: the old elements
+    are multiplied by the new generator only, and each new element by every
+    generator, so every element meets every generator at most once.  In a
+    group the result is the subgroup that ``gens`` generates (a finite
+    monoid generated inside a group is the subgroup), at a cost of
+    |reached| * |gens| lookups.
+    """
+    g_new = gens[-1]
+    old = len(reached)
+    for i in range(old):
+        y = rows[reached[i]][g_new]
+        if y not in seen:
+            seen.add(y)
+            reached.append(y)
+    # A list iterator also yields the elements appended while it runs.
+    for x in itertools.islice(reached, old, None):
+        row = rows[x]
+        for g in gens:
+            y = row[g]
+            if y not in seen:
+                seen.add(y)
+                reached.append(y)
+
+
 def _validate_table(table: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ...], ...], int]:
     """Check that ``table`` is a group table; return its rows and its identity.
 
@@ -86,19 +115,12 @@ def _validate_table(table: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ..
         raise ValidationError("table has no identity element")
 
     gens: list[int] = []
-    seen = [False] * n
-    seen[e] = True
     reached = [e]
+    seen = {e}
     for u in range(n):
-        if seen[u]:
-            continue
-        gens.append(u)
-        for x in reached:  # also visits the elements appended below
-            for g in gens:
-                y = rows[x][g]
-                if not seen[y]:
-                    seen[y] = True
-                    reached.append(y)
+        if u not in seen:
+            gens.append(u)
+            _walk(rows, reached, seen, gens)
 
     for a in gens:
         # times_a(row_x)[y] = x*(a*y); there is a generator only when n >= 2,
@@ -119,8 +141,10 @@ def _validate_table(table: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ..
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
-    The table is validated exactly on construction (``_validate_table``:
-    integer entries, Latin square, identity, Light's associativity test).
+    Every table passed to the constructor is validated exactly
+    (``_validate_table``: integer entries, Latin square, identity, Light's
+    associativity test).  Groups derived from validated groups (direct
+    products and extracted subgroups) are built by ``_trusted`` instead.
     Instances are immutable; derived data (center, subgroups, ...) is computed
     lazily and cached.
     """
@@ -132,6 +156,20 @@ class FiniteGroup:
         labels: Optional[Sequence[str]] = None,
     ):
         rows, identity = _validate_table(table)
+        self._setup(rows, identity, name, labels)
+
+    @classmethod
+    def _trusted(cls, rows: tuple, identity: int, name: str, labels: Sequence[str]):
+        """A group from tuple rows known to form a group table with this identity.
+
+        Skips validation; only ``direct_product`` and ``Subgroup.as_group``
+        call it, with tables derived from validated groups.
+        """
+        g = cls.__new__(cls)
+        g._setup(rows, identity, name, labels)
+        return g
+
+    def _setup(self, rows: tuple, identity: int, name: str, labels: Optional[Sequence[str]]):
         order = len(rows)
         self.table = rows
         self.order = order
@@ -263,36 +301,36 @@ class FiniteGroup:
         return all(z in derived for z in self.center().elements)
 
     def closure(self, seed: Iterable[int]) -> tuple[int, ...]:
-        """Subgroup generated by the seed elements, as a sorted tuple."""
-        t = self.table
-        got = {self.identity}
-        frontier = [self.identity]
+        """Subgroup generated by the seed elements, as a sorted tuple.
+
+        Walks right multiplication by generators from the identity
+        (``_walk``); a seed element already reached is not made a generator,
+        so the cost is |<seed>| * |generators used| lookups plus one
+        membership test per seed element.
+        """
+        reached = [self.identity]
+        seen = {self.identity}
+        gens: list[int] = []
         for s in seed:
-            if s not in got:
-                got.add(s)
-                frontier.append(s)
-        while frontier:
-            x = frontier.pop()
-            for y in tuple(got):
-                for z in (t[x][y], t[y][x]):
-                    if z not in got:
-                        got.add(z)
-                        frontier.append(z)
-        return tuple(sorted(got))
+            if s not in seen:
+                gens.append(s)
+                _walk(self.table, reached, seen, gens)
+        return tuple(sorted(reached))
 
     def generators(self) -> tuple[int, ...]:
         """A small generating set, chosen greedily by descending element order."""
         if "generators" not in self._cache:
             gens: list[int] = []
-            have = {self.identity}
+            reached = [self.identity]
+            seen = {self.identity}
             by_order = sorted(
                 range(self.order), key=lambda x: (-self.element_orders[x], x)
             )
             for x in by_order:
-                if x not in have:
+                if x not in seen:
                     gens.append(x)
-                    have = set(self.closure(gens))
-                    if len(have) == self.order:
+                    _walk(self.table, reached, seen, gens)
+                    if len(reached) == self.order:
                         break
             self._cache["generators"] = tuple(gens)
         return self._cache["generators"]
@@ -385,16 +423,20 @@ class Subgroup:
         return all(x in zs for x in self.elements)
 
     def as_group(self) -> tuple[FiniteGroup, dict[int, int]]:
-        """Reindex to a standalone FiniteGroup; also return parent->local index map."""
+        """Reindex to a standalone FiniteGroup; also return parent->local index map.
+
+        The constructor checked closure under products and inverses, so the
+        reindexed table is a group table and is not validated again.
+        """
         index = {x: i for i, x in enumerate(self.elements)}
         t = self.parent.table
-        table = [
-            [index[t[a][b]] for b in self.elements]
+        table = tuple(
+            tuple([index[t[a][b]] for b in self.elements])
             for a in self.elements
-        ]
+        )
         labels = [self.parent.labels[x] for x in self.elements]
-        g = FiniteGroup(table, name=f"subgroup of {self.parent.name}", labels=labels)
-        return g, index
+        name = f"subgroup of {self.parent.name}"
+        return FiniteGroup._trusted(table, index[self.parent.identity], name, labels), index
 
 
 @dataclass(frozen=True)
@@ -474,7 +516,9 @@ def direct_product(*factors: FiniteGroup, flatten: bool = True) -> FiniteGroup:
     fastest; for two factors this is (h, k) -> h*|K| + k.  This function is
     the only code that knows the numbering: the product records ``factors``
     and ``coords``, where ``coords[x]`` is the tuple of factor elements of x,
-    and everything else reads those.
+    and everything else reads those.  A product of groups is a group, so the
+    table is not validated again; its identity is the number of the tuple of
+    factor identities.
     """
     flat = _flatten_factors(factors) if flatten else tuple(factors)
     if not flat:
@@ -483,17 +527,21 @@ def direct_product(*factors: FiniteGroup, flatten: bool = True) -> FiniteGroup:
         return flat[0]
     # Fold in one factor at a time: with n = |g|, the pair (x, y) of an
     # element x of the product so far and y of g becomes x*n + y.
-    table: list = [[0]]
+    table: list = [(0,)]
     coords: list[tuple[int, ...]] = [()]
+    identity = 0
     for g in flat:
         n = g.order
-        table = [[x * n + y for x in row for y in grow] for row in table for grow in g.table]
+        table = [
+            tuple([x * n + y for x in row for y in grow]) for row in table for grow in g.table
+        ]
         coords = [c + (y,) for c in coords for y in range(n)]
+        identity = identity * n + g.identity
     labels = ["(" + ", ".join(g.labels[c] for g, c in zip(flat, cs)) + ")" for cs in coords]
     name = " x ".join(
         f"({g.name})" if g.factors is not None else g.name for g in flat
     )
-    product = FiniteGroup(table, name=name, labels=labels)
+    product = FiniteGroup._trusted(tuple(table), identity, name, labels)
     product.factors = flat
     product.coords = tuple(coords)
     return product

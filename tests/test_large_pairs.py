@@ -1,0 +1,54 @@
+"""Pairs with larger factors, each with a pinned wall-clock budget.
+
+The expected verdicts come from the Krull-Remak-Schmidt theorem, not from
+the code: a finite group is a direct product of indecomposable factors,
+unique up to isomorphism and order, so two groups share a nontrivial direct
+factor exactly when their decompositions share an indecomposable.
+
+- D8 x D8 and C2: D8 is indecomposable, so D8 x D8 has no C2 factor and
+  the pair has no common direct factor.  It is incompatible, centrally
+  incompatible and totally incompatible (length 1), A is a subgroup of
+  Aut(H x K), and Aut(H x K) = A.
+- C2 x S4 and S4: S4 is a common factor, of order 24.  Z(S4) = 1, so S4
+  has no central direct factor and the pair has no central common factor.
+  It is compatible, centrally incompatible, A is a subgroup, and
+  Aut(H x K) != A.
+
+The budgets are fixed; a run over them means the code got slower.
+"""
+import time
+
+from groupdet import classify_pair
+
+
+def _timed(h, k, bound):
+    start = time.perf_counter()
+    report = classify_pair(h, k, max_product_order=bound)
+    return report, time.perf_counter() - start
+
+
+def test_d8_x_d8_and_c2_share_no_factor():
+    report, elapsed = _timed("D8 x D8", "C2", 128)
+    assert not report.incomplete
+    assert report.common_factor is None
+    assert report.incompatible
+    assert report.centrally_incompatible
+    assert report.totally_incompatible and report.total_length == 1
+    assert report.a_is_subgroup is True
+    assert report.a_equals_aut is True
+    print(f"LARGE PAIR D8 x D8 / C2: {elapsed:.2f}s")
+    assert elapsed < 4.0
+
+
+def test_c2_x_s4_and_s4_share_s4_but_no_central_factor():
+    report, elapsed = _timed("C2 x S4", "S4", 1152)
+    assert not report.incomplete
+    assert report.common_factor is not None
+    assert report.common_factor.h_factor.order == 24
+    assert report.common_factor.k_factor.order == 24
+    assert not report.incompatible
+    assert report.centrally_incompatible
+    assert report.a_is_subgroup is True
+    assert report.a_equals_aut is False
+    print(f"LARGE PAIR C2 x S4 / S4: {elapsed:.2f}s")
+    assert elapsed < 4.0
