@@ -11,6 +11,7 @@ cross-checks every such equivalence while assembling its report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Union
 
 from .autcompare import _composites, compare_aut_vs_A
@@ -23,7 +24,7 @@ from .groups import (
 )
 from .maps import (
     GroupMap,
-    compose,
+    _derived_map,
     enumerate_homs,
     identity_map,
     is_bijective,
@@ -35,7 +36,6 @@ from .matrices import DEFAULT_AUT_ENUM_LIMIT, _check_enum_bound, map_to_dict
 __all__ = [
     "PairWitness",
     "PairReport",
-    "qualifying_pairs",
     "is_incompatible",
     "is_totally_incompatible",
     "is_centrally_incompatible",
@@ -69,30 +69,174 @@ class PairWitness:
         }
 
 
-def qualifying_pairs(h: FiniteGroup, k: FiniteGroup, central: bool = False):
-    """Yield (sigma, tau, sigma.tau, tau.sigma) with both compositions normal.
-
-    The normality requirement is tested exactly, not shortcut through image
-    centrality, because compositions with noncentral image can still be
-    normal.  With ``central`` the homomorphism sets shrink to the
-    center-valued ones, where normality is automatic but still checked.
-    """
-    sigmas = enumerate_homs(h, k, restrict_codomain=k.center() if central else None)
-    taus = enumerate_homs(k, h, restrict_codomain=h.center() if central else None)
-    for sigma in sigmas.members:
-        for tau in taus.members:
-            st = compose(sigma, tau)
-            ts = compose(tau, sigma)
-            if is_normal_endo(st) and is_normal_endo(ts):
-                yield sigma, tau, st, ts
+def _composer(values: tuple[int, ...]):
+    """The function x -> (x[v] for v in values), as a tuple: ``x`` after ``values``."""
+    if len(values) == 1:  # itemgetter of one index returns the item, not a tuple
+        (v,) = values
+        return lambda x: (x[v],)
+    return itemgetter(*values)
 
 
-def _fixed_point(f: GroupMap) -> Optional[int]:
-    identity = f.domain.identity
-    for x in range(f.domain.order):
-        if x != identity and f.values[x] == x:
+def _fixed_point(values: tuple[int, ...], identity: int) -> Optional[int]:
+    for x, v in enumerate(values):
+        if v == x and x != identity:
             return x
     return None
+
+
+def _nilpotency_index(values: tuple[int, ...], identity: int) -> Optional[int]:
+    """Least n >= 1 with the n-th power of the self-map ``values`` trivial, or None.
+
+    Iteration stops after |domain| steps: past that point the image chain has
+    stabilized, so an orbit still away from the identity never reaches it.
+    """
+    trivial = (identity,) * len(values)
+    step = values.__getitem__
+    power = values
+    for n in range(1, len(values) + 1):
+        if power == trivial:
+            return n
+        power = tuple(map(step, power))
+    return None
+
+
+def _survivor(values: tuple[int, ...], identity: int) -> int:
+    """The first element whose orbit misses the identity.
+
+    ``values`` is a self-map that is not nilpotent, so such an element exists.
+    """
+    for x in range(len(values)):
+        y = values[x]
+        for _ in range(len(values)):
+            if y == identity:
+                break
+            y = values[y]
+        else:
+            return x
+
+
+class _CompositeFacts(dict):
+    """Composites on one group, keyed by value tuple, with their facts on first lookup.
+
+    A composite's facts are None when it is not a normal endomorphism, and
+    otherwise (its first nontrivial fixed point, its nilpotency index), each
+    None when absent.  Every verdict of the pair predicates reads only these.
+    """
+
+    def __init__(self, g: FiniteGroup):
+        super().__init__()
+        self.g = g
+
+    def __missing__(self, values: tuple[int, ...]):
+        g = self.g
+        facts = None
+        if is_normal_endo(_derived_map(g, g, values, hom=True)):
+            facts = (_fixed_point(values, g.identity), _nilpotency_index(values, g.identity))
+        self[values] = facts
+        return facts
+
+
+class _Verdicts:
+    """The predicates over one family of qualifying pairs: all, or center-valued.
+
+    ``compatible`` is the first pair whose sigma.tau fixes a nontrivial
+    element, ``not_totally`` the first pair with neither composition
+    nilpotent; ``length`` is the largest smaller nilpotency index seen before
+    ``not_totally``.  Both witnesses found means the family is settled.
+    """
+
+    def __init__(self, central: bool):
+        self.central = central
+        self.compatible: Optional[PairWitness] = None
+        self.not_totally: Optional[PairWitness] = None
+        self.length = 0
+
+    @property
+    def settled(self) -> bool:
+        return self.compatible is not None and self.not_totally is not None
+
+    @property
+    def incompatible(self) -> bool:
+        return self.compatible is None
+
+    @property
+    def totally(self) -> bool:
+        return self.not_totally is None
+
+    @property
+    def total_length(self) -> Optional[int]:
+        return max(self.length, 1) if self.totally else None
+
+    def visit(self, sigma, tau, st, st_facts, ts_facts) -> None:
+        fixed, n_st = st_facts
+        n_ts = ts_facts[1]
+        if self.compatible is None and fixed is not None:
+            kind = "centrally_compatible" if self.central else "compatible"
+            self.compatible = PairWitness(kind, sigma, tau, fixed)
+        if self.not_totally is not None:
+            return
+        if n_st is None and n_ts is None:
+            kind = "centrally_not_totally" if self.central else "not_totally"
+            survivor = _survivor(st, tau.domain.identity)
+            self.not_totally = PairWitness(kind, sigma, tau, survivor)
+        elif n_st is None or n_ts is None:
+            raise StructuralError(
+                "one composition nilpotent and the other not; these rise and fall together"
+            )
+        else:
+            self.length = max(self.length, min(n_st, n_ts))
+
+
+def _pair_pass(h: FiniteGroup, k: FiniteGroup) -> tuple[_Verdicts, _Verdicts]:
+    """Every pair predicate, over all pairs and over the center-valued ones, in one walk.
+
+    A pair (sigma, tau) in Hom(h, k) x Hom(k, h) qualifies when sigma.tau and
+    tau.sigma are both normal endomorphisms.  Normality is tested exactly,
+    not shortcut through image centrality, because compositions with
+    noncentral image can still be normal.  The walk runs sigma outermost,
+    both in sorted order.  The composites are value tuples, and their facts
+    (``_CompositeFacts``) are worked out once per distinct tuple.
+
+    The pair is center-valued when sigma lands in Z(k) and tau in Z(h).  The
+    sorted center-valued homomorphisms are a subsequence of the sorted
+    homomorphisms, so the center-valued pairs come in the same order as a
+    walk over them alone, and each first central hit is that walk's
+    witness.  Once all four witnesses are found the walk stops; once the
+    plain family is settled, it visits center-valued pairs only.  Returns
+    the (plain, central) verdicts.
+    """
+    zh, zk = h.center_set(), k.center_set()
+    k_facts, h_facts = _CompositeFacts(k), _CompositeFacts(h)
+    plain, central = _Verdicts(False), _Verdicts(True)
+    taus = [
+        (tau, _composer(tau.values), zh.issuperset(tau.values))
+        for tau in enumerate_homs(k, h).members
+    ]
+    central_taus = [entry for entry in taus if entry[2]]
+    for sigma in enumerate_homs(h, k).members:
+        sv = sigma.values
+        s_central = zk.issuperset(sv)
+        if not plain.settled:
+            row = taus
+        elif central.settled:
+            break
+        elif s_central:
+            row = central_taus
+        else:
+            continue
+        after_sigma = _composer(sv)
+        for tau, after_tau, t_central in row:
+            st = after_tau(sv)  # sigma.tau, a self-map of k
+            st_facts = k_facts[st]
+            if st_facts is None:
+                continue
+            ts_facts = h_facts[after_sigma(tau.values)]  # tau.sigma, on h
+            if ts_facts is None:
+                continue
+            plain.visit(sigma, tau, st, st_facts, ts_facts)
+            if s_central and t_central:
+                central.visit(sigma, tau, st, st_facts, ts_facts)
+    return plain, central
 
 
 def is_incompatible(
@@ -103,13 +247,10 @@ def is_incompatible(
     The search runs on the k side (fixed points of sigma.tau); the h side is
     equivalent because a fixed point of one composition maps to a fixed point
     of the other.  Returns the first counterexample in enumeration order.
+    With ``central`` the homomorphisms are restricted to the center-valued ones.
     """
-    kind = "centrally_compatible" if central else "compatible"
-    for sigma, tau, st, _ in qualifying_pairs(h, k, central):
-        fixed = _fixed_point(st)
-        if fixed is not None:
-            return False, PairWitness(kind, sigma, tau, fixed)
-    return True, None
+    verdicts = _pair_pass(h, k)[central]
+    return verdicts.incompatible, verdicts.compatible
 
 
 def is_centrally_incompatible(
@@ -120,21 +261,10 @@ def is_centrally_incompatible(
 
 
 def nilpotency_index(f: GroupMap) -> Optional[int]:
-    """Least n >= 1 with f^n trivial, or None when no power is.
-
-    Iteration stops after |domain| steps: past that point the image chain has
-    stabilized, so an orbit still away from the identity never reaches it.
-    """
+    """Least n >= 1 with f^n trivial, or None when no power is."""
     if f.domain is not f.codomain:
         raise StructuralError("nilpotency concerns self-maps")
-    identity = f.domain.identity
-    trivial = (identity,) * f.domain.order
-    current = f
-    for n in range(1, f.domain.order + 1):
-        if current.values == trivial:
-            return n
-        current = compose(f, current)
-    return None
+    return _nilpotency_index(f.values, f.domain.identity)
 
 
 def is_totally_incompatible(
@@ -146,58 +276,21 @@ def is_totally_incompatible(
     qualifying (sigma, tau) of the smaller of the two nilpotency indices, so
     that for every pair one composition to that power is already trivial.
     """
-    kind = "centrally_not_totally" if central else "not_totally"
-    length = 0
-    for sigma, tau, st, ts in qualifying_pairs(h, k, central):
-        n_st = nilpotency_index(st)
-        n_ts = nilpotency_index(ts)
-        if n_st is None and n_ts is None:
-            survivor = next(
-                x for x in range(k.order)
-                if nilpotency_index_of_orbit(st, x) is None
-            )
-            return False, None, PairWitness(kind, sigma, tau, survivor)
-        if n_st is None or n_ts is None:
-            raise StructuralError(
-                "one composition nilpotent and the other not; these rise and fall together"
-            )
-        length = max(length, min(n_st, n_ts))
-    return True, max(length, 1), None
-
-
-def nilpotency_index_of_orbit(f: GroupMap, x: int) -> Optional[int]:
-    """Least n >= 1 with f^n(x) trivial, or None when the orbit misses it."""
-    identity = f.domain.identity
-    y = f.values[x]
-    for n in range(1, f.domain.order + 1):
-        if y == identity:
-            return n
-        y = f.values[y]
-    return None
+    verdicts = _pair_pass(h, k)[central]
+    return verdicts.totally, verdicts.total_length, verdicts.not_totally
 
 
 def is_centrally_totally_incompatible_of_length(
     h: FiniteGroup, k: FiniteGroup, n: int
 ) -> bool:
-    """For every center-valued qualifying pair, one n-th power is trivial."""
+    """For every center-valued qualifying pair, one n-th power is trivial.
+
+    That is: centrally totally incompatible, with central length at most n.
+    """
     if n < 1:
         raise StructuralError("length must be a positive integer")
-    for _, _, st, ts in qualifying_pairs(h, k, central=True):
-        if _power_trivial(st, n) or _power_trivial(ts, n):
-            continue
-        return False
-    return True
-
-
-def _power_trivial(f: GroupMap, n: int) -> bool:
-    identity = f.domain.identity
-    for x in range(f.domain.order):
-        y = x
-        for _ in range(n):
-            y = f.values[y]
-        if y != identity:
-            return False
-    return True
+    central = _pair_pass(h, k)[True]
+    return central.totally and central.total_length <= n
 
 
 def a_subgroup_check(
@@ -302,17 +395,11 @@ def classify_pair(
     """
     hg = build_group(h) if isinstance(h, str) else h
     kg = build_group(k) if isinstance(k, str) else k
-    witnesses: list[PairWitness] = []
-
-    incompatible, w_inc = is_incompatible(hg, kg)
-    if w_inc is not None:
-        witnesses.append(w_inc)
-    centrally, w_cinc = is_centrally_incompatible(hg, kg)
-    if w_cinc is not None:
-        witnesses.append(w_cinc)
-    totally, total_length, w_tot = is_totally_incompatible(hg, kg)
-    if w_tot is not None:
-        witnesses.append(w_tot)
+    plain, central = _pair_pass(hg, kg)
+    incompatible, centrally, totally = plain.incompatible, central.incompatible, plain.totally
+    witnesses = [
+        w for w in (plain.compatible, central.compatible, plain.not_totally) if w is not None
+    ]
     common = common_nontrivial_factor(hg, kg)
     central_common = common_nontrivial_factor(hg, kg, central_only=True)
 
@@ -350,7 +437,7 @@ def classify_pair(
         incompatible=incompatible,
         centrally_incompatible=centrally,
         totally_incompatible=totally,
-        total_length=total_length,
+        total_length=plain.total_length,
         common_factor=common,
         a_is_subgroup=a_subgroup,
         a_equals_aut=a_equals_aut,

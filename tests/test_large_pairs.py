@@ -13,6 +13,10 @@ factor exactly when their decompositions share an indecomposable.
   has no central direct factor and the pair has no central common factor.
   It is compatible, centrally incompatible, A is a subgroup, and
   Aut(H x K) != A.
+- D8 x C4 and Q8 x C2: the indecomposable factors are {D8, C4} and
+  {Q8, C2}, so no factor is shared.  The pair is incompatible and centrally
+  incompatible.  The product has order 512, over the default bound of 64,
+  so the Aut-level facts are left open (``incomplete``).
 
 The budgets are fixed; a run over them means the code got slower.
 """
@@ -52,3 +56,16 @@ def test_c2_x_s4_and_s4_share_s4_but_no_central_factor():
     assert report.a_equals_aut is False
     print(f"LARGE PAIR C2 x S4 / S4: {elapsed:.2f}s")
     assert elapsed < 4.0
+
+
+def test_d8_x_c4_and_q8_x_c2_share_no_factor_at_the_default_bound():
+    start = time.perf_counter()
+    report = classify_pair("D8 x C4", "Q8 x C2")
+    elapsed = time.perf_counter() - start
+    assert report.incomplete
+    assert report.a_is_subgroup is None and report.a_equals_aut is None
+    assert report.common_factor is None
+    assert report.incompatible
+    assert report.centrally_incompatible
+    print(f"LARGE PAIR D8 x C4 / Q8 x C2: {elapsed:.2f}s")
+    assert elapsed < 5.0

@@ -7,6 +7,7 @@ import pytest
 
 from groupdet import (
     CATALOG,
+    FiniteGroup,
     GroupMap,
     PairReport,
     PairWitness,
@@ -15,14 +16,16 @@ from groupdet import (
     a_subgroup_check,
     build_group,
     classify_pair,
+    compose,
+    enumerate_homs,
     identity_map,
     is_bijective,
     is_centrally_incompatible,
     is_centrally_totally_incompatible_of_length,
     is_incompatible,
+    is_normal_endo,
     is_totally_incompatible,
     nilpotency_index,
-    qualifying_pairs,
     zero_map,
 )
 
@@ -31,6 +34,122 @@ SMALL_SPECS = ("C2", "C3", "C4", "C5", "C6", "S3", "D8", "Q8")
 
 def _g(spec):
     return build_group(spec)
+
+
+# Reference loops for the pair predicates: one walk per predicate, every
+# pair composed through ``compose`` and tested for normality on its own,
+# nothing shared between pairs.  ``groupdet.pairs`` decides all of them in
+# one pass over distinct composites and must agree with these exactly.
+
+
+def qualifying_pairs(h, k, central=False):
+    """Yield (sigma, tau, sigma.tau, tau.sigma) with both compositions normal."""
+    sigmas = enumerate_homs(h, k, restrict_codomain=k.center() if central else None)
+    taus = enumerate_homs(k, h, restrict_codomain=h.center() if central else None)
+    for sigma in sigmas.members:
+        for tau in taus.members:
+            st = compose(sigma, tau)
+            ts = compose(tau, sigma)
+            if is_normal_endo(st) and is_normal_endo(ts):
+                yield sigma, tau, st, ts
+
+
+def _oracle_fixed_point(f):
+    for x in range(f.domain.order):
+        if x != f.domain.identity and f.values[x] == x:
+            return x
+    return None
+
+
+def _oracle_nilpotency_index(f):
+    trivial = (f.domain.identity,) * f.domain.order
+    current = f
+    for n in range(1, f.domain.order + 1):
+        if current.values == trivial:
+            return n
+        current = compose(f, current)
+    return None
+
+
+def _oracle_orbit_index(f, x):
+    y = f.values[x]
+    for n in range(1, f.domain.order + 1):
+        if y == f.domain.identity:
+            return n
+        y = f.values[y]
+    return None
+
+
+def oracle_is_incompatible(h, k, central=False):
+    kind = "centrally_compatible" if central else "compatible"
+    for sigma, tau, st, _ in qualifying_pairs(h, k, central):
+        fixed = _oracle_fixed_point(st)
+        if fixed is not None:
+            return False, PairWitness(kind, sigma, tau, fixed)
+    return True, None
+
+
+def oracle_is_totally_incompatible(h, k, central=False):
+    kind = "centrally_not_totally" if central else "not_totally"
+    length = 0
+    for sigma, tau, st, ts in qualifying_pairs(h, k, central):
+        n_st = _oracle_nilpotency_index(st)
+        n_ts = _oracle_nilpotency_index(ts)
+        if n_st is None and n_ts is None:
+            survivor = next(
+                x for x in range(k.order) if _oracle_orbit_index(st, x) is None
+            )
+            return False, None, PairWitness(kind, sigma, tau, survivor)
+        if n_st is None or n_ts is None:
+            raise StructuralError("one composition nilpotent and the other not")
+        length = max(length, min(n_st, n_ts))
+    return True, max(length, 1), None
+
+
+def _power_trivial(f, n):
+    for x in range(f.domain.order):
+        y = x
+        for _ in range(n):
+            y = f.values[y]
+        if y != f.domain.identity:
+            return False
+    return True
+
+
+def oracle_of_length(h, k, n):
+    return all(
+        _power_trivial(st, n) or _power_trivial(ts, n)
+        for _, _, st, ts in qualifying_pairs(h, k, central=True)
+    )
+
+
+def _witness_key(w):
+    if w is None:
+        return None
+    return (w.kind, w.sigma.values, w.tau.values, w.element)
+
+
+def _relabelled(g, perm):
+    """A validated copy of g with each element x renamed perm[x]."""
+    back = {p: x for x, p in enumerate(perm)}
+    table = [
+        [perm[g.table[back[a]][back[b]]] for b in range(g.order)]
+        for a in range(g.order)
+    ]
+    return FiniteGroup(table, name=f"relabelled {g.name}")
+
+
+def _oracle_pairs():
+    catalog = [_g(spec) for spec in CATALOG]
+    pairs = [(h, k) for h in catalog for k in catalog]
+    e8 = _g("E2^3")
+    # Reversed numbering puts the identity last, not at 0.
+    pairs.append((e8, _relabelled(e8, range(7, -1, -1))))
+    pairs.append((_g("S3 x C2"), _g("C2 x C2")))
+    # Pairs whose plain verdicts settle before the first center-valued hit.
+    pairs.append((_g("S3 x C2"), _g("C2 x S3")))
+    pairs.append((_g("D8 x C2"), _g("C2 x D8")))
+    return pairs
 
 
 def test_qualifying_pairs_include_zero_and_respect_normality():
@@ -42,6 +161,35 @@ def test_qualifying_pairs_include_zero_and_respect_normality():
         assert ts.domain is h and ts.codomain is h
     central = list(qualifying_pairs(h, k, central=True))
     assert len(central) == 2  # Hom(C4, Z(S3)) collapses to the zero map
+
+
+def test_one_pass_matches_the_per_pair_loops():
+    pairs = _oracle_pairs()
+    assert len(pairs) == 104
+    assert pairs[100][1].identity == 7
+    for h, k in pairs:
+        label = (h.name, k.name)
+        for central in (False, True):
+            ok, w = is_incompatible(h, k, central=central)
+            ok_o, w_o = oracle_is_incompatible(h, k, central)
+            assert (ok, _witness_key(w)) == (ok_o, _witness_key(w_o)), label
+            got = is_totally_incompatible(h, k, central=central)
+            want = oracle_is_totally_incompatible(h, k, central)
+            assert got[:2] == want[:2], label
+            assert _witness_key(got[2]) == _witness_key(want[2]), label
+        report = classify_pair(h, k, max_product_order=1)
+        assert report.incompatible == is_incompatible(h, k)[0], label
+        assert report.total_length == is_totally_incompatible(h, k)[1], label
+
+
+def test_length_n_predicate_matches_the_power_loop():
+    catalog = [_g(spec) for spec in CATALOG]
+    for h in catalog:
+        for k in catalog:
+            for n in range(1, 5):
+                assert is_centrally_totally_incompatible_of_length(h, k, n) == (
+                    oracle_of_length(h, k, n)
+                ), (h.name, k.name, n)
 
 
 def test_is_incompatible_examples():
