@@ -223,12 +223,8 @@ class FiniteGroup:
 
     @property
     def is_abelian(self) -> bool:
-        if "abelian" not in self._cache:
-            t = self.table
-            self._cache["abelian"] = all(
-                t[a][b] == t[b][a] for a in range(self.order) for b in range(a)
-            )
-        return self._cache["abelian"]
+        """True when every conjugacy class is a single element."""
+        return len(self.conjugacy_classes) == self.order
 
     @property
     def element_orders(self) -> tuple[int, ...]:
@@ -237,43 +233,45 @@ class FiniteGroup:
         return self._cache["orders"]
 
     @property
-    def class_sizes(self) -> tuple[int, ...]:
-        """The size of each element's conjugacy class.
+    def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
+        """The conjugacy classes as sorted tuples, ordered by smallest element.
 
         The class of x is its orbit under conjugation by the generators:
         those conjugations generate every inner automorphism, and in a
         finite group the orbit under a generating set is the orbit under the
         group it generates.  Each element is visited once per generator.
         """
-        if "class_sizes" not in self._cache:
+        if "classes" not in self._cache:
             t, inv = self.table, self.inverse
             conj = [(t[inv[a]], a) for a in self.generators()]
-            sizes = [0] * self.order
+            seen = [False] * self.order
+            classes = []
             for x in range(self.order):
-                if sizes[x]:
-                    continue
-                orbit = [x]
-                sizes[x] = -1
-                for y in orbit:  # also visits the elements appended below
-                    for row, a in conj:
-                        z = t[row[y]][a]
-                        if not sizes[z]:
-                            sizes[z] = -1
-                            orbit.append(z)
-                for y in orbit:
-                    sizes[y] = len(orbit)
-            self._cache["class_sizes"] = tuple(sizes)
+                if not seen[x]:
+                    seen[x] = True
+                    orbit = [x]
+                    for y in orbit:  # also visits the elements appended below
+                        for row, a in conj:
+                            z = t[row[y]][a]
+                            if not seen[z]:
+                                seen[z] = True
+                                orbit.append(z)
+                    classes.append(tuple(sorted(orbit)))
+            self._cache["classes"] = tuple(classes)
+        return self._cache["classes"]
+
+    @property
+    def class_sizes(self) -> tuple[int, ...]:
+        """The size of each element's conjugacy class."""
+        if "class_sizes" not in self._cache:
+            size = {x: len(cls) for cls in self.conjugacy_classes for x in cls}
+            self._cache["class_sizes"] = tuple(size[x] for x in range(self.order))
         return self._cache["class_sizes"]
 
     def center(self) -> "Subgroup":
-        """Elements commuting with everything, as a subgroup."""
+        """Elements commuting with everything (the classes of size 1), as a subgroup."""
         if "center" not in self._cache:
-            t = self.table
-            zs = [
-                z
-                for z in range(self.order)
-                if all(t[z][x] == t[x][z] for x in range(self.order))
-            ]
+            zs = [cls[0] for cls in self.conjugacy_classes if len(cls) == 1]
             self._cache["center"] = Subgroup(self, zs)
         return self._cache["center"]
 
@@ -335,30 +333,37 @@ class FiniteGroup:
             self._cache["generators"] = tuple(gens)
         return self._cache["generators"]
 
-    def all_subgroups(self) -> tuple["Subgroup", ...]:
-        """Every subgroup, found by closing generator sets level by level."""
-        if "subgroups" not in self._cache:
+    def _joins(self, key: str, seeds: Sequence[tuple[int, ...]]) -> tuple["Subgroup", ...]:
+        """Every subgroup generated by a union of seeds, sorted by (order, elements).
+
+        Walks from the trivial subgroup; each subgroup found is joined through
+        ``closure`` with every seed it does not yet contain.
+        """
+        if key not in self._cache:
             found: dict[tuple[int, ...], None] = {(self.identity,): None}
             frontier = [(self.identity,)]
             while frontier:
                 elems = frontier.pop()
-                for x in range(self.order):
-                    if x in elems:
+                members = set(elems)
+                for seed in seeds:
+                    if members.issuperset(seed):
                         continue
-                    bigger = self.closure(elems + (x,))
+                    bigger = self.closure(elems + seed)
                     if bigger not in found:
                         found[bigger] = None
                         frontier.append(bigger)
             subs = sorted(found, key=lambda s: (len(s), s))
-            self._cache["subgroups"] = tuple(Subgroup(self, s) for s in subs)
-        return self._cache["subgroups"]
+            self._cache[key] = tuple(Subgroup(self, s) for s in subs)
+        return self._cache[key]
+
+    def all_subgroups(self) -> tuple["Subgroup", ...]:
+        """Every subgroup: the joins of cyclic subgroups, one per element."""
+        return self._joins("subgroups", [(x,) for x in range(self.order)])
 
     def normal_subgroups(self) -> tuple["Subgroup", ...]:
-        if "normal_subgroups" not in self._cache:
-            self._cache["normal_subgroups"] = tuple(
-                s for s in self.all_subgroups() if s.is_normal()
-            )
-        return self._cache["normal_subgroups"]
+        """Every normal subgroup: the joins of conjugacy classes, since a join
+        of classes is normal and a normal subgroup is a union of classes."""
+        return self._joins("normal_subgroups", self.conjugacy_classes)
 
     def direct_factorizations(self) -> tuple["DirectFactorization", ...]:
         """All unordered internal direct factorizations, including (1, G)."""
@@ -404,9 +409,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
 
     def is_normal(self) -> bool:
         # Conjugation by a generator that maps this finite set into itself maps

@@ -178,9 +178,6 @@ class EndoMatrix:
     def n(self) -> int:
         return len(self.factors)
 
-    def entry(self, i: int, j: int) -> GroupMap:
-        return self.entries[i][j]
-
     def key(self) -> tuple:
         return tuple(e.values for row in self.entries for e in row)
 

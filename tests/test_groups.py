@@ -477,3 +477,65 @@ def test_class_sizes_match_centralizer_index():
         assert g.class_sizes == want, spec
     assert sorted(build_group("S3").class_sizes) == [1, 2, 2, 3, 3, 3]
 
+
+
+# The catalog, S4, E2^4 and every product of two catalog groups (unordered,
+# repeats allowed) of order at most 72: 63 groups.
+PRODUCTS_72 = tuple(
+    f"{a} x {b}"
+    for i, a in enumerate(CATALOG)
+    for b in CATALOG[i:]
+    if EXPECTED_ORDERS[a] * EXPECTED_ORDERS[b] <= 72
+)
+LATTICE_SPECS = CATALOG + ("S4", "E2^4") + PRODUCTS_72
+
+
+def _oracle_lattice(g):
+    """Every subgroup, by closing each one found with every element in turn."""
+    found = {(g.identity,): None}
+    frontier = [(g.identity,)]
+    while frontier:
+        elems = frontier.pop()
+        for x in range(g.order):
+            if x in elems:
+                continue
+            bigger = g.closure(elems + (x,))
+            if bigger not in found:
+                found[bigger] = None
+                frontier.append(bigger)
+    return sorted(found, key=lambda s: (len(s), s))
+
+
+def _oracle_is_normal(g, elems):
+    es = set(elems)
+    return all(g.conj(x, a) in es for x in elems for a in range(g.order))
+
+
+def test_both_lattices_match_the_oracle_walk_and_its_conjugation_filter():
+    assert len(LATTICE_SPECS) == 63
+    for spec in LATTICE_SPECS:
+        g = build_group(spec)
+        lattice = _oracle_lattice(g)
+        want = [s for s in lattice if _oracle_is_normal(g, s)]
+        assert [s.elements for s in g.normal_subgroups()] == want, spec
+        assert [s.elements for s in g.all_subgroups()] == lattice, spec
+
+
+def test_conjugacy_classes_partition_the_group_into_conjugation_orbits():
+    for spec in CATALOG + ("S4", "D8 x C4"):
+        g = build_group(spec)
+        classes = g.conjugacy_classes
+        assert sorted(x for cls in classes for x in cls) == list(range(g.order)), spec
+        assert [cls[0] for cls in classes] == sorted(cls[0] for cls in classes), spec
+        for cls in classes:
+            assert cls == tuple(sorted({g.conj(cls[0], a) for a in range(g.order)})), spec
+
+
+def test_center_and_abelianness_match_the_commute_scans():
+    for spec in CATALOG + PRODUCTS_72:
+        g = build_group(spec)
+        t, n = g.table, g.order
+        center = tuple(z for z in range(n) if all(t[z][x] == t[x][z] for x in range(n)))
+        assert g.center().elements == center, spec
+        abelian = all(t[a][b] == t[b][a] for a in range(n) for b in range(a))
+        assert g.is_abelian == abelian, spec

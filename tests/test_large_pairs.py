@@ -17,15 +17,22 @@ factor exactly when their decompositions share an indecomposable.
   {Q8, C2}, so no factor is shared.  The pair is incompatible and centrally
   incompatible.  The product has order 512, over the default bound of 64,
   so the Aut-level facts are left open (``incomplete``).
+- S4 x S4 and C2: S4 is indecomposable and Z(S4 x S4) = 1, so S4 x S4 has
+  no C2 factor.  The pair is incompatible and centrally incompatible; the
+  product has order 1152, over the default bound, so it is ``incomplete``.
+- S4 x S4 and S4: S4 is a common factor, of order 24, and no factor is
+  central since the center is trivial.  The pair is compatible and
+  centrally incompatible, and ``incomplete`` at the default bound (the
+  product has order 13,824).
 
 The budgets are fixed; a run over them means the code got slower.
 """
 import time
 
-from groupdet import classify_pair
+from groupdet import DEFAULT_AUT_ENUM_LIMIT, classify_pair
 
 
-def _timed(h, k, bound):
+def _timed(h, k, bound=DEFAULT_AUT_ENUM_LIMIT):
     start = time.perf_counter()
     report = classify_pair(h, k, max_product_order=bound)
     return report, time.perf_counter() - start
@@ -69,3 +76,27 @@ def test_d8_x_c4_and_q8_x_c2_share_no_factor_at_the_default_bound():
     assert report.centrally_incompatible
     print(f"LARGE PAIR D8 x C4 / Q8 x C2: {elapsed:.2f}s")
     assert elapsed < 5.0
+
+
+def test_s4_x_s4_and_c2_share_no_factor_at_the_default_bound():
+    report, elapsed = _timed("S4 x S4", "C2")
+    assert report.incomplete
+    assert report.a_is_subgroup is None and report.a_equals_aut is None
+    assert report.common_factor is None
+    assert report.incompatible
+    assert report.centrally_incompatible
+    print(f"LARGE PAIR S4 x S4 / C2: {elapsed:.2f}s")
+    assert elapsed < 4.0
+
+
+def test_s4_x_s4_and_s4_share_s4_but_no_central_factor_at_the_default_bound():
+    report, elapsed = _timed("S4 x S4", "S4")
+    assert report.incomplete
+    assert report.a_is_subgroup is None and report.a_equals_aut is None
+    assert report.common_factor is not None
+    assert report.common_factor.h_factor.order == 24
+    assert report.common_factor.k_factor.order == 24
+    assert not report.incompatible
+    assert report.centrally_incompatible
+    print(f"LARGE PAIR S4 x S4 / S4: {elapsed:.2f}s")
+    assert elapsed < 4.0
