@@ -140,7 +140,7 @@ def cmd_classify(args) -> int:
 def cmd_invert(args) -> int:
     m = _load_matrix(args)
     try:
-        inverse = invert_via_det(m, branch=args.branch if m.n == 2 else "auto")
+        inverse = invert_via_det(m, branch=args.branch)
     except DeterminantUndefinedError as exc:
         _print_undefined(exc)
         return EXIT_OK

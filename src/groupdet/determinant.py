@@ -12,6 +12,11 @@ form.  For n factors the determinant is built by successive pivot
 elimination: each step removes one factor, replacing entry (i, j) by
 entry(i,j) - entry(i,p) . pivot^-1 . entry(p,j).
 
+The inverse runs back along the same chain.  The final 1 x 1 determinant
+is inverted first; each earlier state is then inverted from the inverse of
+the state its pivot left behind, by the 2 x 2 block formulas.  A 2 x 2
+inverse is the one-step case, with the pivot ``branch_determinant`` picks.
+
 A determinant can be *undefined* (no bijective pivot at some step) without
 the matrix being singular; that situation raises DeterminantUndefinedError
 and callers fall back to a direct bijectivity check.
@@ -20,28 +25,22 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import (
-    DeterminantUndefinedError,
-    InversionError,
-    PreconditionError,
-    StructuralError,
-)
+from .errors import DeterminantUndefinedError, InversionError, PreconditionError, StructuralError
 from .groups import FiniteGroup
 from .maps import (
     GroupMap,
     OpCounter,
     _derived_map,
     compose,
-    identity_map,
     invert,
     is_bijective,
     negate,
     pointwise_diff,
     pointwise_sum,
 )
-from .matrices import EndoMatrix, ProductGroup, _product_of_composites, in_A, recompose
+from .matrices import EndoMatrix, _product_of_composites, in_A
 
 __all__ = [
     "FSequence",
@@ -122,28 +121,6 @@ def _schur(
     if counter is not None:
         counter.evaluations += out.domain.order
     return out
-
-
-def _inverse_blocks(
-    d: GroupMap, b: GroupMap, c: GroupMap, w: GroupMap, counter: Optional[OpCounter]
-) -> tuple[GroupMap, GroupMap, GroupMap, GroupMap]:
-    """The four blocks of the inverse of (a, b; c, p), where w = p^-1 and d = a - b . w . c:
-
-        ( d^-1,             -d^-1 . b . w               )
-        ( -w . c . d^-1,    (1 + w . c . d^-1 . b) . w  )
-
-    Raises InversionError when d is not bijective: the matrix is then singular.
-    """
-    if not is_bijective(d, counter):
-        raise InversionError("determinant is not bijective; matrix is not invertible")
-    d_inv = invert(d, counter)
-    theta = compose(w, compose(c, compose(d_inv, b)))
-    return (
-        d_inv,
-        negate(compose(d_inv, compose(b, w))),
-        negate(compose(w, compose(c, d_inv))),
-        compose(pointwise_sum(identity_map(w.domain), theta, require_commuting=True), w),
-    )
 
 
 def _eliminate(
@@ -275,6 +252,20 @@ def _full_sequences(n: int):
                 yield perm
 
 
+def _first_chain(m: EndoMatrix, counter: Optional[OpCounter]) -> list[PartialDet]:
+    """The chain of the first of ``_full_sequences`` whose pivots are all bijective."""
+    last_error: Optional[DeterminantUndefinedError] = None
+    for images in _full_sequences(m.n):
+        try:
+            return f_determinant(m, FSequence(m.n, images), counter)
+        except DeterminantUndefinedError as exc:
+            last_error = exc
+    raise DeterminantUndefinedError(
+        "no elimination sequence has bijective pivots",
+        pivot_index=last_error.pivot_index if last_error else None,
+    )
+
+
 def is_invertible_via_det(
     m: EndoMatrix,
     branch: str = "auto",
@@ -293,18 +284,42 @@ def is_invertible_via_det(
         return is_bijective(branch_determinant(m, branch, counter)[1], counter)
     if branch != "auto":
         raise PreconditionError("explicit branches exist only for 2 x 2 matrices")
-    last_error: Optional[DeterminantUndefinedError] = None
-    for images in _full_sequences(m.n):
-        try:
-            chain = f_determinant(m, FSequence(m.n, images), counter)
-        except DeterminantUndefinedError as exc:
-            last_error = exc
-            continue
-        return is_bijective(chain[-1].final_map, counter)
-    raise DeterminantUndefinedError(
-        "no elimination sequence has bijective pivots",
-        pivot_index=last_error.pivot_index if last_error else None,
-    )
+    return is_bijective(_first_chain(m, counter)[-1].final_map, counter)
+
+
+def _unwind(state: PartialDet, left: PartialDet, inv: dict, counter: Optional[OpCounter]) -> None:
+    """One step back along the chain: extend ``inv`` to the inverse of ``state``.
+
+    ``left`` is the state D over ``rest`` that eliminating the pivot p from
+    ``state`` leaves, and ``inv`` holds D^-1.  With w = entry(p, p)^-1, b the
+    column of p over ``rest`` and c its row, the inverse of ``state`` is
+
+        ( D^-1,             -D^-1 . b . w               )
+        ( -w . c . D^-1,    (1 + w . c . D^-1 . b) . w  )
+
+    Every state and every D^-1 is the matrix of an endomorphism of the product
+    of its factors, so each sum over ``rest`` runs along one row, whose images
+    commute, and is read from value tuples; the 1 + theta sum keeps its check.
+    """
+    maps, factors, rest, p = state.maps, state.factors, left.survivors, left.eliminated[-1]
+    w = invert(maps[(p, p)], counter)
+    fp, wv = factors[p], w.values
+    bw = {j: tuple([maps[(j, p)].values[x] for x in wv]) for j in rest}
+    c = [maps[(p, k)].values for k in rest]
+    col = []  # (D^-1 . b . w)_i for i in rest
+    for i in rest:
+        u = _product_of_composites(factors[i], [(inv[(i, j)].values, bw[j]) for j in rest])
+        col.append(u)
+        neg = factors[i].inverse
+        inv[(i, p)] = _derived_map(fp, factors[i], tuple([neg[y] for y in u]))
+    neg = fp.inverse
+    for j in rest:
+        v = _product_of_composites(fp, [(ck, inv[(k, j)].values) for ck, k in zip(c, rest)])
+        inv[(p, j)] = _derived_map(factors[j], fp, tuple([neg[wv[y]] for y in v]))
+    # theta . w = w . c . D^-1 . b . w, so (1 + theta) . w = w + theta . w
+    v = _product_of_composites(fp, list(zip(c, col)))
+    theta_w = _derived_map(fp, fp, tuple([wv[y] for y in v]))
+    inv[(p, p)] = pointwise_sum(w, theta_w, require_commuting=True)
 
 
 def invert_via_det(
@@ -314,88 +329,33 @@ def invert_via_det(
 ) -> EndoMatrix:
     """The closed-form inverse of an invertible matrix with a usable pivot.
 
-    2 x 2: with D the determinant ``branch_determinant`` finds and w the
-    inverse of its pivot (delta for 'h', alpha for 'k'), the inverse is
-    given blockwise by D^-1, -D^-1 b w, -w c D^-1 and (1 + w c D^-1 b) w,
-    where b and c are the off-diagonal entries in D's row and column.  For
-    more factors the matrix is split into its first admissible pivot factor
-    against the product of the others and the same formulas are applied
-    blockwise, inverting the smaller block recursively.  Raises
-    DeterminantUndefinedError when no pivot route exists and InversionError
-    when a determinant exists but is not bijective.
-    """
-    if m.n != 2 and branch != "auto":
-        raise PreconditionError("explicit branches exist only for 2 x 2 matrices")
-    return _invert_block(m, branch, counter)
-
-
-def _combined_row(m: EndoMatrix, s: int, rest: Sequence[int], sub_pg: ProductGroup) -> GroupMap:
-    """The map y -> prod_j m[s][j](pi_j(y)) over j in rest, as sub-product -> H_s."""
-    pairs = [(m.entries[s][j].values, p.values) for j, p in zip(rest, sub_pg.projections)]
-    fac = m.factors[s]
-    return _derived_map(sub_pg.product, fac, _product_of_composites(fac, pairs), hom=True)
-
-
-def _combined_col(m: EndoMatrix, s: int, rest: Sequence[int], sub_pg: ProductGroup) -> GroupMap:
-    """The map x -> prod_i iota_i(m[i][s](x)) over i in rest, as H_s -> sub-product."""
-    pairs = [(inj.values, m.entries[i][s].values) for i, inj in zip(rest, sub_pg.injections)]
-    prod = sub_pg.product
-    return _derived_map(m.factors[s], prod, _product_of_composites(prod, pairs), hom=True)
-
-
-def _submatrix(m: EndoMatrix, rest: Sequence[int]) -> EndoMatrix:
-    entries = [[m.entries[i][j] for j in rest] for i in rest]
-    return EndoMatrix(tuple(m.factors[i] for i in rest), entries, trusted=True)
-
-
-def _invert_block(m: EndoMatrix, branch: str, counter: Optional[OpCounter]) -> EndoMatrix:
-    """Invert an n x n matrix by 2 x 2 block reduction over the first usable pivot.
-
-    A 2 x 2 matrix is inverted on ``branch``.  Otherwise a sub-block that
-    fails to invert only rules out that pivot choice, so the loop moves on;
-    the matrix is reported singular only when some pivot route completes and
-    its determinant is not bijective.  The result is built trusted: it is the
-    matrix of the inverse endomorphism, whose entries are homomorphisms with
-    commuting row images.
+    The chain's final 1 x 1 determinant is inverted and the chain is walked
+    back by ``_unwind``: one step on ``branch_determinant``'s pivot for 2 x 2
+    (delta for 'h', alpha for 'k'), else the chain ``is_invertible_via_det``
+    decides on.  Raises DeterminantUndefinedError when no pivot route exists
+    and InversionError when a determinant exists but is not bijective.  The
+    result is the matrix of the inverse endomorphism, so it is built trusted.
     """
     if m.n == 2:
         used, det = branch_determinant(m, branch, counter)
-        p = 1 if used == "h" else 0  # the pivot index; s survives as det's factor
-        s = 1 - p
-        e = m.entries
-        ss, sp, ps, pp = _inverse_blocks(det, e[s][p], e[p][s], invert(e[p][p], counter), counter)
-        entries = [[ss, sp], [ps, pp]] if s == 0 else [[pp, ps], [sp, ss]]
-        return EndoMatrix(m.factors, entries, trusted=True)
+        p, s = (1, 0) if used == "h" else (0, 1)
+        (alpha, beta), (gamma, delta) = m.entries
+        maps = {(0, 0): alpha, (0, 1): beta, (1, 0): gamma, (1, 1): delta}
+        chain = [PartialDet(m.factors, (0, 1), (), maps)]
+        chain.append(PartialDet(m.factors, (s,), (p,), {(s, s): det}))
+    elif branch != "auto":
+        raise PreconditionError("explicit branches exist only for 2 x 2 matrices")
+    else:
+        chain = _first_chain(m, counter)
+    det = chain[-1].final_map
+    if not is_bijective(det, counter):
+        raise InversionError("determinant is not bijective; matrix is not invertible")
+    s = chain[-1].survivors[0]
+    inv = {(s, s): invert(det, counter)}
+    for k in range(len(chain) - 2, -1, -1):
+        _unwind(chain[k], chain[k + 1], inv, counter)
     n = m.n
-    last_exc: Optional[Exception] = None
-    for s in range(n):
-        rest = tuple(i for i in range(n) if i != s)
-        try:
-            sub_inv = _invert_block(_submatrix(m, rest), "auto", counter)
-        except (DeterminantUndefinedError, InversionError) as exc:
-            last_exc = exc
-            continue
-        sub_pg = ProductGroup.of(*(m.factors[i] for i in rest))
-        w = recompose(sub_inv, sub_pg)
-        b = _combined_row(m, s, rest, sub_pg)
-        c = _combined_col(m, s, rest, sub_pg)
-        det = _schur(m.entries[s][s], b, w, c, counter)
-        alpha_p, beta_p, gamma_p, delta_p = _inverse_blocks(det, b, c, w, counter)
-        entries: list[list[Optional[GroupMap]]] = [[None] * n for _ in range(n)]
-        entries[s][s] = alpha_p
-        for pos, j in enumerate(rest):
-            entries[s][j] = compose(beta_p, sub_pg.injections[pos])
-            entries[j][s] = compose(sub_pg.projections[pos], gamma_p)
-        for pi, i in enumerate(rest):
-            for pj, j in enumerate(rest):
-                entries[i][j] = compose(
-                    sub_pg.projections[pi], compose(delta_p, sub_pg.injections[pj])
-                )
-        return EndoMatrix(m.factors, entries, trusted=True)
-    raise DeterminantUndefinedError(
-        "no factor admits an invertible complementary block",
-        pivot_index=getattr(last_exc, "pivot_index", None),
-    )
+    return EndoMatrix(m.factors, [[inv[(i, j)] for j in range(n)] for i in range(n)], trusted=True)
 
 
 def invert_via_det_pleasant(m: EndoMatrix, counter: Optional[OpCounter] = None) -> EndoMatrix:
@@ -450,7 +410,6 @@ def detiff_check(m: EndoMatrix) -> DetIffReport:
         raise PreconditionError("detiff_check is defined for 2 x 2 matrices")
     if not in_A(m):
         raise PreconditionError("detiff_check needs a member of A")
-    (alpha, beta), (gamma, delta) = m.entries
     dh = det_h(m)
     dk = det_k(m)
     h_ok = is_bijective(dh)
@@ -458,7 +417,7 @@ def detiff_check(m: EndoMatrix) -> DetIffReport:
     if not (h_ok and k_ok):
         return DetIffReport(h_ok, k_ok, None)
     # each identity says det^-1 is the corner block of the other branch's inverse
-    lhs_h = _inverse_blocks(dk, gamma, beta, invert(alpha), None)[3]
-    lhs_k = _inverse_blocks(dh, beta, gamma, invert(delta), None)[3]
+    lhs_h = invert_via_det(m, "k").entries[0][0]
+    lhs_k = invert_via_det(m, "h").entries[1][1]
     holds = lhs_h.values == invert(dh).values and lhs_k.values == invert(dk).values
     return DetIffReport(h_ok, k_ok, holds)

@@ -159,9 +159,10 @@ def _derived_map(
 
     ``values`` must be a tuple of codomain indices, one per domain element; it
     is stored as given, without the public constructor's coercion and range
-    check.  Callers are the map algebra and the hom/auto search below, and
-    the product code: ``ProductGroup``, ``recompose``, ``decompose``, the
-    block maps of ``determinant`` and the chain walk of ``autcompare``.
+    check.  Callers are the map algebra and the hom/auto search below, the
+    product code (``ProductGroup``, ``recompose``, ``decompose``), the
+    inverse blocks that ``determinant`` builds walking its elimination chain
+    back, and the chain walk of ``autcompare``.
     """
     f = object.__new__(GroupMap)
     f.domain = domain

@@ -116,7 +116,11 @@ def _product_of_composites(
     """x -> prod_k outer_k[inner_k[x]] in g, multiplied in the order given.
 
     Each pair (outer, inner) holds two value tuples; every inner has the same
-    domain, and every outer maps into g.
+    domain, and every outer maps into g.  No commutation is checked: callers
+    pass terms read along one row of a valid matrix, whose images commute.
+    They are ``recompose`` and the back-substitution of
+    ``determinant.invert_via_det``, which sums along rows of its chain states
+    and of their inverses.
     """
     t = g.table
     (outer, inner), *rest = pairs

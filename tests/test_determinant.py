@@ -1,4 +1,7 @@
 """Determinants, invertibility decisions, and the closed-form inverses."""
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -356,3 +359,69 @@ def test_inversion_round_trip_property(data):
     w = invert_via_det(m)
     ident = identity_map(pg.product).values
     assert compose(recompose(m, pg), recompose(w, pg)).values == ident
+
+
+# Ordered three- and four-factor catalog products of order <= 48.
+_SMALL_PRODUCTS = [
+    facs
+    for n in (3, 4)
+    for facs in itertools.product(catalog_groups(), repeat=n)
+    if math.prod(g.order for g in facs) <= 48
+]
+
+
+def _commute(t, xs, ys):
+    return all(t[x][y] == t[y][x] for x in xs for y in ys)
+
+
+@st.composite
+def _row_commuting_matrices(draw):
+    """A matrix over a small product, drawn row by row from the hom sets.
+
+    A row's diagonal entry comes first, from the bijective homs about half
+    the time so that invertible matrices are common.  Each other entry is
+    drawn from the homs whose images commute with the images already drawn
+    in its row; the zero map always does.
+    """
+    facs = draw(st.sampled_from(_SMALL_PRODUCTS))
+    rows = []
+    for i, fi in enumerate(facs):
+        row, images = [None] * len(facs), []
+        for j in [i] + [j for j in range(len(facs)) if j != i]:
+            pool = [f for f in enumerate_homs(facs[j], fi).members
+                    if _commute(fi.table, f.image(), images)]
+            if i == j and draw(st.booleans()):
+                pool = [f for f in pool if is_bijective(f)]
+            row[j] = draw(st.sampled_from(pool))
+            images.extend(row[j].image())
+        rows.append(row)
+    return EndoMatrix(facs, rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_row_commuting_matrices())
+def test_chain_decide_and_invert_agree_with_brute_force(m):
+    """Both functions read the same elimination chain, and recompose (which
+    calls no determinant code) is the oracle for every verdict and inverse."""
+    pg = ProductGroup.of(*m.factors)
+    phi = recompose(m, pg)
+    decide_err = invert_err = None
+    try:
+        verdict = is_invertible_via_det(m)
+    except DeterminantUndefinedError as exc:
+        decide_err = exc
+    try:
+        w = invert_via_det(m)
+    except (DeterminantUndefinedError, InversionError) as exc:
+        invert_err = exc
+    if decide_err is not None or isinstance(invert_err, DeterminantUndefinedError):
+        assert isinstance(decide_err, DeterminantUndefinedError)
+        assert isinstance(invert_err, DeterminantUndefinedError)
+        assert invert_err.pivot_index == decide_err.pivot_index
+        return
+    assert verdict == is_bijective(phi)
+    assert isinstance(invert_err, InversionError) == (not verdict)
+    if verdict:
+        ident = identity_map(pg.product).values
+        assert compose(phi, recompose(w, pg)).values == ident
+        assert compose(recompose(w, pg), phi).values == ident
