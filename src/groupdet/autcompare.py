@@ -13,12 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 from math import prod
-from typing import Optional
 
 from .determinant import invert_via_det
 from .errors import PreconditionError, StructuralError
 from .groups import (
-    CommonFactorWitness,
     DirectFactorization,
     FiniteGroup,
     build_group,
@@ -364,11 +362,7 @@ def _component_endo(fact: DirectFactorization, onto_left: bool) -> list[int]:
     return values
 
 
-def lemcomm_witness(
-    h: FiniteGroup,
-    k: FiniteGroup,
-    common: Optional[CommonFactorWitness] = None,
-) -> EndoMatrix:
+def lemcomm_witness(h: FiniteGroup, k: FiniteGroup) -> EndoMatrix:
     """The swap-style automorphism of H x K built from a common direct factor.
 
     With H = X x M, K = Y x N and an isomorphism X -> Y, the matrix keeps the
@@ -377,8 +371,7 @@ def lemcomm_witness(
     that Aut(H x K) is not contained in A whenever a common factor exists.
     The off-diagonal slots are arranged so each entry has the right domain.
     """
-    if common is None:
-        common = common_nontrivial_factor(h, k)
+    common = common_nontrivial_factor(h, k)
     if common is None:
         raise PreconditionError(f"{h.name} and {k.name} share no nontrivial factor")
     hf, kf = common.h_factorization, common.k_factorization

@@ -33,18 +33,24 @@ EXIT_RESOURCE = 2
 EXIT_VIOLATION = 3
 
 
+def _flag(*names: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser holding one flag, for the subcommands that read it."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*names, **kwargs)
+    return parent
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    max_order = _flag(
         "--max-order",
         type=int,
         default=64,
         metavar="N",
         help="largest product order enumerated exhaustively (default 64)",
     )
-    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    common.add_argument("--seed", type=int, default=0, metavar="U64", help="PRNG seed")
-    common.add_argument(
+    as_json = _flag("--json", action="store_true", help="emit JSON instead of text")
+    seed = _flag("--seed", type=int, default=0, metavar="U64", help="PRNG seed")
+    branch = _flag(
         "--branch",
         choices=("h", "k", "auto"),
         default="h",
@@ -57,26 +63,28 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("classify", parents=[common], help="pair predicate report")
+    p = sub.add_parser("classify", parents=[max_order, as_json], help="pair predicate report")
     p.add_argument("h_spec", metavar="H")
     p.add_argument("k_spec", metavar="K")
 
-    p = sub.add_parser("invert", parents=[common], help="closed-form matrix inverse")
-    p.add_argument("h_spec", metavar="H")
-    p.add_argument("k_spec", metavar="K")
-    p.add_argument("matrix_file", metavar="MATRIX_JSON")
-
-    p = sub.add_parser("det", parents=[common], help="print a determinant's value table")
+    p = sub.add_parser("invert", parents=[branch], help="closed-form matrix inverse (JSON)")
     p.add_argument("h_spec", metavar="H")
     p.add_argument("k_spec", metavar="K")
     p.add_argument("matrix_file", metavar="MATRIX_JSON")
 
-    p = sub.add_parser("bench", parents=[common], help="naive vs determinant step counts")
+    p = sub.add_parser("det", parents=[as_json, branch], help="print a determinant's value table")
+    p.add_argument("h_spec", metavar="H")
+    p.add_argument("k_spec", metavar="K")
+    p.add_argument("matrix_file", metavar="MATRIX_JSON")
+
+    p = sub.add_parser(
+        "bench", parents=[as_json, seed, branch], help="naive vs determinant step counts"
+    )
     p.add_argument("h_spec", metavar="H")
     p.add_argument("k_spec", metavar="K")
     p.add_argument("--trials", type=int, default=10, metavar="N")
 
-    p = sub.add_parser("sweep", parents=[common], help="classify all catalog pairs")
+    p = sub.add_parser("sweep", parents=[max_order, as_json], help="classify all catalog pairs")
     p.add_argument(
         "order",
         type=int,

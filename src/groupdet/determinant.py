@@ -31,7 +31,6 @@ from .errors import DeterminantUndefinedError, InversionError, PreconditionError
 from .groups import FiniteGroup
 from .maps import (
     GroupMap,
-    OpCounter,
     _derived_map,
     compose,
     invert,
@@ -110,22 +109,12 @@ class PartialDet:
         return self.maps[(s, s)]
 
 
-def _schur(
-    a: GroupMap, b: GroupMap, w: GroupMap, c: GroupMap, counter: Optional[OpCounter]
-) -> GroupMap:
-    """a - b . w . c: the entry left when a pivot block with inverse w is eliminated.
-
-    Charges one evaluation per element of the entry's domain.
-    """
-    out = pointwise_diff(a, compose(b, compose(w, c)), require_commuting=True)
-    if counter is not None:
-        counter.evaluations += out.domain.order
-    return out
+def _schur(a: GroupMap, b: GroupMap, w: GroupMap, c: GroupMap) -> GroupMap:
+    """a - b . w . c: the entry left when a pivot block with inverse w is eliminated."""
+    return pointwise_diff(a, compose(b, compose(w, c)), require_commuting=True)
 
 
-def _eliminate(
-    state: PartialDet, pivot: int, counter: Optional[OpCounter]
-) -> PartialDet:
+def _eliminate(state: PartialDet, pivot: int) -> PartialDet:
     """One elimination step; raises DeterminantUndefinedError on a dead pivot."""
     if pivot not in state.survivors:
         raise PreconditionError(f"index {pivot} is not a surviving factor")
@@ -134,21 +123,17 @@ def _eliminate(
         raise DeterminantUndefinedError(
             f"pivot entry ({pivot}, {pivot}) is not bijective", pivot_index=pivot
         )
-    w = invert(maps[(pivot, pivot)], counter)
+    w = invert(maps[(pivot, pivot)])
     rest = tuple(i for i in state.survivors if i != pivot)
     out = {
-        (i, j): _schur(maps[(i, j)], maps[(i, pivot)], w, maps[(pivot, j)], counter)
+        (i, j): _schur(maps[(i, j)], maps[(i, pivot)], w, maps[(pivot, j)])
         for i in rest
         for j in rest
     }
     return PartialDet(state.factors, rest, state.eliminated + (pivot,), out)
 
 
-def f_determinant(
-    m: EndoMatrix,
-    fseq: Optional[FSequence] = None,
-    counter: Optional[OpCounter] = None,
-) -> list[PartialDet]:
+def f_determinant(m: EndoMatrix, fseq: Optional[FSequence] = None) -> list[PartialDet]:
     """The chain of partial determinants along an elimination sequence.
 
     The chain starts with the matrix itself (nothing eliminated) and ends,
@@ -167,38 +152,36 @@ def f_determinant(
     )
     chain = [state]
     for pivot in fseq.images:
-        state = _eliminate(state, pivot, counter)
+        state = _eliminate(state, pivot)
         chain.append(state)
     return chain
 
 
-def det_h(m: EndoMatrix, counter: Optional[OpCounter] = None) -> GroupMap:
+def det_h(m: EndoMatrix) -> GroupMap:
     """alpha - beta . delta^-1 . gamma, a self-map of the first factor (2 x 2)."""
     if m.n != 2:
         raise PreconditionError("det_h is defined for 2 x 2 matrices")
     (alpha, beta), (gamma, delta) = m.entries
     if not is_bijective(delta):
         raise DeterminantUndefinedError("delta is not bijective", pivot_index=1)
-    return _schur(alpha, beta, invert(delta, counter), gamma, counter)
+    return _schur(alpha, beta, invert(delta), gamma)
 
 
-def det_k(m: EndoMatrix, counter: Optional[OpCounter] = None) -> GroupMap:
+def det_k(m: EndoMatrix) -> GroupMap:
     """delta - gamma . alpha^-1 . beta, a self-map of the second factor (2 x 2)."""
     if m.n != 2:
         raise PreconditionError("det_k is defined for 2 x 2 matrices")
     (alpha, beta), (gamma, delta) = m.entries
     if not is_bijective(alpha):
         raise DeterminantUndefinedError("alpha is not bijective", pivot_index=0)
-    return _schur(delta, gamma, invert(alpha, counter), beta, counter)
+    return _schur(delta, gamma, invert(alpha), beta)
 
 
-def det_A(m: EndoMatrix, counter: Optional[OpCounter] = None) -> GroupMap:
+def det_A(m: EndoMatrix) -> GroupMap:
     """The canonical determinant of a member of A (all pivots automorphisms)."""
     if not in_A(m):
         raise PreconditionError("det_A needs diagonal automorphisms and central off-diagonal images")
-    if m.n == 2:
-        return det_h(m, counter)
-    return f_determinant(m, FSequence.canonical(m.n), counter)[-1].final_map
+    return f_determinant(m)[-1].final_map
 
 
 def determinant_step_bound(h: FiniteGroup, k: FiniteGroup, branch: str = "h") -> int:
@@ -209,9 +192,7 @@ def determinant_step_bound(h: FiniteGroup, k: FiniteGroup, branch: str = "h") ->
     return pivot.order + tested.order * (tested.order - 1) // 2
 
 
-def branch_determinant(
-    m: EndoMatrix, branch: str = "auto", counter: Optional[OpCounter] = None
-) -> tuple[str, GroupMap]:
+def branch_determinant(m: EndoMatrix, branch: str = "auto") -> tuple[str, GroupMap]:
     """The determinant of a 2 x 2 matrix on the first branch with a bijective pivot.
 
     'h' inverts delta and gives det_h on the first factor, 'k' inverts alpha
@@ -232,7 +213,7 @@ def branch_determinant(
     last: Optional[DeterminantUndefinedError] = None
     for b in order:
         try:
-            return b, (det_h(m, counter) if b == "h" else det_k(m, counter))
+            return b, (det_h(m) if b == "h" else det_k(m))
         except DeterminantUndefinedError as exc:
             last = exc
     raise DeterminantUndefinedError(
@@ -252,12 +233,12 @@ def _full_sequences(n: int):
                 yield perm
 
 
-def _first_chain(m: EndoMatrix, counter: Optional[OpCounter]) -> list[PartialDet]:
+def _first_chain(m: EndoMatrix) -> list[PartialDet]:
     """The chain of the first of ``_full_sequences`` whose pivots are all bijective."""
     last_error: Optional[DeterminantUndefinedError] = None
     for images in _full_sequences(m.n):
         try:
-            return f_determinant(m, FSequence(m.n, images), counter)
+            return f_determinant(m, FSequence(m.n, images))
         except DeterminantUndefinedError as exc:
             last_error = exc
     raise DeterminantUndefinedError(
@@ -266,11 +247,7 @@ def _first_chain(m: EndoMatrix, counter: Optional[OpCounter]) -> list[PartialDet
     )
 
 
-def is_invertible_via_det(
-    m: EndoMatrix,
-    branch: str = "auto",
-    counter: Optional[OpCounter] = None,
-) -> bool:
+def is_invertible_via_det(m: EndoMatrix, branch: str = "auto") -> bool:
     """Decide invertibility through a determinant instead of a full size-mn check.
 
     For 2 x 2 matrices ``branch`` picks which diagonal entry to invert, as in
@@ -281,13 +258,13 @@ def is_invertible_via_det(
     to a direct check.
     """
     if m.n == 2:
-        return is_bijective(branch_determinant(m, branch, counter)[1], counter)
+        return is_bijective(branch_determinant(m, branch)[1])
     if branch != "auto":
         raise PreconditionError("explicit branches exist only for 2 x 2 matrices")
-    return is_bijective(_first_chain(m, counter)[-1].final_map, counter)
+    return is_bijective(_first_chain(m)[-1].final_map)
 
 
-def _unwind(state: PartialDet, left: PartialDet, inv: dict, counter: Optional[OpCounter]) -> None:
+def _unwind(state: PartialDet, left: PartialDet, inv: dict) -> None:
     """One step back along the chain: extend ``inv`` to the inverse of ``state``.
 
     ``left`` is the state D over ``rest`` that eliminating the pivot p from
@@ -302,7 +279,7 @@ def _unwind(state: PartialDet, left: PartialDet, inv: dict, counter: Optional[Op
     commute, and is read from value tuples; the 1 + theta sum keeps its check.
     """
     maps, factors, rest, p = state.maps, state.factors, left.survivors, left.eliminated[-1]
-    w = invert(maps[(p, p)], counter)
+    w = invert(maps[(p, p)])
     fp, wv = factors[p], w.values
     bw = {j: tuple([maps[(j, p)].values[x] for x in wv]) for j in rest}
     c = [maps[(p, k)].values for k in rest]
@@ -322,11 +299,7 @@ def _unwind(state: PartialDet, left: PartialDet, inv: dict, counter: Optional[Op
     inv[(p, p)] = pointwise_sum(w, theta_w, require_commuting=True)
 
 
-def invert_via_det(
-    m: EndoMatrix,
-    branch: str = "auto",
-    counter: Optional[OpCounter] = None,
-) -> EndoMatrix:
+def invert_via_det(m: EndoMatrix, branch: str = "auto") -> EndoMatrix:
     """The closed-form inverse of an invertible matrix with a usable pivot.
 
     The chain's final 1 x 1 determinant is inverted and the chain is walked
@@ -337,7 +310,7 @@ def invert_via_det(
     result is the matrix of the inverse endomorphism, so it is built trusted.
     """
     if m.n == 2:
-        used, det = branch_determinant(m, branch, counter)
+        used, det = branch_determinant(m, branch)
         p, s = (1, 0) if used == "h" else (0, 1)
         (alpha, beta), (gamma, delta) = m.entries
         maps = {(0, 0): alpha, (0, 1): beta, (1, 0): gamma, (1, 1): delta}
@@ -346,19 +319,19 @@ def invert_via_det(
     elif branch != "auto":
         raise PreconditionError("explicit branches exist only for 2 x 2 matrices")
     else:
-        chain = _first_chain(m, counter)
+        chain = _first_chain(m)
     det = chain[-1].final_map
-    if not is_bijective(det, counter):
+    if not is_bijective(det):
         raise InversionError("determinant is not bijective; matrix is not invertible")
     s = chain[-1].survivors[0]
-    inv = {(s, s): invert(det, counter)}
+    inv = {(s, s): invert(det)}
     for k in range(len(chain) - 2, -1, -1):
-        _unwind(chain[k], chain[k + 1], inv, counter)
+        _unwind(chain[k], chain[k + 1], inv)
     n = m.n
     return EndoMatrix(m.factors, [[inv[(i, j)] for j in range(n)] for i in range(n)], trusted=True)
 
 
-def invert_via_det_pleasant(m: EndoMatrix, counter: Optional[OpCounter] = None) -> EndoMatrix:
+def invert_via_det_pleasant(m: EndoMatrix) -> EndoMatrix:
     """The symmetric inverse formula available to members of A (2 x 2).
 
         ( det_h^-1,                -alpha^-1 . beta . det_k^-1 )
@@ -371,12 +344,12 @@ def invert_via_det_pleasant(m: EndoMatrix, counter: Optional[OpCounter] = None) 
     if not in_A(m):
         raise PreconditionError("the pleasant form needs a member of A")
     (alpha, beta), (gamma, delta) = m.entries
-    dh = det_h(m, counter)
-    dk = det_k(m, counter)
+    dh = det_h(m)
+    dk = det_k(m)
     if not (is_bijective(dh) and is_bijective(dk)):
         raise InversionError("determinants are not bijective; matrix is not invertible")
-    dh_inv = invert(dh, counter)
-    dk_inv = invert(dk, counter)
+    dh_inv = invert(dh)
+    dk_inv = invert(dk)
     out = EndoMatrix(
         m.factors,
         [

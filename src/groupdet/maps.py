@@ -26,7 +26,6 @@ from .groups import DirectFactorization, FiniteGroup, Subgroup
 __all__ = [
     "GroupMap",
     "HomSet",
-    "OpCounter",
     "identity_map",
     "zero_map",
     "compose",
@@ -50,27 +49,6 @@ __all__ = [
 # enumerate_autos and central_aut_group refuse to list more maps than this:
 # a million automorphisms of a group of order 64 take about 0.6 GB as maps.
 AUT_LIST_LIMIT = 1_000_000
-
-
-@dataclass
-class OpCounter:
-    """Tally of elementary steps used by the benchmark accounting.
-
-    ``comparisons`` counts element equality tests during injectivity checks,
-    ``lookups`` counts graph lookups spent inverting a bijection, and
-    ``evaluations`` counts map evaluations spent building derived maps.
-    """
-
-    comparisons: int = 0
-    lookups: int = 0
-    evaluations: int = 0
-
-    def as_dict(self) -> dict[str, int]:
-        return {
-            "comparisons": self.comparisons,
-            "lookups": self.lookups,
-            "evaluations": self.evaluations,
-        }
 
 
 class GroupMap:
@@ -240,39 +218,21 @@ def negate(f: GroupMap) -> GroupMap:
     return _derived_map(f.domain, f.codomain, tuple(inv[v] for v in f.values))
 
 
-def is_bijective(f: GroupMap, counter: Optional[OpCounter] = None) -> bool:
-    """Bijectivity test.
-
-    With a counter, injectivity is decided by comparing each image against
-    all previous ones, charging one comparison per test (the naive method's
-    accounting: C(n, 2) comparisons in the injective worst case).  Without a
-    counter a set-based check is used; the verdict is identical.
-    """
+def is_bijective(f: GroupMap) -> bool:
+    """Bijectivity test: equal orders and pairwise distinct images."""
     if f.domain.order != f.codomain.order:
         return False
     v = f.values
-    if counter is None:
-        return len(set(v)) == len(v)
-    n = len(v)
-    for i in range(1, n):
-        vi = v[i]
-        for j in range(i):
-            counter.comparisons += 1
-            if v[j] == vi:
-                return False
-    return True
+    return len(set(v)) == len(v)
 
 
-def invert(f: GroupMap, counter: Optional[OpCounter] = None) -> GroupMap:
+def invert(f: GroupMap) -> GroupMap:
     """Functional inverse of a bijection, built by swapping the graph.
 
-    Charges |domain| lookups to the counter.  The inverse of a bijective
-    homomorphism is marked as a homomorphism.
+    The inverse of a bijective homomorphism is marked as a homomorphism.
     """
     if not is_bijective(f):
         raise InversionError(f"map is not bijective: {f!r}")
-    if counter is not None:
-        counter.lookups += f.domain.order
     out = [0] * f.domain.order
     for x, y in enumerate(f.values):
         out[y] = x

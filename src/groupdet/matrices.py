@@ -61,6 +61,8 @@ __all__ = [
 ]
 
 DEFAULT_AUT_ENUM_LIMIT = 64
+# enumerate_m_matrices refuses to build more matrices than this.
+_M_MATRIX_LIMIT = 2_000_000
 
 class ProductGroup:
     """A direct product together with its canonical injections and projections.
@@ -375,13 +377,11 @@ def enumerate_Z(
     return _pool_matrices(factors, max_product_order, central_diagonal=True)
 
 
-def enumerate_m_matrices(
-    factors: Sequence[FiniteGroup], max_count: int = 2_000_000
-) -> tuple[EndoMatrix, ...]:
+def enumerate_m_matrices(factors: Sequence[FiniteGroup]) -> tuple[EndoMatrix, ...]:
     """Every matrix of homomorphisms satisfying the row commutation condition.
 
     Rows are filtered independently (the condition only couples entries within
-    a row), then combined.  ``max_count`` guards against runaway products.
+    a row), then combined.  ``_M_MATRIX_LIMIT`` guards against runaway products.
     """
     facs = tuple(factors)
     n = len(facs)
@@ -394,8 +394,8 @@ def enumerate_m_matrices(
         for target in facs
     ]
     total = prod(len(rows) for rows in row_choices)
-    if total > max_count:
-        raise ResourceLimitError(f"{total} matrices exceed the bound {max_count}")
+    if total > _M_MATRIX_LIMIT:
+        raise ResourceLimitError(f"{total} matrices exceed the bound {_M_MATRIX_LIMIT}")
     return tuple(
         EndoMatrix(facs, rows, trusted=True) for rows in itertools.product(*row_choices)
     )

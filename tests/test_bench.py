@@ -7,11 +7,13 @@ from groupdet import (
     OpCounter,
     StructuralError,
     build_group,
+    det_h,
     determinant_step_bound,
     identity_matrix,
     in_A,
     naive_is_invertible,
     naive_step_bound,
+    recompose,
     run_bench,
     sample_a_member,
 )
@@ -19,6 +21,18 @@ from groupdet import (
 
 def _g(spec):
     return build_group(spec)
+
+
+def _pairwise_comparisons(f):
+    """Comparisons an injectivity scan of f makes, each image against all before it."""
+    v = f.values
+    comparisons = 0
+    for i in range(1, len(v)):
+        for j in range(i):
+            comparisons += 1
+            if v[j] == v[i]:
+                return comparisons
+    return comparisons
 
 
 def test_step_bounds():
@@ -45,6 +59,9 @@ def test_naive_counter():
     counter = OpCounter()
     assert naive_is_invertible(identity_matrix((_g("C2"), _g("C4"))), counter)
     assert counter.comparisons == 28  # C(8, 2)
+    counter = OpCounter()
+    assert naive_is_invertible(identity_matrix((_g("C2"), _g("C2"))), counter)
+    assert counter.comparisons == 6  # C(4, 2)
 
 
 def test_run_bench_counts_c3_c4():
@@ -72,6 +89,10 @@ def test_run_bench_branch_choice_s3_c4():
     records = run_bench(_g("S3"), _g("C4"), trials=4, seed=1, branch="h")
     det = [r for r in records if r.method == "determinant"]
     assert {r.steps_headline for r in det} == {19}
+    # |K| pivot-inversion lookups plus C(|H|, 2) injectivity comparisons
+    for r in det:
+        assert r.steps_full["pivot_inversion"] == 4
+        assert r.steps_full["injectivity_comparisons"] == 15
     assert {r.steps_headline for r in records if r.method == "naive"} == {276}
     records = run_bench(_g("S3"), _g("C4"), trials=4, seed=1, branch="k")
     det = [r for r in records if r.method == "determinant"]
@@ -82,6 +103,13 @@ def test_run_bench_agrees_on_singular_draws():
     records = run_bench(_g("C2"), _g("C2"), trials=40, seed=0)
     verdicts = {r.verdict for r in records}
     assert verdicts == {True, False}
-    by_trial = list(zip(records[::2], records[1::2]))
-    for naive_rec, det_rec in by_trial:
+    rng = random.Random(0)
+    h, k = _g("C2"), _g("C2")
+    for naive_rec, det_rec in zip(records[::2], records[1::2]):
         assert naive_rec.verdict == det_rec.verdict
+        # a singular draw ends the scan at its first repeated image
+        m = sample_a_member(h, k, rng)
+        naive_steps = _pairwise_comparisons(recompose(m))
+        det_steps = _pairwise_comparisons(det_h(m))
+        assert naive_rec.steps_full["injectivity_comparisons"] == naive_steps
+        assert det_rec.steps_full["injectivity_comparisons"] == det_steps

@@ -107,6 +107,17 @@ def test_parse_errors_exit_1(capsys):
     assert main([]) == 1
 
 
+def test_flags_a_subcommand_does_not_read_exit_1(tmp_path, capsys):
+    path = _write_matrix(tmp_path, _twisted_identity())
+    assert main(["classify", "S3", "C4", "--seed", "3"]) == 1
+    assert main(["sweep", "3", "--branch", "k"]) == 1
+    assert main(["invert", "S3", "C4", path, "--json"]) == 1
+    assert main(["invert", "S3", "C4", path, "--max-order", "8"]) == 1
+    assert main(["det", "S3", "C4", path, "--seed", "1"]) == 1
+    assert main(["bench", "C3", "C4", "--max-order", "8"]) == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_invert_round_trip(tmp_path, capsys):
     m = _twisted_identity()
     assert main(["invert", "S3", "C4", _write_matrix(tmp_path, m)]) == 0

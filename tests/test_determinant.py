@@ -12,7 +12,6 @@ from groupdet import (
     FSequence,
     GroupMap,
     InversionError,
-    OpCounter,
     PreconditionError,
     ProductGroup,
     build_group,
@@ -134,23 +133,6 @@ def test_det_A_examples():
     pg = _pg("C2", "C4")
     for m in enumerate_A(pg.factors):
         assert is_bijective(det_A(m)) == is_bijective(recompose(m, pg))
-
-
-def test_counter_accounting():
-    # |K| pivot-inversion lookups plus C(|H|, 2) injectivity comparisons
-    counter = OpCounter()
-    assert is_invertible_via_det(identity_matrix(
-        (build_group("S3"), build_group("C4"))), branch="h", counter=counter)
-    assert counter.lookups == 4
-    assert counter.comparisons == 15
-    counter = OpCounter()
-    assert is_invertible_via_det(identity_matrix(
-        (build_group("S3"), build_group("C4"))), branch="k", counter=counter)
-    assert counter.lookups + counter.comparisons == 12
-    counter = OpCounter()
-    assert is_invertible_via_det(identity_matrix(
-        (build_group("C3"), build_group("C4"))), branch="h", counter=counter)
-    assert counter.lookups + counter.comparisons == 7
 
 
 def test_verdict_matches_oracle_where_decidable():
