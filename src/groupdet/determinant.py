@@ -8,14 +8,16 @@ For a 2 x 2 matrix (alpha, beta; gamma, delta) the two determinants are
 self-maps of the first and second factor respectively.  A matrix with a
 bijective diagonal entry is invertible exactly when the corresponding
 determinant is bijective, and the inverse is then given entrywise in closed
-form.  For n factors the determinant is built by successive pivot
-elimination: each step removes one factor, replacing entry (i, j) by
+form.  Both are the n = 2 case of pivot elimination: each step removes a
+factor p with bijective entry (p, p), replacing entry (i, j) by
 entry(i,j) - entry(i,p) . pivot^-1 . entry(p,j).
 
-The inverse runs back along the same chain.  The final 1 x 1 determinant
-is inverted first; each earlier state is then inverted from the inverse of
-the state its pivot left behind, by the 2 x 2 block formulas.  A 2 x 2
-inverse is the one-step case, with the pivot ``branch_determinant`` picks.
+One private routine, ``_chain``, does every elimination, on value tuples,
+trying candidate sequences in a fixed order and each shared prefix once.
+A step keeps its pivot's inverse, so the inverse runs back along the chain
+without inverting a pivot again: the final 1 x 1 determinant is inverted,
+then each earlier state from the inverse of the state its pivot left, by
+the 2 x 2 block formulas.  The public functions are views of that chain.
 
 A determinant can be *undefined* (no bijective pivot at some step) without
 the matrix being singular; that situation raises DeterminantUndefinedError
@@ -29,16 +31,7 @@ from typing import Optional
 
 from .errors import DeterminantUndefinedError, InversionError, PreconditionError, StructuralError
 from .groups import FiniteGroup
-from .maps import (
-    GroupMap,
-    _derived_map,
-    compose,
-    invert,
-    is_bijective,
-    negate,
-    pointwise_diff,
-    pointwise_sum,
-)
+from .maps import GroupMap, _check_commuting, _derived_map, compose, invert, is_bijective, negate
 from .matrices import EndoMatrix, _product_of_composites, in_A
 
 __all__ = [
@@ -109,28 +102,75 @@ class PartialDet:
         return self.maps[(s, s)]
 
 
-def _schur(a: GroupMap, b: GroupMap, w: GroupMap, c: GroupMap) -> GroupMap:
-    """a - b . w . c: the entry left when a pivot block with inverse w is eliminated."""
-    return pointwise_diff(a, compose(b, compose(w, c)), require_commuting=True)
+def _inverse(values: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a bijection held as a value tuple."""
+    out = [0] * len(values)
+    for x, y in enumerate(values):
+        out[y] = x
+    return tuple(out)
 
 
-def _eliminate(state: PartialDet, pivot: int) -> PartialDet:
-    """One elimination step; raises DeterminantUndefinedError on a dead pivot."""
-    if pivot not in state.survivors:
-        raise PreconditionError(f"index {pivot} is not a surviving factor")
-    maps = state.maps
-    if not is_bijective(maps[(pivot, pivot)]):
-        raise DeterminantUndefinedError(
-            f"pivot entry ({pivot}, {pivot}) is not bijective", pivot_index=pivot
-        )
-    w = invert(maps[(pivot, pivot)])
-    rest = tuple(i for i in state.survivors if i != pivot)
-    out = {
-        (i, j): _schur(maps[(i, j)], maps[(i, pivot)], w, maps[(pivot, j)])
-        for i in rest
-        for j in rest
-    }
-    return PartialDet(state.factors, rest, state.eliminated + (pivot,), out)
+def _step(factors: tuple[FiniteGroup, ...], node: tuple, p: int) -> Optional[tuple]:
+    """Eliminate pivot p from a chain node; None when entry (p, p) is not bijective.
+
+    A node is (eliminated, survivors, entries, w): ``entries[i * n + j]`` is
+    the value tuple of entry (i, j), and w the last pivot's inverse (None at
+    the top).  The pivot is tested before any new entry (i, j) - (i, p) . w .
+    (p, j) is built, and each has its images checked to commute.
+    """
+    eliminated, survivors, e, _ = node
+    n = len(factors)
+    pivot = e[p * n + p]
+    if len(set(pivot)) != len(pivot):
+        return None
+    w = _inverse(pivot)
+    rest = tuple([i for i in survivors if i != p])
+    out = [None] * (n * n)
+    for i in rest:
+        g = factors[i]
+        t, neg = g.table, g.inverse
+        b = e[i * n + p]
+        for j in rest:
+            a = e[i * n + j]
+            bwc = [b[w[x]] for x in e[p * n + j]]
+            _check_commuting(g, a, bwc)
+            out[i * n + j] = tuple([t[u][neg[v]] for u, v in zip(a, bwc)])
+    return eliminated + (p,), rest, out, w
+
+
+def _chain(m: EndoMatrix, sequences) -> list[tuple]:
+    """The nodes of the first of ``sequences`` whose pivots are all bijective.
+
+    The chain runs from the matrix itself to the state its last pivot leaves.
+    Each prefix's node is kept, so a later sequence sharing it neither
+    recomputes it nor retries a dead pivot.  Raises DeterminantUndefinedError
+    with the dead pivot of the last sequence tried.
+    """
+    factors = m.factors
+    top = ((), tuple(range(len(factors))), [f.values for row in m.entries for f in row], None)
+    shared: dict[tuple[int, ...], Optional[tuple]] = {}
+    dead = None
+    for seq in sequences:
+        chain = [top]
+        for k, p in enumerate(seq, 1):
+            key = seq[:k]
+            if key not in shared:
+                shared[key] = _step(factors, chain[-1], p)
+            if shared[key] is None:
+                dead = p
+                break
+            chain.append(shared[key])
+        else:
+            return chain
+    why = ("no bijective diagonal entry; determinant route undecidable" if m.n == 2
+           else "no elimination sequence has bijective pivots")
+    raise DeterminantUndefinedError(why, pivot_index=dead)
+
+
+def _last(m: EndoMatrix, chain: list[tuple]) -> tuple[int, tuple[int, ...]]:
+    """The survivor of a full chain of m and the value tuple of its determinant."""
+    _, (s,), e, _ = chain[-1]
+    return s, e[s * m.n + s]
 
 
 def f_determinant(m: EndoMatrix, fseq: Optional[FSequence] = None) -> list[PartialDet]:
@@ -144,44 +184,31 @@ def f_determinant(m: EndoMatrix, fseq: Optional[FSequence] = None) -> list[Parti
         fseq = FSequence.canonical(n)
     if fseq.n != n:
         raise PreconditionError(f"sequence is over {fseq.n} factors, matrix has {n}")
-    state = PartialDet(
-        m.factors,
-        tuple(range(n)),
-        (),
-        {(i, j): m.entries[i][j] for i in range(n) for j in range(n)},
-    )
-    chain = [state]
-    for pivot in fseq.images:
-        state = _eliminate(state, pivot)
-        chain.append(state)
-    return chain
+    f = m.factors
+    return [
+        PartialDet(f, rest, gone, {
+            (i, j): _derived_map(f[j], f[i], e[i * n + j]) for i in rest for j in rest
+        })
+        for gone, rest, e, _ in _chain(m, [fseq.images])
+    ]
 
 
 def det_h(m: EndoMatrix) -> GroupMap:
     """alpha - beta . delta^-1 . gamma, a self-map of the first factor (2 x 2)."""
-    if m.n != 2:
-        raise PreconditionError("det_h is defined for 2 x 2 matrices")
-    (alpha, beta), (gamma, delta) = m.entries
-    if not is_bijective(delta):
-        raise DeterminantUndefinedError("delta is not bijective", pivot_index=1)
-    return _schur(alpha, beta, invert(delta), gamma)
+    return branch_determinant(m, "h")[1]
 
 
 def det_k(m: EndoMatrix) -> GroupMap:
     """delta - gamma . alpha^-1 . beta, a self-map of the second factor (2 x 2)."""
-    if m.n != 2:
-        raise PreconditionError("det_k is defined for 2 x 2 matrices")
-    (alpha, beta), (gamma, delta) = m.entries
-    if not is_bijective(alpha):
-        raise DeterminantUndefinedError("alpha is not bijective", pivot_index=0)
-    return _schur(delta, gamma, invert(alpha), beta)
+    return branch_determinant(m, "k")[1]
 
 
 def det_A(m: EndoMatrix) -> GroupMap:
     """The canonical determinant of a member of A (all pivots automorphisms)."""
     if not in_A(m):
         raise PreconditionError("det_A needs diagonal automorphisms and central off-diagonal images")
-    return f_determinant(m)[-1].final_map
+    s, det = _last(m, _chain(m, [FSequence.canonical(m.n).images]))
+    return _derived_map(m.factors[s], m.factors[s], det)
 
 
 def determinant_step_bound(h: FiniteGroup, k: FiniteGroup, branch: str = "h") -> int:
@@ -192,143 +219,118 @@ def determinant_step_bound(h: FiniteGroup, k: FiniteGroup, branch: str = "h") ->
     return pivot.order + tested.order * (tested.order - 1) // 2
 
 
-def branch_determinant(m: EndoMatrix, branch: str = "auto") -> tuple[str, GroupMap]:
-    """The determinant of a 2 x 2 matrix on the first branch with a bijective pivot.
-
-    'h' inverts delta and gives det_h on the first factor, 'k' inverts alpha
-    and gives det_k on the second, and 'auto' tries the branch with the
-    smaller ``determinant_step_bound`` first and falls back to the other.
-    Returns (branch, determinant); raises DeterminantUndefinedError, with the
-    last pivot index tried, when no branch tried has a bijective pivot.
-    """
-    if m.n != 2:
-        raise PreconditionError("branch determinants exist only for 2 x 2 matrices")
-    order = branch
-    if branch == "auto":
-        h, k = m.factors
-        cheaper_h = determinant_step_bound(h, k, "h") <= determinant_step_bound(h, k, "k")
-        order = "hk" if cheaper_h else "kh"
-    elif branch not in ("h", "k"):
-        raise PreconditionError(f"unknown branch {branch!r}; use 'h', 'k' or 'auto'")
-    last: Optional[DeterminantUndefinedError] = None
-    for b in order:
-        try:
-            return b, (det_h(m) if b == "h" else det_k(m))
-        except DeterminantUndefinedError as exc:
-            last = exc
-    raise DeterminantUndefinedError(
-        "no bijective diagonal entry; determinant route undecidable",
-        pivot_index=last.pivot_index if last else None,
-    )
-
-
 def _full_sequences(n: int):
     """Candidate elimination sequences: canonical first, then lexicographic rest."""
     canonical = FSequence.canonical(n).images
     yield canonical
     for survivor in range(n):
-        others = [i for i in range(n) if i != survivor]
-        for perm in itertools.permutations(others):
+        for perm in itertools.permutations([i for i in range(n) if i != survivor]):
             if perm != canonical:
                 yield perm
 
 
-def _first_chain(m: EndoMatrix) -> list[PartialDet]:
-    """The chain of the first of ``_full_sequences`` whose pivots are all bijective."""
-    last_error: Optional[DeterminantUndefinedError] = None
-    for images in _full_sequences(m.n):
-        try:
-            return f_determinant(m, FSequence(m.n, images))
-        except DeterminantUndefinedError as exc:
-            last_error = exc
-    raise DeterminantUndefinedError(
-        "no elimination sequence has bijective pivots",
-        pivot_index=last_error.pivot_index if last_error else None,
-    )
+_BRANCH_SEQUENCES = {"h": ((1,),), "k": ((0,),), "hk": ((1,), (0,)), "kh": ((0,), (1,))}
 
 
-def is_invertible_via_det(m: EndoMatrix, branch: str = "auto") -> bool:
+def _sequences(m: EndoMatrix, branch: str = "auto"):
+    """The elimination sequences ``_chain`` tries, in order.
+
+    For 2 x 2, 'h' eliminates delta (index 1), 'k' alpha (index 0), and 'auto'
+    the branch with the smaller ``determinant_step_bound`` first.  Larger
+    matrices take every full sequence, canonical first.
+    """
+    if m.n != 2:
+        if branch != "auto":
+            raise PreconditionError("explicit branches exist only for 2 x 2 matrices")
+        return _full_sequences(m.n)
+    if branch == "auto":
+        h, k = m.factors
+        cheaper_h = determinant_step_bound(h, k, "h") <= determinant_step_bound(h, k, "k")
+        branch = "hk" if cheaper_h else "kh"
+    elif branch not in ("h", "k"):
+        raise PreconditionError(f"unknown branch {branch!r}; use 'h', 'k' or 'auto'")
+    return _BRANCH_SEQUENCES[branch]
+
+
+def branch_determinant(m: EndoMatrix, branch: str = "auto") -> tuple[str, GroupMap]:
+    """The determinant of a 2 x 2 matrix on the first branch with a bijective pivot.
+
+    'h' gives det_h on the first factor, 'k' det_k on the second, and 'auto'
+    tries both, in the order of ``_sequences``.  Returns (branch, determinant);
+    raises DeterminantUndefinedError, with the last pivot index tried, when
+    no branch tried has a bijective pivot.
+    """
+    if m.n != 2:
+        raise PreconditionError("branch determinants exist only for 2 x 2 matrices")
+    s, det = _last(m, _chain(m, _sequences(m, branch)))
+    return "hk"[s], _derived_map(m.factors[s], m.factors[s], det)
+
+
+def is_invertible_via_det(m: EndoMatrix) -> bool:
     """Decide invertibility through a determinant instead of a full size-mn check.
 
-    For 2 x 2 matrices ``branch`` picks which diagonal entry to invert, as in
-    ``branch_determinant``, and the determinant found is tested for
-    bijectivity.  For larger matrices the canonical elimination sequence is
-    tried first, then every other sequence.  Raises DeterminantUndefinedError
-    when no admissible pivot choice exists; the caller should then fall back
-    to a direct check.
+    The chain is that of ``_sequences`` 'auto'.  Raises
+    DeterminantUndefinedError when no admissible pivot choice exists; the
+    caller should then fall back to a direct check.
     """
-    if m.n == 2:
-        return is_bijective(branch_determinant(m, branch)[1])
-    if branch != "auto":
-        raise PreconditionError("explicit branches exist only for 2 x 2 matrices")
-    return is_bijective(_first_chain(m)[-1].final_map)
+    det = _last(m, _chain(m, _sequences(m)))[1]
+    return len(set(det)) == len(det)
 
 
-def _unwind(state: PartialDet, left: PartialDet, inv: dict) -> None:
+def _unwind(factors: tuple[FiniteGroup, ...], state: tuple, left: tuple, inv: dict) -> None:
     """One step back along the chain: extend ``inv`` to the inverse of ``state``.
 
-    ``left`` is the state D over ``rest`` that eliminating the pivot p from
-    ``state`` leaves, and ``inv`` holds D^-1.  With w = entry(p, p)^-1, b the
-    column of p over ``rest`` and c its row, the inverse of ``state`` is
+    ``left`` is the node D over ``rest`` that eliminating the pivot p from
+    ``state`` leaves, with w = entry(p, p)^-1, and ``inv`` holds the value
+    tuples of D^-1.  With b the column of p over ``rest`` and c its row, the
+    inverse of ``state`` is
 
         ( D^-1,             -D^-1 . b . w               )
         ( -w . c . D^-1,    (1 + w . c . D^-1 . b) . w  )
 
     Every state and every D^-1 is the matrix of an endomorphism of the product
     of its factors, so each sum over ``rest`` runs along one row, whose images
-    commute, and is read from value tuples; the 1 + theta sum keeps its check.
+    commute; the 1 + theta sum keeps its check.
     """
-    maps, factors, rest, p = state.maps, state.factors, left.survivors, left.eliminated[-1]
-    w = invert(maps[(p, p)])
-    fp, wv = factors[p], w.values
-    bw = {j: tuple([maps[(j, p)].values[x] for x in wv]) for j in rest}
-    c = [maps[(p, k)].values for k in rest]
-    col = []  # (D^-1 . b . w)_i for i in rest
-    for i in rest:
-        u = _product_of_composites(factors[i], [(inv[(i, j)].values, bw[j]) for j in rest])
-        col.append(u)
+    e, n = state[2], len(factors)
+    p, rest, w = left[0][-1], left[1], left[3]
+    fp = factors[p]
+    bw = {j: tuple([e[j * n + p][x] for x in w]) for j in rest}
+    c = [e[p * n + k] for k in rest]
+    # (D^-1 . b . w)_i for i in rest
+    col = [_product_of_composites(factors[i], [(inv[i, j], bw[j]) for j in rest]) for i in rest]
+    for i, u in zip(rest, col):
         neg = factors[i].inverse
-        inv[(i, p)] = _derived_map(fp, factors[i], tuple([neg[y] for y in u]))
+        inv[i, p] = tuple([neg[y] for y in u])
     neg = fp.inverse
     for j in rest:
-        v = _product_of_composites(fp, [(ck, inv[(k, j)].values) for ck, k in zip(c, rest)])
-        inv[(p, j)] = _derived_map(factors[j], fp, tuple([neg[wv[y]] for y in v]))
+        v = _product_of_composites(fp, [(ck, inv[k, j]) for ck, k in zip(c, rest)])
+        inv[p, j] = tuple([neg[w[y]] for y in v])
     # theta . w = w . c . D^-1 . b . w, so (1 + theta) . w = w + theta . w
-    v = _product_of_composites(fp, list(zip(c, col)))
-    theta_w = _derived_map(fp, fp, tuple([wv[y] for y in v]))
-    inv[(p, p)] = pointwise_sum(w, theta_w, require_commuting=True)
+    theta_w = [w[y] for y in _product_of_composites(fp, list(zip(c, col)))]
+    _check_commuting(fp, w, theta_w)
+    t = fp.table
+    inv[p, p] = tuple([t[a][b] for a, b in zip(w, theta_w)])
 
 
 def invert_via_det(m: EndoMatrix, branch: str = "auto") -> EndoMatrix:
     """The closed-form inverse of an invertible matrix with a usable pivot.
 
-    The chain's final 1 x 1 determinant is inverted and the chain is walked
-    back by ``_unwind``: one step on ``branch_determinant``'s pivot for 2 x 2
-    (delta for 'h', alpha for 'k'), else the chain ``is_invertible_via_det``
-    decides on.  Raises DeterminantUndefinedError when no pivot route exists
-    and InversionError when a determinant exists but is not bijective.  The
+    The chain's final 1 x 1 determinant is inverted and the chain walked back
+    by ``_unwind``.  Raises DeterminantUndefinedError when no pivot route
+    exists and InversionError when the determinant is not bijective.  The
     result is the matrix of the inverse endomorphism, so it is built trusted.
     """
-    if m.n == 2:
-        used, det = branch_determinant(m, branch)
-        p, s = (1, 0) if used == "h" else (0, 1)
-        (alpha, beta), (gamma, delta) = m.entries
-        maps = {(0, 0): alpha, (0, 1): beta, (1, 0): gamma, (1, 1): delta}
-        chain = [PartialDet(m.factors, (0, 1), (), maps)]
-        chain.append(PartialDet(m.factors, (s,), (p,), {(s, s): det}))
-    elif branch != "auto":
-        raise PreconditionError("explicit branches exist only for 2 x 2 matrices")
-    else:
-        chain = _first_chain(m)
-    det = chain[-1].final_map
-    if not is_bijective(det):
+    chain = _chain(m, _sequences(m, branch))
+    s, det = _last(m, chain)
+    if len(set(det)) != len(det):
         raise InversionError("determinant is not bijective; matrix is not invertible")
-    s = chain[-1].survivors[0]
-    inv = {(s, s): invert(det)}
-    for k in range(len(chain) - 2, -1, -1):
-        _unwind(chain[k], chain[k + 1], inv)
-    n = m.n
-    return EndoMatrix(m.factors, [[inv[(i, j)] for j in range(n)] for i in range(n)], trusted=True)
+    inv = {(s, s): _inverse(det)}
+    f = m.factors
+    for k in range(len(chain) - 1, 0, -1):
+        _unwind(f, chain[k - 1], chain[k], inv)
+    rows = [[_derived_map(f[j], f[i], inv[i, j]) for j in range(m.n)] for i in range(m.n)]
+    return EndoMatrix(f, rows, trusted=True)
 
 
 def invert_via_det_pleasant(m: EndoMatrix) -> EndoMatrix:
@@ -344,21 +346,15 @@ def invert_via_det_pleasant(m: EndoMatrix) -> EndoMatrix:
     if not in_A(m):
         raise PreconditionError("the pleasant form needs a member of A")
     (alpha, beta), (gamma, delta) = m.entries
-    dh = det_h(m)
-    dk = det_k(m)
+    dh, dk = det_h(m), det_k(m)
     if not (is_bijective(dh) and is_bijective(dk)):
         raise InversionError("determinants are not bijective; matrix is not invertible")
-    dh_inv = invert(dh)
-    dk_inv = invert(dk)
-    out = EndoMatrix(
-        m.factors,
-        [
-            [dh_inv, negate(compose(invert(alpha), compose(beta, dk_inv)))],
-            [negate(compose(invert(delta), compose(gamma, dh_inv))), dk_inv],
-        ],
-    )
-    general = invert_via_det(m, branch="h")
-    if out != general:
+    dh_inv, dk_inv = invert(dh), invert(dk)
+    out = EndoMatrix(m.factors, [
+        [dh_inv, negate(compose(invert(alpha), compose(beta, dk_inv)))],
+        [negate(compose(invert(delta), compose(gamma, dh_inv))), dk_inv],
+    ])
+    if out != invert_via_det(m, branch="h"):
         raise StructuralError("pleasant inverse disagrees with the general formula")
     return out
 

@@ -138,9 +138,9 @@ def _derived_map(
     ``values`` must be a tuple of codomain indices, one per domain element; it
     is stored as given, without the public constructor's coercion and range
     check.  Callers are the map algebra and the hom/auto search below, the
-    product code (``ProductGroup``, ``recompose``, ``decompose``), the
-    inverse blocks that ``determinant`` builds walking its elimination chain
-    back, and the chain walk of ``autcompare``.
+    product code (``ProductGroup``, ``recompose``, ``decompose``), the maps
+    ``determinant`` returns from its value-tuple elimination chain
+    (determinants and inverse entries), and the chain walk of ``autcompare``.
     """
     f = object.__new__(GroupMap)
     f.domain = domain
@@ -181,16 +181,20 @@ def _check_parallel(f: GroupMap, g: GroupMap) -> None:
         raise StructuralError("pointwise operations need identical domain and codomain")
 
 
+def _check_commuting(g: FiniteGroup, xs: Sequence[int], ys: Sequence[int]) -> None:
+    """Raise unless xs[k] and ys[k] commute in g for every k."""
+    t = g.table
+    for a, b in zip(xs, ys):
+        if t[a][b] != t[b][a]:
+            raise NoncommutingImagesError(f"images {a} and {b} do not commute in {g.name}")
+
+
 def pointwise_sum(f: GroupMap, g: GroupMap, require_commuting: bool = False) -> GroupMap:
     """x -> f(x) * g(x), multiplying images left to right."""
     _check_parallel(f, g)
     t = f.codomain.table
     if require_commuting:
-        for a, b in zip(f.values, g.values):
-            if t[a][b] != t[b][a]:
-                raise NoncommutingImagesError(
-                    f"images {a} and {b} do not commute in {f.codomain.name}"
-                )
+        _check_commuting(f.codomain, f.values, g.values)
     return _derived_map(
         f.domain, f.codomain, tuple(t[a][b] for a, b in zip(f.values, g.values))
     )
@@ -202,11 +206,7 @@ def pointwise_diff(f: GroupMap, g: GroupMap, require_commuting: bool = False) ->
     t = f.codomain.table
     inv = f.codomain.inverse
     if require_commuting:
-        for a, b in zip(f.values, g.values):
-            if t[a][b] != t[b][a]:
-                raise NoncommutingImagesError(
-                    f"images {a} and {b} do not commute in {f.codomain.name}"
-                )
+        _check_commuting(f.codomain, f.values, g.values)
     return _derived_map(
         f.domain, f.codomain, tuple(t[a][inv[b]] for a, b in zip(f.values, g.values))
     )

@@ -12,8 +12,10 @@ from groupdet import (
     FSequence,
     GroupMap,
     InversionError,
+    NoncommutingImagesError,
     PreconditionError,
     ProductGroup,
+    branch_determinant,
     build_group,
     catalog_groups,
     compose,
@@ -140,7 +142,7 @@ def test_verdict_matches_oracle_where_decidable():
         pg = _pg(*specs)
         for m in enumerate_m_matrices(pg.factors):
             try:
-                verdict = is_invertible_via_det(m, branch="auto")
+                verdict = is_invertible_via_det(m)
             except DeterminantUndefinedError:
                 continue
             assert verdict == is_bijective(recompose(m, pg))
@@ -149,7 +151,7 @@ def test_verdict_matches_oracle_where_decidable():
 def test_singular_A_member():
     m = _singular_c2c2()
     assert in_A(m)
-    assert not is_invertible_via_det(m, branch="h")
+    assert not is_bijective(branch_determinant(m, "h")[1])
     pg = _pg("C2", "C2")
     assert not is_bijective(recompose(m, pg))
     with pytest.raises(InversionError):
@@ -194,7 +196,9 @@ def test_swap_has_no_determinant_route():
         with pytest.raises(DeterminantUndefinedError):
             invert_via_det(swap, branch=branch)
         with pytest.raises(DeterminantUndefinedError):
-            is_invertible_via_det(swap, branch=branch)
+            branch_determinant(swap, branch)
+    with pytest.raises(DeterminantUndefinedError):
+        is_invertible_via_det(swap)
 
 
 def test_inverse_determinant_identities():
@@ -284,8 +288,6 @@ def test_three_factor_inverses():
     assert invertible == 6
     with pytest.raises(PreconditionError):
         invert_via_det(identity_matrix(facs), branch="h")
-    with pytest.raises(PreconditionError):
-        is_invertible_via_det(identity_matrix(facs), branch="k")
 
 
 def test_inverses_pass_full_validation():
@@ -407,3 +409,87 @@ def test_chain_decide_and_invert_agree_with_brute_force(m):
         ident = identity_map(pg.product).values
         assert compose(phi, recompose(w, pg)).values == ident
         assert compose(recompose(w, pg), phi).values == ident
+
+
+def _conjugation_by_transposition(s3):
+    g = 1  # the transposition swapping the last two points
+    t, inv = s3.table, s3.inverse
+    return GroupMap(s3, s3, [t[t[g][x]][inv[g]] for x in range(s3.order)])
+
+
+def test_elimination_checks_that_schur_images_commute():
+    """The difference a - b . w . c assumes commuting images; a trusted matrix
+    whose first row does not commute must be refused, not silently used."""
+    s3, c2 = build_group("S3"), build_group("C2")
+    one, c_g = identity_map(s3), _conjugation_by_transposition(s3)
+    two = EndoMatrix((s3, s3), ((one, one), (c_g, one)), trusted=True)
+    three = EndoMatrix((s3, c2, s3), (
+        (one, zero_map(c2, s3), one),
+        (zero_map(s3, c2), identity_map(c2), zero_map(s3, c2)),
+        (c_g, zero_map(c2, s3), one),
+    ), trusted=True)
+    for m in (two, three):
+        with pytest.raises(NoncommutingImagesError):
+            is_invertible_via_det(m)
+        with pytest.raises(NoncommutingImagesError):
+            invert_via_det(m)
+    with pytest.raises(NoncommutingImagesError):
+        det_h(two)
+    with pytest.raises(NoncommutingImagesError):
+        f_determinant(three)
+
+
+def test_elimination_shares_prefixes_and_inverts_each_pivot_once(monkeypatch):
+    """Per call, every elimination prefix is computed at most once and a dead
+    one is never extended; an inverse inverts each pivot it eliminated, and
+    the final determinant, exactly once, and never calls maps.invert."""
+    import groupdet.determinant as det_mod
+
+    steps, inversions = [], []
+    step, inverse = det_mod._step, det_mod._inverse
+
+    def counted_step(factors, node, p):
+        out = step(factors, node, p)
+        steps.append((node[0] + (p,), out is not None))
+        return out
+
+    def counted_inverse(values):
+        inversions.append(values)
+        return inverse(values)
+
+    def no_invert(f):
+        raise AssertionError("maps.invert called by invert_via_det")
+
+    monkeypatch.setattr(det_mod, "_step", counted_step)
+    monkeypatch.setattr(det_mod, "_inverse", counted_inverse)
+    monkeypatch.setattr(det_mod, "invert", no_invert)
+    facs = tuple(build_group(s) for s in ("C2", "C2", "C3"))
+    mats = enumerate_m_matrices(facs)
+    assert len(mats) == 48
+    saved = 0
+    for m in mats:
+        for fn in (is_invertible_via_det, invert_via_det):
+            steps.clear()
+            inversions.clear()
+            try:
+                fn(m)
+                finished = True
+            except (DeterminantUndefinedError, InversionError):
+                finished = False
+            keys = [key for key, _ in steps]
+            assert len(keys) == len(set(keys))
+            dead = {key for key, alive in steps if not alive}
+            assert not any(key[:k] in dead for key in keys for k in range(1, len(key)))
+            live = sum(alive for _, alive in steps)
+            if fn is invert_via_det:
+                assert len(inversions) == live + finished
+            # the steps the same sequences cost when each is walked afresh
+            alive = dict(steps)
+            unshared = 0
+            for seq in det_mod._full_sequences(3):
+                depth = next((k for k in (1, 2) if not alive[seq[:k]]), None)
+                unshared += depth or 2
+                if depth is None:
+                    break
+            saved += unshared - len(steps)
+    assert saved > 0
