@@ -27,6 +27,7 @@ from .maps import (
     _aut_chain,
     _chain_products,
     _derived_map,
+    aut_order,
     compose,
     enumerate_homs,
     identity_map,
@@ -117,6 +118,19 @@ def _composites(h: FiniteGroup, k: FiniteGroup):
     return composites.values()
 
 
+def _set_order(h: FiniteGroup, k: FiniteGroup, central: bool) -> tuple[int, int]:
+    """|diagonal| and the order of A, or of Z (``central``): see ``_counted_comparison``."""
+    diagonal = prod(len(reps) for g in (h, k) for reps in _aut_chain(g, central))
+    off = len(enumerate_homs(k, h, restrict_codomain=h.center()))
+    return diagonal, diagonal * off * len(enumerate_homs(h, k, restrict_codomain=k.center()))
+
+
+def _failing(h: FiniteGroup, k: FiniteGroup):
+    """The (phi, pairs) of ``_composites`` whose 1 - phi is not bijective, lazily."""
+    one = identity_map(h)
+    return (c for c in _composites(h, k) if not is_bijective(pointwise_diff(one, c[0])))
+
+
 def _counted_comparison(
     h: FiniteGroup, k: FiniteGroup, max_product_order: int, central: bool
 ) -> AutComparison:
@@ -133,7 +147,7 @@ def _counted_comparison(
 
         |set minus Aut| = |diagonal| #{(xi, mu) : 1 - xi.mu not bijective},
 
-    counted by one loop over the distinct composites xi.mu (``_composites``),
+    counted by one loop over the distinct composites xi.mu (``_failing``),
     the same failing pairs for A and Z.  The set is inside Aut iff no pair
     fails.  Aut is inside A iff |A n Aut| = |Aut(H x K)|.  A member of Z
     that is an automorphism is central, as (h, k) -> (lam(h) h^-1 xi'(k),
@@ -150,25 +164,11 @@ def _counted_comparison(
     _check_enum_bound((h, k), max_product_order)
     pg = ProductGroup.of(h, k)
 
-    def order(g: FiniteGroup) -> int:
-        return prod(len(reps) for reps in _aut_chain(g, central))
-
     def autos(g: FiniteGroup):
         return (_derived_map(g, g, v, hom=True) for v in _chain_products(g, central))
 
-    diagonal = order(h) * order(k)
-    set_order = (
-        diagonal
-        * len(enumerate_homs(k, h, restrict_codomain=h.center()))
-        * len(enumerate_homs(h, k, restrict_codomain=k.center()))
-    )
-    one = identity_map(h)
-    failing = [
-        pair
-        for phi, pairs in _composites(h, k)
-        if not is_bijective(pointwise_diff(one, phi))
-        for pair in pairs
-    ]
+    diagonal, set_order = _set_order(h, k, central)
+    failing = [pair for _, pairs in _failing(h, k) for pair in pairs]
     set_minus_aut = tuple(islice(
         (
             EndoMatrix((h, k), [[lam, compose(lam, xi)], [compose(nu, mu), nu]], trusted=True)
@@ -179,7 +179,7 @@ def _counted_comparison(
         WITNESS_CAP,
     ))
     in_both = set_order - diagonal * len(failing)
-    aut = order(pg.product)
+    aut = prod(len(reps) for reps in _aut_chain(pg.product, central))
     member = in_Z if central else in_A
     chain = (decompose(f, pg) for f in autos(pg.product))
     aut_minus_set = tuple(islice(
@@ -194,10 +194,22 @@ def _counted_comparison(
     )
 
 
+def _aut_equals_A(h: FiniteGroup, k: FiniteGroup, max_product_order: int) -> bool:
+    """``compare_aut_vs_A(h, k, max_product_order).equal``, with no witness built:
+    False at the first failing composite (``_failing``), before H x K is built;
+    otherwise A is inside Aut, and Aut = A iff |Aut(H x K)| = |A|."""
+    _check_enum_bound((h, k), max_product_order)
+    if next(_failing(h, k), None) is not None:
+        return False
+    return aut_order(ProductGroup.of(h, k).product) == _set_order(h, k, False)[1]
+
+
 def compare_aut_vs_A(
     h: FiniteGroup, k: FiniteGroup, max_product_order: int = DEFAULT_AUT_ENUM_LIMIT
 ) -> AutComparison:
-    """Decide both inclusions between Aut(H x K) and A by counting."""
+    """Decide both inclusions between Aut(H x K) and A by counting, with witnesses.
+    ``classify_pair`` reads only the verdict (``_aut_equals_A``): no witness, and
+    H x K is built only when A is inside Aut."""
     return _counted_comparison(h, k, max_product_order, central=False)
 
 

@@ -40,7 +40,7 @@ __all__ = [
 def _walk(rows: Sequence[Sequence[int]], reached: list[int], seen: set[int], gens: list[int]):
     """Extend ``reached`` after ``gens[-1]`` was appended to ``gens``.
 
-    ``reached`` starts from the identity and must be closed under right
+    ``reached`` holds the identity and must be closed under right
     multiplication by ``gens[:-1]``; ``seen`` is its set.  Afterwards it is
     closed under right multiplication by all of ``gens``: the old elements
     are multiplied by the new generator only, and each new element by every
@@ -299,21 +299,23 @@ class FiniteGroup:
         return all(z in derived for z in self.center().elements)
 
     def closure(self, seed: Iterable[int]) -> tuple[int, ...]:
-        """Subgroup generated by the seed elements, as a sorted tuple.
+        """Subgroup generated by the seed elements, as a sorted tuple (``_join``)."""
+        return self._join((self.identity,), (), seed)[0]
 
-        Walks right multiplication by generators from the identity
-        (``_walk``); a seed element already reached is not made a generator,
-        so the cost is |<seed>| * |generators used| lookups plus one
-        membership test per seed element.
+    def _join(
+        self, elems: Sequence[int], gens: Sequence[int], seed: Iterable[int]
+    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The join of the subgroup ``elems``, generated by ``gens``, with ``seed``.
+
+        Walks on from ``elems`` (``_walk``); a seed element already reached is
+        not made a generator.  Returns the sorted join and its generators.
         """
-        reached = [self.identity]
-        seen = {self.identity}
-        gens: list[int] = []
+        reached, seen, gens = list(elems), set(elems), list(gens)
         for s in seed:
             if s not in seen:
                 gens.append(s)
                 _walk(self.table, reached, seen, gens)
-        return tuple(sorted(reached))
+        return tuple(sorted(reached)), tuple(gens)
 
     def generators(self) -> tuple[int, ...]:
         """A small generating set, chosen greedily by descending element order."""
@@ -336,11 +338,11 @@ class FiniteGroup:
     def _joins(self, key: str, seeds: Sequence[tuple[int, ...]]) -> tuple["Subgroup", ...]:
         """Every subgroup generated by a union of seeds, sorted by (order, elements).
 
-        Walks from the trivial subgroup; each subgroup found is joined through
-        ``closure`` with every seed it does not yet contain.
+        Walks from the trivial subgroup; each subgroup found is joined on from its
+        elements and generators (``_join``) with every seed it does not contain.
         """
         if key not in self._cache:
-            found: dict[tuple[int, ...], None] = {(self.identity,): None}
+            found: dict[tuple[int, ...], tuple[int, ...]] = {(self.identity,): ()}
             frontier = [(self.identity,)]
             while frontier:
                 elems = frontier.pop()
@@ -348,9 +350,9 @@ class FiniteGroup:
                 for seed in seeds:
                     if members.issuperset(seed):
                         continue
-                    bigger = self.closure(elems + seed)
+                    bigger, gens = self._join(elems, found[elems], seed)
                     if bigger not in found:
-                        found[bigger] = None
+                        found[bigger] = gens
                         frontier.append(bigger)
             subs = sorted(found, key=lambda s: (len(s), s))
             self._cache[key] = tuple(Subgroup(self, s) for s in subs)

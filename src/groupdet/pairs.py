@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Union
 
-from .autcompare import _composites, compare_aut_vs_A
+from .autcompare import _aut_equals_A, _composites
 from .errors import ResourceLimitError, StructuralError
 from .groups import (
     CommonFactorWitness,
@@ -390,8 +390,10 @@ def classify_pair(
     coincide with the absence of a common nontrivial direct factor, central
     incompatibility with the absence of a central one and with A being a
     subgroup, and Aut = A again with the absence of a common factor.  Any
-    divergence raises StructuralError.  The Aut-level facts degrade to None
-    (and ``incomplete=True``) when the product exceeds the enumeration bound.
+    divergence raises StructuralError.  Of Aut vs A only the verdict is read, with
+    no witness, and H x K is built only when A is inside Aut (``_aut_equals_A``).
+    The Aut-level facts degrade to None (and ``incomplete=True``) when the
+    product exceeds the enumeration bound.
     """
     hg = build_group(h) if isinstance(h, str) else h
     kg = build_group(k) if isinstance(k, str) else k
@@ -408,8 +410,7 @@ def classify_pair(
     incomplete = False
     try:
         a_subgroup, _ = a_subgroup_check(hg, kg, max_product_order)
-        cmp = compare_aut_vs_A(hg, kg, max_product_order)
-        a_equals_aut = cmp.equal
+        a_equals_aut = _aut_equals_A(hg, kg, max_product_order)
     except ResourceLimitError:
         incomplete = True
 

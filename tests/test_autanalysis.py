@@ -1,6 +1,7 @@
 """Aut-versus-A comparisons, the stem-pair structure, and standing witnesses."""
 import json
 import time
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -161,6 +162,25 @@ def test_lemcomm_witness_consistent_with_comparison():
     cmp = compare_aut_vs_A(h, k)
     _, aut_minus_set = cmp.violating_matrices
     assert w.key() in {m.key() for m in aut_minus_set}
+
+
+def test_verdict_helper_matches_the_comparison():
+    # classify_pair reads Aut = A from autcompare._aut_equals_A, which builds
+    # no witness; compare_aut_vs_A, which lists witnesses, is its oracle.
+    cases = [(a, b, 144) for a, b in combinations_with_replacement(CATALOG, 2)]
+    cases += [("C2 x S4", "S4", 1152), ("D8 x D8", "C2", 128)]
+    verdicts, a_not_inside = set(), 0
+    for a, b, bound in cases:
+        h, k = _g(a), _g(b)
+        verdict = autcompare._aut_equals_A(h, k, bound)
+        cmp = compare_aut_vs_A(h, k, bound)
+        assert verdict == cmp.equal, (a, b)
+        verdicts.add(verdict)
+        a_not_inside += not cmp.a_subset_aut
+    assert verdicts == {True, False}
+    assert a_not_inside == 12  # the pairs decided without building H x K
+    with pytest.raises(ResourceLimitError):
+        autcompare._aut_equals_A(_g("C12"), _g("C12"), 143)
 
 
 def _listing_comparison(h, k, max_product_order, central=False):

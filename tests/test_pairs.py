@@ -5,12 +5,14 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from groupdet import autcompare, matrices
 from groupdet import (
     CATALOG,
     FiniteGroup,
     GroupMap,
     PairReport,
     PairWitness,
+    ProductGroup,
     ResourceLimitError,
     StructuralError,
     a_subgroup_check,
@@ -356,6 +358,38 @@ def test_classify_json_of_every_catalog_pair_is_pinned():
     text = json.dumps(reports, sort_keys=True)
     assert len(reports) == 55
     assert hashlib.sha256(text.encode()).hexdigest() == CATALOG_CLASSIFY_DIGEST
+
+
+def test_classify_reads_the_verdict_without_witnesses_or_needless_products(monkeypatch):
+    calls = {"product": 0, "decompose": 0, "comparison": 0}
+
+    def counting(name, f):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(ProductGroup, "of", staticmethod(counting("product", ProductGroup.of)))
+    monkeypatch.setattr(
+        matrices, "direct_product", counting("product", matrices.direct_product)
+    )
+    for module in (autcompare, matrices):
+        monkeypatch.setattr(module, "decompose", counting("decompose", module.decompose))
+    # compare_aut_vs_A and compare_autc_vs_Z both run through this routine.
+    monkeypatch.setattr(
+        autcompare,
+        "_counted_comparison",
+        counting("comparison", autcompare._counted_comparison),
+    )
+    # A is not inside Aut(C12 x C12): decided before H x K is built.
+    report = classify_pair("C12", "C12", max_product_order=144)
+    assert report.a_equals_aut is False
+    assert calls == {"product": 0, "decompose": 0, "comparison": 0}
+    # A is inside Aut: the product is built for its order, no witness for Aut = A.
+    for a, b, equal in (("S3", "C4", True), ("S3", "S3", False)):
+        assert classify_pair(a, b).a_equals_aut is equal
+        assert calls["decompose"] == 0 and calls["comparison"] == 0, (a, b)
+    assert calls["product"] > 0
 
 
 def test_report_consistency_guards():
