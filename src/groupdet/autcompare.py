@@ -19,6 +19,7 @@ from .errors import PreconditionError, StructuralError
 from .groups import (
     DirectFactorization,
     FiniteGroup,
+    _memoised,
     build_group,
     common_nontrivial_factor,
 )
@@ -99,23 +100,24 @@ class AutComparison:
         }
 
 
-def _composites(h: FiniteGroup, k: FiniteGroup):
+@_memoised
+def _composites(h: FiniteGroup, k: FiniteGroup) -> tuple[tuple[GroupMap, tuple], ...]:
     """The pairs (phi, pairs), one for each distinct composite phi = xi.mu.
 
     xi runs over Hom(k, Z(h)) and mu over Hom(h, Z(k)); ``pairs`` lists the
     (xi, mu) whose composite has phi's values, in (xi, mu) order, and
     composites come in the order of their first pair.  A test of 1 - xi.mu
     or 1 + xi.mu depends on phi's values alone, so it runs once per distinct
-    composite and stands for every pair in ``pairs``.
+    composite and stands for every pair in ``pairs``.  Kept on h, one per k.
     """
-    mus = enumerate_homs(h, k, restrict_codomain=k.center()).members
-    xis = enumerate_homs(k, h, restrict_codomain=h.center()).members
+    mus = enumerate_homs(h, k, restrict_codomain=k.center())
+    xis = enumerate_homs(k, h, restrict_codomain=h.center())
     composites: dict[tuple[int, ...], tuple[GroupMap, list]] = {}
     for xi in xis:
         for mu in mus:
             phi = compose(xi, mu)
             composites.setdefault(phi.values, (phi, []))[1].append((xi, mu))
-    return composites.values()
+    return tuple((phi, tuple(pairs)) for phi, pairs in composites.values())
 
 
 def _set_order(h: FiniteGroup, k: FiniteGroup, central: bool) -> tuple[int, int]:

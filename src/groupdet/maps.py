@@ -9,7 +9,6 @@ so the assumption is checked rather than silently used.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 from operator import itemgetter
 from typing import Iterator, Optional, Sequence
@@ -21,11 +20,10 @@ from .errors import (
     StructuralError,
     NoncommutingImagesError,
 )
-from .groups import DirectFactorization, FiniteGroup, Subgroup
+from .groups import DirectFactorization, FiniteGroup, Subgroup, _memoised
 
 __all__ = [
     "GroupMap",
-    "HomSet",
     "identity_map",
     "zero_map",
     "compose",
@@ -272,24 +270,6 @@ def is_normal_endo(f: GroupMap) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class HomSet:
-    """All homomorphisms between two groups, sorted by value array."""
-
-    domain: FiniteGroup
-    codomain: FiniteGroup
-    members: tuple[GroupMap, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __getitem__(self, i: int) -> GroupMap:
-        return self.members[i]
-
-
 def _candidate_images(
     domain: FiniteGroup,
     codomain: FiniteGroup,
@@ -318,6 +298,7 @@ def _candidate_images(
     return pools
 
 
+@_memoised
 def _prefix_layers(domain: FiniteGroup):
     """Search steps for the generator prefixes, one step list per level.
 
@@ -345,44 +326,42 @@ def _prefix_layers(domain: FiniteGroup):
     apart; so the removal would buy nothing measurable and would make the
     correctness of every search rest on that argument alone.
     """
-    if "prefix_layers" not in domain._cache:
-        gens = domain.generators()
-        t = domain.table
-        seen = [False] * domain.order
-        seen[domain.identity] = True
-        members = [domain.identity]
-        levels = []
-        for i in range(len(gens)):
-            old = len(members)
-            new: list[tuple[int, int, int]] = []
-            queue = list(members)
-            while queue:
-                x = queue.pop()
-                for j in range(i + 1):
-                    y = t[x][gens[j]]
-                    if not seen[y]:
-                        seen[y] = True
-                        new.append((y, x, j))
-                        members.append(y)
-                        queue.append(y)
-            defining = {(x, j) for _, x, j in new}
-            pairs = [(x, i) for x in members[:old]]
-            pairs += [(x, j) for x in members[old:] for j in range(i + 1)]
-            # ready[m] holds the compare steps whose later end is the m-th
-            # new element; ready[0] those with both ends in the old closure.
-            rank = {y: m for m, (y, _, _) in enumerate(new, 1)}
-            ready: list[list[tuple[int, int, int, bool]]] = [[] for _ in range(len(new) + 1)]
-            for x, j in pairs:
-                if (x, j) not in defining:
-                    xg = t[x][gens[j]]
-                    ready[max(rank.get(x, 0), rank.get(xg, 0))].append((xg, x, j, False))
-            steps = ready[0]
-            for m, (y, x, j) in enumerate(new, 1):
-                steps.append((y, x, j, True))
-                steps += ready[m]
-            levels.append(tuple(steps))
-        domain._cache["prefix_layers"] = (gens, levels)
-    return domain._cache["prefix_layers"]
+    gens = domain.generators()
+    t = domain.table
+    seen = [False] * domain.order
+    seen[domain.identity] = True
+    members = [domain.identity]
+    levels = []
+    for i in range(len(gens)):
+        old = len(members)
+        new: list[tuple[int, int, int]] = []
+        queue = list(members)
+        while queue:
+            x = queue.pop()
+            for j in range(i + 1):
+                y = t[x][gens[j]]
+                if not seen[y]:
+                    seen[y] = True
+                    new.append((y, x, j))
+                    members.append(y)
+                    queue.append(y)
+        defining = {(x, j) for _, x, j in new}
+        pairs = [(x, i) for x in members[:old]]
+        pairs += [(x, j) for x in members[old:] for j in range(i + 1)]
+        # ready[m] holds the compare steps whose later end is the m-th
+        # new element; ready[0] those with both ends in the old closure.
+        rank = {y: m for m, (y, _, _) in enumerate(new, 1)}
+        ready: list[list[tuple[int, int, int, bool]]] = [[] for _ in range(len(new) + 1)]
+        for x, j in pairs:
+            if (x, j) not in defining:
+                xg = t[x][gens[j]]
+                ready[max(rank.get(x, 0), rank.get(xg, 0))].append((xg, x, j, False))
+        steps = ready[0]
+        for m, (y, x, j) in enumerate(new, 1):
+            steps.append((y, x, j, True))
+            steps += ready[m]
+        levels.append(tuple(steps))
+    return gens, tuple(levels)
 
 
 def _maps_from_generator_images(
@@ -446,7 +425,7 @@ def enumerate_homs(
     domain: FiniteGroup,
     codomain: FiniteGroup,
     restrict_codomain: Optional[Subgroup] = None,
-) -> HomSet:
+) -> tuple[GroupMap, ...]:
     """Every homomorphism domain -> codomain, optionally with image inside a subgroup.
 
     Candidates assign each generator an image whose order divides the
@@ -454,30 +433,33 @@ def enumerate_homs(
     checks, at each level, only the (element, generator) products that level
     newly defines (``_prefix_layers``), so every product is checked once.
     Homomorphisms do not form a group, so the whole search tree is walked.
-    Results are cached and canonically sorted.
+    The listing is sorted by value tuple and kept on the domain, one per
+    codomain and restriction (``_hom_listing``).
     """
     allowed: Optional[tuple[int, ...]] = None
     if restrict_codomain is not None:
         if restrict_codomain.parent is not codomain:
             raise PreconditionError("restriction subgroup must live in the codomain")
         allowed = restrict_codomain.elements
-    memo = domain._cache.setdefault("homs", {})
-    key = (codomain, allowed)
-    if key not in memo:
-        pools = _candidate_images(domain, codomain, allowed, exact_order=False)
-        found = sorted(_maps_from_generator_images(domain, codomain, pools))
-        members = tuple(_derived_map(domain, codomain, v, hom=True) for v in found)
-        memo[key] = HomSet(domain, codomain, members)
-    return memo[key]
+    return _hom_listing(domain, codomain, allowed)
 
 
-def enumerate_endos(g: FiniteGroup) -> HomSet:
+@_memoised
+def _hom_listing(
+    domain: FiniteGroup, codomain: FiniteGroup, allowed: Optional[tuple[int, ...]]
+) -> tuple[GroupMap, ...]:
+    """``enumerate_homs`` with images in ``allowed`` (None for anywhere)."""
+    pools = _candidate_images(domain, codomain, allowed, exact_order=False)
+    found = sorted(_maps_from_generator_images(domain, codomain, pools))
+    return tuple(_derived_map(domain, codomain, v, hom=True) for v in found)
+
+
+def enumerate_endos(g: FiniteGroup) -> tuple[GroupMap, ...]:
     return enumerate_homs(g, g)
 
 
-def _aut_chain(
-    g: FiniteGroup, central: bool = False
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
+@_memoised
+def _aut_chain(g: FiniteGroup, central: bool) -> tuple[tuple[tuple[int, ...], ...], ...]:
     """Coset representatives of the stabiliser chain of the generators.
 
     Let A_i be the automorphisms that fix gens[:i] pointwise, so A_0 = Aut(g)
@@ -519,46 +501,43 @@ def _aut_chain(
     element is a product of generators.  Aut_c(g) is a subgroup, so the
     arguments above hold with A_i the central automorphisms fixing gens[:i].
     """
-    key = "autc_chain" if central else "aut_chain"
-    if key not in g._cache:
-        gens = g.generators()
-        pools = _candidate_images(g, g, None, exact_order=True)
-        if central:
-            z, tg, inv = g.center_set(), g.table, g.inverse
-            pools = [[c for c in pool if tg[c][inv[x]] in z] for x, pool in zip(gens, pools)]
-        movers: list[tuple[int, ...]] = []
-        levels = []
-        for i in reversed(range(len(gens))):
-            pinned = [(x,) for x in gens[:i]]
-            orbit = {gens[i]: tuple(range(g.order))}
-            for c in pools[i]:
-                if c in orbit:
-                    continue
-                search = _maps_from_generator_images(
-                    g, g, pinned + [(c,)] + pools[i + 1:], injective=True
-                )
-                t = next(search, None)
-                if t is None:
-                    continue
-                movers.append(t)
-                queue = list(orbit)
-                while queue:
-                    d = queue.pop()
-                    for s in movers:
-                        e = s[d]
-                        if e not in orbit:
-                            # itemgetter(*r)(s) is s r as a value tuple; g has
-                            # a generator, so r has at least two entries.
-                            orbit[e] = itemgetter(*orbit[d])(s)
-                            queue.append(e)
-            levels.append(tuple(orbit[c] for c in pools[i] if c in orbit))
-        g._cache[key] = tuple(reversed(levels))
-    return g._cache[key]
+    gens = g.generators()
+    pools = _candidate_images(g, g, None, exact_order=True)
+    if central:
+        z, tg, inv = g.center_set(), g.table, g.inverse
+        pools = [[c for c in pool if tg[c][inv[x]] in z] for x, pool in zip(gens, pools)]
+    movers: list[tuple[int, ...]] = []
+    levels = []
+    for i in reversed(range(len(gens))):
+        pinned = [(x,) for x in gens[:i]]
+        orbit = {gens[i]: tuple(range(g.order))}
+        for c in pools[i]:
+            if c in orbit:
+                continue
+            search = _maps_from_generator_images(
+                g, g, pinned + [(c,)] + pools[i + 1:], injective=True
+            )
+            t = next(search, None)
+            if t is None:
+                continue
+            movers.append(t)
+            queue = list(orbit)
+            while queue:
+                d = queue.pop()
+                for s in movers:
+                    e = s[d]
+                    if e not in orbit:
+                        # itemgetter(*r)(s) is s r as a value tuple; g has
+                        # a generator, so r has at least two entries.
+                        orbit[e] = itemgetter(*orbit[d])(s)
+                        queue.append(e)
+        levels.append(tuple(orbit[c] for c in pools[i] if c in orbit))
+    return tuple(reversed(levels))
 
 
 def aut_order(g: FiniteGroup) -> int:
     """|Aut(g)|, the product of the level sizes of ``_aut_chain``; lists nothing."""
-    return prod(len(reps) for reps in _aut_chain(g))
+    return prod(len(reps) for reps in _aut_chain(g, False))
 
 
 def _chain_products(g: FiniteGroup, central: bool) -> Iterator[tuple[int, ...]]:
@@ -588,32 +567,30 @@ def _chain_products(g: FiniteGroup, central: bool) -> Iterator[tuple[int, ...]]:
     yield from walk(len(levels) - 1, tuple(range(g.order)))
 
 
-def _chain_listing(g: FiniteGroup, central: bool) -> HomSet:
+@_memoised
+def _chain_listing(g: FiniteGroup, central: bool) -> tuple[GroupMap, ...]:
     """Aut(g), or Aut_c(g), sorted: the products of ``_aut_chain`` representatives.
 
     Raises ResourceLimitError over AUT_LIST_LIMIT members, before any product.
     """
-    key = "autc" if central else "autos"
-    if key not in g._cache:
-        order = prod(len(reps) for reps in _aut_chain(g, central))
-        if order > AUT_LIST_LIMIT:
-            raise ResourceLimitError(
-                f"{g.name} has {order} {'central ' * central}automorphisms, "
-                f"over the listing bound {AUT_LIST_LIMIT}"
-            )
-        values = sorted(_chain_products(g, central))
-        g._cache[key] = HomSet(g, g, tuple(_derived_map(g, g, v, hom=True) for v in values))
-    return g._cache[key]
+    order = prod(len(reps) for reps in _aut_chain(g, central))
+    if order > AUT_LIST_LIMIT:
+        raise ResourceLimitError(
+            f"{g.name} has {order} {'central ' * central}automorphisms, "
+            f"over the listing bound {AUT_LIST_LIMIT}"
+        )
+    values = sorted(_chain_products(g, central))
+    return tuple(_derived_map(g, g, v, hom=True) for v in values)
 
 
-def enumerate_autos(g: FiniteGroup) -> HomSet:
+def enumerate_autos(g: FiniteGroup) -> tuple[GroupMap, ...]:
     """Every automorphism, sorted; at most AUT_LIST_LIMIT (``_chain_listing``)."""
-    return _chain_listing(g, central=False)
+    return _chain_listing(g, False)
 
 
 def central_aut_group(g: FiniteGroup) -> tuple[GroupMap, ...]:
     """The automorphisms trivial on g modulo its center, sorted (``_chain_listing``)."""
-    return _chain_listing(g, central=True).members
+    return _chain_listing(g, True)
 
 
 def power_map(f: GroupMap, k: int) -> GroupMap:

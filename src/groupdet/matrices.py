@@ -20,11 +20,11 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
     StructuralError,
+    ValidationError,
 )
-from .groups import FiniteGroup, build_group, direct_product
+from .groups import FiniteGroup, _memoised, build_group, direct_product
 from .maps import (
     GroupMap,
-    HomSet,
     _chain_listing,
     _derived_map,
     compose,
@@ -97,12 +97,13 @@ class ProductGroup:
 
     @classmethod
     def of(cls, *factors: FiniteGroup) -> "ProductGroup":
-        """Product over exactly these factors, composite blocks kept whole."""
-        # memoised on the first factor; with no factors direct_product raises
-        memo = factors[0]._cache.setdefault("products", {}) if factors else {}
-        if factors not in memo:
-            memo[factors] = cls(direct_product(*factors, flatten=False))
-        return memo[factors]
+        """Product over exactly these factors, composite blocks kept whole.
+
+        One per tuple of factors, kept on the first factor (``_product_over``).
+        """
+        if not factors:
+            raise ValidationError("direct product needs at least one factor")
+        return _product_over(factors[0], factors)
 
     @property
     def n(self) -> int:
@@ -110,6 +111,12 @@ class ProductGroup:
 
     def __repr__(self) -> str:
         return f"ProductGroup({' x '.join(f.name for f in self.factors)})"
+
+
+@_memoised
+def _product_over(first: FiniteGroup, factors: tuple[FiniteGroup, ...]) -> ProductGroup:
+    """``ProductGroup`` over ``factors``, kept on ``first``, which is ``factors[0]``."""
+    return ProductGroup(direct_product(*factors, flatten=False))
 
 
 def _product_of_composites(
@@ -252,22 +259,19 @@ def identity_matrix(factors: Sequence[FiniteGroup]) -> EndoMatrix:
     return EndoMatrix(facs, entries, trusted=True)
 
 
-def _memo_compose(f: GroupMap, g: GroupMap) -> GroupMap:
-    memo = g.domain._cache.setdefault("matmul_compose", {})
-    key = (f.domain, f.codomain, g.codomain, f.values, g.values)
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = compose(f, g)
-    return out
+@_memoised
+def _entry_composite(dom, mid, cod, mid_b, fv, gv) -> GroupMap:
+    """The composite x -> fv[gv[x]] of matrix entries f: mid -> cod and g: dom -> mid_b,
+    given by their values; matrix entries are homomorphisms, and so is the composite."""
+    return _derived_map(dom, cod, tuple([fv[v] for v in gv]), hom=True)
 
 
-def _memo_sum(f: GroupMap, g: GroupMap) -> GroupMap:
-    memo = f.domain._cache.setdefault("matmul_sum", {})
-    key = (f.codomain, g.domain, g.codomain, f.values, g.values)
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = pointwise_sum(f, g, require_commuting=True)
-    return out
+@_memoised
+def _entry_sum(dom, cod, dom_b, cod_b, fv, gv) -> GroupMap:
+    """pointwise_sum(f, g), commutation checked, for f: dom -> cod and g: dom_b -> cod_b."""
+    return pointwise_sum(
+        _derived_map(dom, cod, fv), _derived_map(dom_b, cod_b, gv), require_commuting=True
+    )
 
 
 def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
@@ -277,10 +281,10 @@ def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
     entry of ``a``, and row images of ``a`` commute columnwise; the product of
     two valid matrices is again valid, so the result is built trusted.
 
-    Composites and sums are memoised in the ``_cache`` of their domain group,
-    keyed by the operands' groups and value tuples: a pair is computed, and
-    for a sum its commutation checked, the first time it is seen.  The public
-    ``compose`` and ``pointwise_sum`` keep no memo.
+    Composites and sums are memoised on their domain group (``_entry_composite``
+    and ``_entry_sum``), keyed by the operands' groups and value tuples: a
+    pair is computed, and for a sum its commutation checked, the first time
+    it is seen.  The public ``compose`` and ``pointwise_sum`` keep no memo.
     """
     if a.factors != b.factors:
         raise StructuralError("matrix factors do not match")
@@ -289,9 +293,12 @@ def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
     for a_row in a.entries:
         row = []
         for j in range(n):
-            acc = _memo_compose(a_row[0], b.entries[0][j])
+            f, g = a_row[0], b.entries[0][j]
+            acc = _entry_composite(g.domain, f.domain, f.codomain, g.codomain, f.values, g.values)
             for k in range(1, n):
-                acc = _memo_sum(acc, _memo_compose(a_row[k], b.entries[k][j]))
+                f, g = a_row[k], b.entries[k][j]
+                t = _entry_composite(g.domain, f.domain, f.codomain, g.codomain, f.values, g.values)
+                acc = _entry_sum(acc.domain, acc.codomain, t.domain, t.codomain, acc.values, t.values)
             row.append(acc)
         entries.append(row)
     return EndoMatrix(a.factors, entries, trusted=True)
@@ -328,14 +335,14 @@ def _check_enum_bound(factors: Sequence[FiniteGroup], max_product_order: int) ->
 
 def _matrix_pools(
     factors: Sequence[FiniteGroup], central_diagonal: bool
-) -> list[list[HomSet]]:
+) -> list[list[tuple[GroupMap, ...]]]:
     """Per-cell hom-set pools: automorphisms on the diagonal, center-valued off it.
 
     With ``central_diagonal`` the diagonal holds the central automorphisms,
     listed from their own stabiliser chain (``maps._chain_listing``).
     """
     n = len(factors)
-    pools: list[list[HomSet]] = []
+    pools: list[list[tuple[GroupMap, ...]]] = []
     for i in range(n):
         row = []
         for j in range(n):
@@ -426,7 +433,8 @@ def astruc_factorize(m: EndoMatrix) -> tuple[EndoMatrix, EndoMatrix, EndoMatrix,
     alpha, beta = m.entries[0]
     gamma, delta = m.entries[1]
     beta_hat = compose(invert(alpha), compose(beta, invert(delta)))
-    correction = pointwise_diff_identity(beta_hat, gamma)
+    # x -> x * (beta_hat(gamma(x)))^-1
+    correction = pointwise_diff(identity_map(h), compose(beta_hat, gamma), require_commuting=True)
     if not is_bijective(correction):
         raise FactorizationError(
             "unitriangular correction 1 - beta*gamma is not bijective; "
@@ -443,12 +451,6 @@ def astruc_factorize(m: EndoMatrix) -> tuple[EndoMatrix, EndoMatrix, EndoMatrix,
     if product != m:
         raise FactorizationError("factorization failed to recompose the input")
     return d1, u, l, d2
-
-
-def pointwise_diff_identity(beta_hat: GroupMap, gamma: GroupMap) -> GroupMap:
-    """The self-map x -> x * (beta_hat(gamma(x)))^-1 used by the factorization."""
-    h = gamma.domain
-    return pointwise_diff(identity_map(h), compose(beta_hat, gamma), require_commuting=True)
 
 
 # --------------------------------------------------------------------------

@@ -210,10 +210,10 @@ def _pair_pass(h: FiniteGroup, k: FiniteGroup) -> tuple[_Verdicts, _Verdicts]:
     plain, central = _Verdicts(False), _Verdicts(True)
     taus = [
         (tau, _composer(tau.values), zh.issuperset(tau.values))
-        for tau in enumerate_homs(k, h).members
+        for tau in enumerate_homs(k, h)
     ]
     central_taus = [entry for entry in taus if entry[2]]
-    for sigma in enumerate_homs(h, k).members:
+    for sigma in enumerate_homs(h, k):
         sv = sigma.values
         s_central = zk.issuperset(sv)
         if not plain.settled:

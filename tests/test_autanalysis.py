@@ -13,6 +13,7 @@ from groupdet import (
     ProductGroup,
     ResourceLimitError,
     StructuralError,
+    aut_order,
     build_group,
     central_aut_group,
     compare_aut_vs_A,
@@ -98,7 +99,7 @@ def test_resource_bounds():
 
 def test_central_aut_group():
     c12 = _g("C12")
-    assert len(central_aut_group(c12)) == len(enumerate_autos(c12).members)
+    assert len(central_aut_group(c12)) == len(enumerate_autos(c12))
     s3 = _g("S3")
     centrals = central_aut_group(s3)
     assert len(centrals) == 1
@@ -319,6 +320,7 @@ def test_Z_side_lists_no_automorphism_group(monkeypatch):
     cmp = compare_autc_vs_Z(_g("C4"), _g("C4"))
     assert cmp.aut_order == 96 and cmp.a_order == 64 and not cmp.equal
     assert len(central_aut_group(product)) == 64
-    assert "autos" not in product._cache
+    assert aut_order(product) == 384  # counted, not listed
+    assert (maps._chain_listing, False) not in product._cache  # enumerate_autos' key
     with pytest.raises(ResourceLimitError, match="central automorphisms"):
         central_aut_group(_g("E2^5"))  # |GL(5, 2)| = 9,999,360, all central

@@ -28,7 +28,7 @@ def _write_matrix(tmp_path, m, name="matrix.json"):
 
 def _twisted_identity():
     s3, c4 = build_group("S3"), build_group("C4")
-    gamma = next(f for f in enumerate_homs(s3, c4).members if f.values != (0,) * 6)
+    gamma = next(f for f in enumerate_homs(s3, c4) if f.values != (0,) * 6)
     return EndoMatrix((s3, c4), (
         (identity_map(s3), zero_map(c4, s3)),
         (gamma, identity_map(c4)),

@@ -76,8 +76,8 @@ def test_det_examples():
     assert det_h(ident).values == identity_map(s3).values
     assert det_k(ident).values == identity_map(c4).values
     # a vanishing correction term leaves the diagonal entry itself
-    alpha = enumerate_autos(s3).members[-1]
-    gamma = next(f for f in enumerate_homs(s3, c4).members
+    alpha = enumerate_autos(s3)[-1]
+    gamma = next(f for f in enumerate_homs(s3, c4)
                  if f.values != (0,) * 6)
     m = EndoMatrix((s3, c4), (
         (alpha, zero_map(c4, s3)),
@@ -123,8 +123,8 @@ def test_det_A_examples():
     assert det_A(identity_matrix((s3, c4))).values == identity_map(s3).values
     facs = tuple(build_group(s) for s in ("C2", "C2", "C3"))
     assert det_A(identity_matrix(facs)).values == identity_map(facs[0]).values
-    alpha = enumerate_autos(s3).members[-1]
-    delta = enumerate_autos(c4).members[-1]
+    alpha = enumerate_autos(s3)[-1]
+    delta = enumerate_autos(c4)[-1]
     diag = EndoMatrix((s3, c4), (
         (alpha, zero_map(c4, s3)),
         (zero_map(s3, c4), delta),
@@ -165,8 +165,8 @@ def test_invert_identity_and_diagonal():
     s3, c4 = build_group("S3"), build_group("C4")
     ident = identity_matrix((s3, c4))
     assert invert_via_det(ident).entries == ident.entries
-    alpha = enumerate_autos(s3).members[3]
-    delta = enumerate_autos(c4).members[-1]
+    alpha = enumerate_autos(s3)[3]
+    delta = enumerate_autos(c4)[-1]
     diag = EndoMatrix((s3, c4), (
         (alpha, zero_map(c4, s3)),
         (zero_map(s3, c4), delta),
@@ -180,7 +180,7 @@ def test_invert_identity_and_diagonal():
 
 def test_invert_matches_functional_inverse_on_autos():
     pg = _pg("S3", "C4")
-    autos = enumerate_autos(pg.product).members
+    autos = enumerate_autos(pg.product)
     by_values = {phi.values: phi for phi in autos}
     for m in enumerate_aut_matrices(pg):
         phi = recompose(m, pg)
@@ -316,7 +316,7 @@ def test_three_factor_dead_pivots():
     facs = tuple(build_group(s) for s in ("C2", "C2", "C3"))
     pg = ProductGroup.of(*facs)
     undecidable = 0
-    for phi in enumerate_autos(pg.product).members:
+    for phi in enumerate_autos(pg.product):
         m = decompose(phi, pg)
         try:
             assert is_invertible_via_det(m)
@@ -372,7 +372,7 @@ def _row_commuting_matrices(draw):
     for i, fi in enumerate(facs):
         row, images = [None] * len(facs), []
         for j in [i] + [j for j in range(len(facs)) if j != i]:
-            pool = [f for f in enumerate_homs(facs[j], fi).members
+            pool = [f for f in enumerate_homs(facs[j], fi)
                     if _commute(fi.table, f.image(), images)]
             if i == j and draw(st.booleans()):
                 pool = [f for f in pool if is_bijective(f)]

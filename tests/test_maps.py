@@ -18,6 +18,7 @@ from groupdet import (
     build_group,
     central_aut_group,
     compose,
+    direct_product,
     enumerate_autos,
     enumerate_endos,
     enumerate_homs,
@@ -34,7 +35,8 @@ from groupdet import (
     power_map,
     zero_map,
 )
-from groupdet.maps import AUT_LIST_LIMIT, _aut_chain, _maps_from_generator_images
+from groupdet import maps
+from groupdet.maps import AUT_LIST_LIMIT, _aut_chain, _chain_listing, _maps_from_generator_images
 
 HOM_COUNTS = {
     ("C4", "C2"): 2,
@@ -51,11 +53,25 @@ AUT_COUNTS = {"C4": 2, "S3": 6, "Q8": 24, "D8": 8, "E2^2": 6, "C12": 4}
 SMALL_SPECS = ("C2", "C3", "C4", "C5", "C6", "C8", "S3", "D8", "Q8")
 
 
+def _power(g, x, k):
+    """x^k (k >= 1) by repeated multiplication."""
+    acc = x
+    for _ in range(k - 1):
+        acc = g.mul(acc, x)
+    return acc
+
+
+def _is_normal(g, elems):
+    """Closed under conjugation by every element of g."""
+    es = set(elems)
+    return all(g.mul(g.mul(g.inverse[a], x), a) in es for x in elems for a in range(g.order))
+
+
 def test_compose_examples():
     c4, c2, c3 = build_group("C4"), build_group("C2"), build_group("C3")
-    f = enumerate_homs(c4, c2).members[-1]  # the surjection
+    f = enumerate_homs(c4, c2)[-1]  # the surjection
     assert f.values != (0, 0, 0, 0)
-    doubling = GroupMap(c4, c4, [c4.power(x, 2) for x in range(4)])
+    doubling = GroupMap(c4, c4, [_power(c4, x, 2) for x in range(4)])
     assert compose(f, doubling).values == (0, 0, 0, 0)
     g = identity_map(c4)
     assert compose(g, doubling).values == doubling.values
@@ -74,13 +90,13 @@ def test_pointwise_sum_examples():
     zero = zero_map(c4, c4)
     assert pointwise_sum(ident, zero).values == ident.values
     doubling = pointwise_sum(ident, ident)
-    assert doubling.values == tuple(c4.power(x, 2) for x in range(4))
+    assert doubling.values == tuple(_power(c4, x, 2) for x in range(4))
 
 
 def test_pointwise_diff_examples():
     c3 = build_group("C3")
     ident = identity_map(c3)
-    doubling = GroupMap(c3, c3, [c3.power(x, 2) for x in range(3)])
+    doubling = GroupMap(c3, c3, [_power(c3, x, 2) for x in range(3)])
     assert pointwise_diff(ident, ident).values == (c3.identity,) * 3
     assert pointwise_diff(doubling, ident).values == ident.values
     assert pointwise_diff(ident, zero_map(c3, c3)).values == ident.values
@@ -88,7 +104,7 @@ def test_pointwise_diff_examples():
 
 def test_negate_is_pointwise_inverse():
     s3 = build_group("S3")
-    f = enumerate_endos(s3).members[-1]
+    f = enumerate_endos(s3)[-1]
     assert negate(f).values == tuple(s3.inv(v) for v in f.values)
 
 
@@ -122,32 +138,32 @@ def test_public_constructor_validates_values():
 def test_enumerate_homs_counts():
     for (hs, ks), n in HOM_COUNTS.items():
         homs = enumerate_homs(build_group(hs), build_group(ks))
-        assert len(homs.members) == n, (hs, ks)
-        values = {m.values for m in homs.members}
+        assert len(homs) == n, (hs, ks)
+        values = {m.values for m in homs}
         assert len(values) == n  # pairwise distinct
-        for m in homs.members:
+        for m in homs:
             assert m.is_homomorphism()
 
 
 def test_enumerate_homs_restricted_to_center():
     s3, q8 = build_group("S3"), build_group("Q8")
     into_center = enumerate_homs(s3, q8, restrict_codomain=q8.center())
-    assert len(into_center.members) == 2  # trivial + sign onto the central C2
+    assert len(into_center) == 2  # trivial + sign onto the central C2
     center = set(q8.center().elements)
-    for m in into_center.members:
+    for m in into_center:
         assert set(m.values) <= center
 
 
 def test_end_and_aut_counts():
     for spec, n in END_COUNTS.items():
-        assert len(enumerate_endos(build_group(spec)).members) == n, spec
+        assert len(enumerate_endos(build_group(spec))) == n, spec
     for spec, n in AUT_COUNTS.items():
-        assert len(enumerate_autos(build_group(spec)).members) == n, spec
+        assert len(enumerate_autos(build_group(spec))) == n, spec
         assert aut_order(build_group(spec)) == n, spec
 
 
 def test_homset_sorted_canonically():
-    members = enumerate_endos(build_group("S3")).members
+    members = enumerate_endos(build_group("S3"))
     assert [m.values for m in members] == sorted(m.values for m in members)
 
 
@@ -183,7 +199,7 @@ def test_enumerate_homs_matches_naive_oracle_up_to_order_8():
     for h in groups:
         for k in groups:
             expected = _naive_hom_count(h, k)
-            got = len(enumerate_homs(h, k).members)
+            got = len(enumerate_homs(h, k))
             assert got == expected, (h.name, k.name, got, expected)
 
 
@@ -247,7 +263,11 @@ def test_aut_order_counts_without_listing():
     t0 = time.perf_counter()
     assert aut_order(g) == 20_158_709_760  # |GL(6, 2)|
     assert time.perf_counter() - t0 < 1.0
-    assert "autos" not in g._cache
+    # A fresh group small enough to list: counting must not list it either.
+    small = direct_product(build_group("C2"), build_group("C4"))
+    assert aut_order(small) == 8
+    for h in (g, small):
+        assert (_chain_listing, False) not in h._cache  # the key enumerate_autos fills
 
 
 def test_enumerate_autos_refuses_over_the_listing_bound():
@@ -255,6 +275,51 @@ def test_enumerate_autos_refuses_over_the_listing_bound():
     assert aut_order(g) == 9_999_360  # |GL(5, 2)|
     with pytest.raises(ResourceLimitError):
         enumerate_autos(g)
+
+
+def _count_searches(monkeypatch):
+    """Count the generator-image searches started from now on."""
+    calls = []
+    search = maps._maps_from_generator_images
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(maps, "_maps_from_generator_images", counted)
+    return calls
+
+
+def test_each_structure_is_computed_once_whichever_entry_point_asks_first(monkeypatch):
+    calls = _count_searches(monkeypatch)
+    c2, c4 = build_group("C2"), build_group("C4")
+    for first, then in ((aut_order, enumerate_autos), (enumerate_autos, aut_order)):
+        g = direct_product(c2, c4)  # fresh, so nothing is kept on it yet
+        first(g)
+        searched = len(calls)
+        assert searched > 0
+        then(g)
+        assert len(calls) == searched, (first.__name__, then.__name__)
+    # The central chain too, and a restricted hom listing however it is asked for.
+    g = direct_product(c2, c4)
+    central_aut_group(g)
+    searched = len(calls)
+    assert _aut_chain(g, True) and len(calls) == searched
+    h = direct_product(c2, c2)
+    before = len(calls)
+    homs = enumerate_homs(h, g, restrict_codomain=g.center())
+    assert len(calls) == before + 1
+    assert enumerate_homs(h, g, g.center()) is homs
+    assert len(calls) == before + 1
+
+
+def test_a_call_that_raises_stores_nothing():
+    g = build_group("E2^5")  # 9,999,360 automorphisms, all of them central
+    for listing in (enumerate_autos, central_aut_group):
+        for _ in range(2):
+            with pytest.raises(ResourceLimitError):
+                listing(g)
+    assert not any(key[0] is _chain_listing for key in g._cache)
 
 
 def _per_candidate_chain(g, central):
@@ -331,7 +396,7 @@ def test_is_bijective_examples():
 def test_invert_examples():
     c4 = build_group("C4")
     assert invert(identity_map(c4)).values == identity_map(c4).values
-    triple = GroupMap(c4, c4, [c4.power(x, 3) for x in range(4)])
+    triple = GroupMap(c4, c4, [_power(c4, x, 3) for x in range(4)])
     assert invert(triple).values == triple.values  # 3*3 = 9 = 1 mod 4
     with pytest.raises(InversionError):
         invert(zero_map(c4, c4))
@@ -339,11 +404,11 @@ def test_invert_examples():
 
 def test_is_normal_endo():
     c12 = build_group("C12")
-    for f in enumerate_endos(c12).members:
+    for f in enumerate_endos(c12):
         assert is_normal_endo(f)  # abelian domain
     s3 = build_group("S3")
     assert is_normal_endo(identity_map(s3))
-    onto_c2 = [f for f in enumerate_endos(s3).members
+    onto_c2 = [f for f in enumerate_endos(s3)
                if len(f.image()) == 2]
     assert onto_c2 and all(not is_normal_endo(f) for f in onto_c2)
     with pytest.raises(StructuralError):
@@ -375,13 +440,13 @@ def test_normal_endo_image_and_kernel_are_normal():
 
     for spec in ("S3", "D8", "Q8", "C12"):
         g = build_group(spec)
-        for f in enumerate_endos(g).members:
+        for f in enumerate_endos(g):
             if not is_normal_endo(f):
                 continue
             image = Subgroup(g, f.image())
             kernel = Subgroup(g, [x for x in range(g.order) if f(x) == g.identity])
-            assert image.is_normal(), (spec, f.values)
-            assert kernel.is_normal(), (spec, f.values)
+            assert _is_normal(g, image.elements), (spec, f.values)
+            assert _is_normal(g, kernel.elements), (spec, f.values)
 
 
 def test_power_map():
@@ -399,7 +464,7 @@ def test_fitting_decomposition_examples():
     assert r == 1 and fz.left.order == 12 and fz.right.order == 1
     r, fz = fitting_decomposition(zero_map(c12, c12))
     assert r == 1 and fz.left.order == 1 and fz.right.order == 12
-    by4 = GroupMap(c12, c12, [c12.power(x, 4) for x in range(12)])
+    by4 = GroupMap(c12, c12, [_power(c12, x, 4) for x in range(12)])
     r, fz = fitting_decomposition(by4)
     assert fz.left.order == 3 and fz.right.order == 4
     image_orders = {c12.element_order(x) for x in fz.left.elements}
@@ -408,7 +473,7 @@ def test_fitting_decomposition_examples():
 
 def test_fitting_decomposition_rejects_non_normal():
     s3 = build_group("S3")
-    onto_c2 = next(f for f in enumerate_endos(s3).members
+    onto_c2 = next(f for f in enumerate_endos(s3)
                    if len(f.image()) == 2)
     with pytest.raises(PreconditionError):
         fitting_decomposition(onto_c2)
@@ -417,7 +482,7 @@ def test_fitting_decomposition_rejects_non_normal():
 def test_fitting_satisfies_factorization_invariants():
     for spec in ("C12", "Q8", "D8", "S3", "C2 x C4"):
         g = build_group(spec)
-        for f in enumerate_endos(g).members:
+        for f in enumerate_endos(g):
             if not is_normal_endo(f):
                 continue
             r, fz = fitting_decomposition(f)
@@ -449,7 +514,7 @@ def test_homomorphisms_distribute_over_pointwise_sum(data):
     domain = build_group(data.draw(st.sampled_from(("C4", "C6", "S3"))))
     mid = build_group(data.draw(st.sampled_from(("C2", "C4", "C6"))))
     codomain = build_group(data.draw(st.sampled_from(("C2", "C4", "C12"))))
-    homs = enumerate_homs(mid, codomain).members
+    homs = enumerate_homs(mid, codomain)
     f = data.draw(st.sampled_from(homs))
     elem = st.integers(min_value=0, max_value=mid.order - 1)
     g = GroupMap(domain, mid, [data.draw(elem) for _ in range(domain.order)])
@@ -467,7 +532,7 @@ def test_require_commuting_flag():
     # identity + identity evaluates x*x, whose image elements commute with
     # themselves, so the guarded sum is fine
     pointwise_sum(ident, ident, require_commuting=True)
-    endos = enumerate_endos(s3).members
+    endos = enumerate_endos(s3)
     noncommuting = None
     for f in endos:
         for g in endos:

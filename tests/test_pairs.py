@@ -48,8 +48,8 @@ def qualifying_pairs(h, k, central=False):
     """Yield (sigma, tau, sigma.tau, tau.sigma) with both compositions normal."""
     sigmas = enumerate_homs(h, k, restrict_codomain=k.center() if central else None)
     taus = enumerate_homs(k, h, restrict_codomain=h.center() if central else None)
-    for sigma in sigmas.members:
-        for tau in taus.members:
+    for sigma in sigmas:
+        for tau in taus:
             st = compose(sigma, tau)
             ts = compose(tau, sigma)
             if is_normal_endo(st) and is_normal_endo(ts):
@@ -407,3 +407,28 @@ def test_report_consistency_guards():
             totally_incompatible=False, total_length=None,
             common_factor=None, a_is_subgroup=None, a_equals_aut=None,
         )
+
+
+def test_classify_pair_builds_each_ordered_pairs_composites_once(monkeypatch):
+    composed = []
+
+    def counted(f, g):
+        composed.append((f.domain.name, g.domain.name, f.values, g.values))
+        return compose(f, g)
+
+    monkeypatch.setattr(autcompare, "compose", counted)
+    for hs, ks in (("C4", "C2"), ("Q8", "C2"), ("C4", "C4")):
+        # Fresh copies, so no composite is kept on them from an earlier test.
+        h = FiniteGroup(_g(hs).table, name=f"h = {hs}")
+        k = FiniteGroup(_g(ks).table, name=f"k = {ks}")
+        composed.clear()
+        classify_pair(h, k, max_product_order=64)
+        assert composed, (hs, ks)
+        assert len(composed) == len(set(composed)), (hs, ks)
+        # (h, k) is always formed; a_subgroup_check stops before (k, h) when
+        # the h side already fails.  Either way a side is formed whole or not.
+        for a, b in ((h, k), (k, h)):
+            formed = sum((c[0], c[1]) == (b.name, a.name) for c in composed)
+            xis = enumerate_homs(b, a, restrict_codomain=a.center())
+            mus = enumerate_homs(a, b, restrict_codomain=b.center())
+            assert formed == len(xis) * len(mus) or (formed == 0 and a is k), (hs, ks)
