@@ -40,6 +40,7 @@ from .matrices import (
     DEFAULT_AUT_ENUM_LIMIT,
     EndoMatrix,
     ProductGroup,
+    _built_matrix,
     _check_enum_bound,
     decompose,
     enumerate_A,
@@ -158,8 +159,9 @@ def _counted_comparison(
 
     Witnesses, up to WITNESS_CAP per side: ``set_minus_aut`` holds
     [[lam, lam.xi], [nu.mu, nu]] over the failing (xi, mu) in loop order,
-    then lam, then nu fastest, lam and nu walked through the chain products;
-    ``aut_minus_set`` holds the members of the chain of H x K (level 0
+    then lam, then nu fastest, lam and nu walked through the chain products
+    (members of A or Z by construction, so built by ``_built_matrix``
+    unchecked); ``aut_minus_set`` holds the members of the chain of H x K (level 0
     fastest) outside the set, made and decomposed one at a time until all of
     them, or WITNESS_CAP, are found.
     """
@@ -173,7 +175,7 @@ def _counted_comparison(
     failing = [pair for _, pairs in _failing(h, k) for pair in pairs]
     set_minus_aut = tuple(islice(
         (
-            EndoMatrix((h, k), [[lam, compose(lam, xi)], [compose(nu, mu), nu]], trusted=True)
+            _built_matrix((h, k), ((lam, compose(lam, xi)), (compose(nu, mu), nu)))
             for xi, mu in failing
             for lam in autos(h)
             for nu in autos(k)

@@ -32,7 +32,7 @@ from typing import Optional
 from .errors import DeterminantUndefinedError, InversionError, PreconditionError, StructuralError
 from .groups import FiniteGroup
 from .maps import GroupMap, _check_commuting, _derived_map, compose, invert, is_bijective, negate
-from .matrices import EndoMatrix, _product_of_composites, in_A
+from .matrices import EndoMatrix, _built_matrix, _product_of_composites, in_A
 
 __all__ = [
     "FSequence",
@@ -319,7 +319,8 @@ def invert_via_det(m: EndoMatrix, branch: str = "auto") -> EndoMatrix:
     The chain's final 1 x 1 determinant is inverted and the chain walked back
     by ``_unwind``.  Raises DeterminantUndefinedError when no pivot route
     exists and InversionError when the determinant is not bijective.  The
-    result is the matrix of the inverse endomorphism, so it is built trusted.
+    result is the matrix of the inverse endomorphism, so it comes from
+    ``_built_matrix`` unchecked.
     """
     chain = _chain(m, _sequences(m, branch))
     s, det = _last(m, chain)
@@ -329,8 +330,10 @@ def invert_via_det(m: EndoMatrix, branch: str = "auto") -> EndoMatrix:
     f = m.factors
     for k in range(len(chain) - 1, 0, -1):
         _unwind(f, chain[k - 1], chain[k], inv)
-    rows = [[_derived_map(f[j], f[i], inv[i, j]) for j in range(m.n)] for i in range(m.n)]
-    return EndoMatrix(f, rows, trusted=True)
+    rows = tuple(
+        tuple([_derived_map(f[j], f[i], inv[i, j]) for j in range(m.n)]) for i in range(m.n)
+    )
+    return _built_matrix(f, rows)
 
 
 def invert_via_det_pleasant(m: EndoMatrix) -> EndoMatrix:

@@ -345,6 +345,7 @@ class FiniteGroup:
 
         Walks from the trivial subgroup; each subgroup found is joined on from its
         elements and generators (``_join``) with every seed it does not contain.
+        Every join is a subgroup by construction (``Subgroup._walked``).
         """
         found: dict[tuple[int, ...], tuple[int, ...]] = {(self.identity,): ()}
         frontier = [(self.identity,)]
@@ -359,7 +360,7 @@ class FiniteGroup:
                     found[bigger] = gens
                     frontier.append(bigger)
         subs = sorted(found, key=lambda s: (len(s), s))
-        return tuple(Subgroup(self, s) for s in subs)
+        return tuple(Subgroup._walked(self, s) for s in subs)
 
     @_memoised
     def all_subgroups(self) -> tuple["Subgroup", ...]:
@@ -412,6 +413,15 @@ class Subgroup:
                 if t[a][b] not in es:
                     raise StructuralError(f"subgroup not closed under product at ({a}, {b})")
 
+    @classmethod
+    def _walked(cls, parent: FiniteGroup, elements: tuple[int, ...]) -> "Subgroup":
+        """The subgroup with this sorted element tuple, which ``_walk`` closed:
+        no |S|^2 closure check.  Only ``FiniteGroup._joins`` calls it."""
+        sub = object.__new__(cls)
+        object.__setattr__(sub, "parent", parent)
+        object.__setattr__(sub, "elements", elements)
+        return sub
+
     @property
     def order(self) -> int:
         return len(self.elements)
@@ -423,8 +433,9 @@ class Subgroup:
     def as_group(self) -> tuple[FiniteGroup, dict[int, int]]:
         """Reindex to a standalone FiniteGroup; also return parent->local index map.
 
-        The constructor checked closure under products and inverses, so the
-        reindexed table is a group table and is not validated again.
+        The subgroup is closed under products and inverses (the constructor
+        checked it, or the join walk made it so), so the reindexed table is a
+        group table and is not validated again.
         """
         index = {x: i for i, x in enumerate(self.elements)}
         t = self.parent.table

@@ -148,8 +148,9 @@ class EndoMatrix:
     """An n x n matrix of homomorphisms with commuting row images.
 
     Construction validates the shape, the entry domains and codomains, the
-    homomorphism property of every entry, and the row commutation condition;
-    pass ``trusted=True`` only for entries already known to satisfy all four.
+    homomorphism property of every entry, and the row commutation condition.
+    Matrices that are valid by how they were made (enumerations, products,
+    decompositions, inverses) come from ``_built_matrix`` instead.
     """
 
     __slots__ = ("factors", "entries")
@@ -158,7 +159,6 @@ class EndoMatrix:
         self,
         factors: Sequence[FiniteGroup],
         entries: Sequence[Sequence[GroupMap]],
-        trusted: bool = False,
     ):
         facs = tuple(factors)
         n = len(facs)
@@ -167,8 +167,6 @@ class EndoMatrix:
             raise StructuralError(f"expected a {n} x {n} matrix of maps")
         self.factors = facs
         self.entries = rows
-        if trusted:
-            return
         for i in range(n):
             for j in range(n):
                 e = rows[i][j]
@@ -209,6 +207,15 @@ class EndoMatrix:
         return f"EndoMatrix({names}, entries={[[list(e.values) for e in row] for row in self.entries]})"
 
 
+def _built_matrix(factors: tuple, rows: tuple) -> EndoMatrix:
+    """An ``EndoMatrix`` over a tuple of factors and a tuple of row tuples, unchecked:
+    only for matrices valid by how they were made (see each caller)."""
+    m = object.__new__(EndoMatrix)
+    m.factors = factors
+    m.entries = rows
+    return m
+
+
 def decompose(phi: GroupMap, pg: Optional[ProductGroup] = None) -> EndoMatrix:
     """Split an endomorphism of a direct product into its matrix of components."""
     if pg is None:
@@ -221,16 +228,16 @@ def decompose(phi: GroupMap, pg: Optional[ProductGroup] = None) -> EndoMatrix:
         raise PreconditionError("decompose needs a homomorphism")
     v = phi.values
     facs = pg.factors
-    entries = [
-        [
+    rows = tuple(
+        tuple([
             _derived_map(facs[j], facs[i], tuple(proj.values[v[x]] for x in inj.values), hom=True)
             for j, inj in enumerate(pg.injections)
-        ]
+        ])
         for i, proj in enumerate(pg.projections)
-    ]
+    )
     # entry (i, j) is pi_i . phi . iota_j, a homomorphism; a row commutes because
     # elements of different factors commute in the product and phi keeps them so
-    return EndoMatrix(pg.factors, entries, trusted=True)
+    return _built_matrix(facs, rows)
 
 
 def recompose(m: EndoMatrix, pg: Optional[ProductGroup] = None) -> GroupMap:
@@ -252,11 +259,11 @@ def recompose(m: EndoMatrix, pg: Optional[ProductGroup] = None) -> GroupMap:
 
 def identity_matrix(factors: Sequence[FiniteGroup]) -> EndoMatrix:
     facs = tuple(factors)
-    entries = [
-        [identity_map(f) if i == j else zero_map(facs[j], f) for j in range(len(facs))]
+    rows = tuple(
+        tuple([identity_map(f) if i == j else zero_map(facs[j], f) for j in range(len(facs))])
         for i, f in enumerate(facs)
-    ]
-    return EndoMatrix(facs, entries, trusted=True)
+    )
+    return _built_matrix(facs, rows)
 
 
 @_memoised
@@ -279,7 +286,8 @@ def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
 
     The factors commute because each term's image sits inside the image of an
     entry of ``a``, and row images of ``a`` commute columnwise; the product of
-    two valid matrices is again valid, so the result is built trusted.
+    two valid matrices is again valid, so the result comes from
+    ``_built_matrix`` unchecked.
 
     Composites and sums are memoised on their domain group (``_entry_composite``
     and ``_entry_sum``), keyed by the operands' groups and value tuples: a
@@ -289,7 +297,7 @@ def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
     if a.factors != b.factors:
         raise StructuralError("matrix factors do not match")
     n = a.n
-    entries = []
+    rows = []
     for a_row in a.entries:
         row = []
         for j in range(n):
@@ -300,8 +308,8 @@ def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
                 t = _entry_composite(g.domain, f.domain, f.codomain, g.codomain, f.values, g.values)
                 acc = _entry_sum(acc.domain, acc.codomain, t.domain, t.codomain, acc.values, t.values)
             row.append(acc)
-        entries.append(row)
-    return EndoMatrix(a.factors, entries, trusted=True)
+        rows.append(tuple(row))
+    return _built_matrix(a.factors, tuple(rows))
 
 
 def in_A(m: EndoMatrix) -> bool:
@@ -359,13 +367,18 @@ def _matrix_pools(
 def _pool_matrices(
     factors: Sequence[FiniteGroup], max_product_order: int, central_diagonal: bool
 ) -> tuple[EndoMatrix, ...]:
-    """Every matrix with one entry from each pool of ``_matrix_pools``, in order."""
+    """Every matrix with one entry from each pool of ``_matrix_pools``, in order.
+
+    Each pool holds homomorphisms with the cell's domain and codomain, and off
+    the diagonal their images are central, so every row commutes and the
+    matrices come from ``_built_matrix`` unchecked.
+    """
     facs = tuple(factors)
     _check_enum_bound(facs, max_product_order)
     n = len(facs)
     pools = _matrix_pools(facs, central_diagonal)
     return tuple(
-        EndoMatrix(facs, [combo[i * n : (i + 1) * n] for i in range(n)], trusted=True)
+        _built_matrix(facs, tuple([combo[i * n : (i + 1) * n] for i in range(n)]))
         for combo in itertools.product(*(cell for row in pools for cell in row))
     )
 
@@ -389,6 +402,10 @@ def enumerate_m_matrices(factors: Sequence[FiniteGroup]) -> tuple[EndoMatrix, ..
 
     Rows are filtered independently (the condition only couples entries within
     a row), then combined.  ``_M_MATRIX_LIMIT`` guards against runaway products.
+    Every entry comes from ``enumerate_homs`` with the right domain and
+    codomain, and every row passed the commutation filter, so the matrices
+    come from ``_built_matrix`` unchecked, their rows being the tuples that
+    ``itertools.product`` yields.
     """
     facs = tuple(factors)
     n = len(facs)
@@ -403,9 +420,7 @@ def enumerate_m_matrices(factors: Sequence[FiniteGroup]) -> tuple[EndoMatrix, ..
     total = prod(len(rows) for rows in row_choices)
     if total > _M_MATRIX_LIMIT:
         raise ResourceLimitError(f"{total} matrices exceed the bound {_M_MATRIX_LIMIT}")
-    return tuple(
-        EndoMatrix(facs, rows, trusted=True) for rows in itertools.product(*row_choices)
-    )
+    return tuple(_built_matrix(facs, rows) for rows in itertools.product(*row_choices))
 
 
 def enumerate_aut_matrices(

@@ -41,6 +41,7 @@ from groupdet import (
     recompose,
     zero_map,
 )
+from groupdet.matrices import _built_matrix
 
 
 def _pg(*specs):
@@ -291,7 +292,7 @@ def test_three_factor_inverses():
 
 
 def test_inverses_pass_full_validation():
-    # inverses are built trusted; fresh public maps make the validating
+    # inverses are built unchecked; fresh public maps make the validating
     # constructor recheck every entry and every row
     groups = catalog_groups()
     pgs = [ProductGroup.of(h, k) for i, h in enumerate(groups) for k in groups[i:]
@@ -418,16 +419,16 @@ def _conjugation_by_transposition(s3):
 
 
 def test_elimination_checks_that_schur_images_commute():
-    """The difference a - b . w . c assumes commuting images; a trusted matrix
-    whose first row does not commute must be refused, not silently used."""
+    """The difference a - b . w . c assumes commuting images; an unchecked
+    matrix whose first row does not commute must be refused, not silently used."""
     s3, c2 = build_group("S3"), build_group("C2")
     one, c_g = identity_map(s3), _conjugation_by_transposition(s3)
-    two = EndoMatrix((s3, s3), ((one, one), (c_g, one)), trusted=True)
-    three = EndoMatrix((s3, c2, s3), (
+    two = _built_matrix((s3, s3), ((one, one), (c_g, one)))
+    three = _built_matrix((s3, c2, s3), (
         (one, zero_map(c2, s3), one),
         (zero_map(s3, c2), identity_map(c2), zero_map(s3, c2)),
         (c_g, zero_map(c2, s3), one),
-    ), trusted=True)
+    ))
     for m in (two, three):
         with pytest.raises(NoncommutingImagesError):
             is_invertible_via_det(m)

@@ -42,6 +42,7 @@ from groupdet import (
     recompose,
     zero_map,
 )
+from groupdet.matrices import _built_matrix
 
 
 def _pg(*specs):
@@ -152,7 +153,7 @@ def test_decompose_recompose_round_trip_on_autos():
 
 
 def test_decompose_passes_full_validation_on_catalog_products():
-    # decompose builds its matrix trusted; fresh public maps make the
+    # decompose builds its matrix unchecked; fresh public maps make the
     # validating constructor recheck every entry and every row
     groups = catalog_groups()
     for i, h in enumerate(groups):
@@ -192,10 +193,19 @@ def test_recompose_example_s3_c4_automorphism():
 
 def test_entry_validation():
     s3, c4 = build_group("S3"), build_group("C4")
+    with pytest.raises(StructuralError, match="2 x 2"):
+        EndoMatrix((s3, c4), ((identity_map(s3), zero_map(c4, s3)),))
     with pytest.raises(StructuralError):
         EndoMatrix((s3, c4), (
             (identity_map(s3), zero_map(c4, s3)),
             (zero_map(s3, c4), identity_map(s3)),  # wrong codomain
+        ))
+    # x -> x^-1 is not a homomorphism of S3
+    flip = GroupMap(s3, s3, s3.inverse)
+    with pytest.raises(StructuralError, match="not a homomorphism"):
+        EndoMatrix((s3, c4), (
+            (flip, zero_map(c4, s3)),
+            (zero_map(s3, c4), identity_map(c4)),
         ))
     # M-condition: images within a row must commute elementwise
     inner = next(
@@ -250,19 +260,85 @@ def test_matrix_multiply_memo_keeps_groups_and_failures():
                     assert e.domain is facs[j] and e.codomain is facs[i]
             composed = compose(recompose(a, pg), recompose(b, pg))
             assert recompose(prod, pg).values == composed.values
-    # a trusted matrix breaking the row condition fails on every product, not
-    # only on the first one that meets the offending sum
+    # an unchecked matrix breaking the row condition fails on every product,
+    # not only on the first one that meets the offending sum
     s3 = build_group("S3")
     ident, zero = identity_map(s3), zero_map(s3, s3)
     sigma = next(
         f for f in enumerate_autos(s3)
         if any(s3.mul(x, f(x)) != s3.mul(f(x), x) for x in range(s3.order))
     )
-    a = EndoMatrix((s3, s3), [[ident, ident], [zero, zero]], trusted=True)
-    b = EndoMatrix((s3, s3), [[ident, zero], [sigma, zero]], trusted=True)
+    a = _built_matrix((s3, s3), ((ident, ident), (zero, zero)))
+    b = _built_matrix((s3, s3), ((ident, zero), (sigma, zero)))
     for _ in range(2):
         with pytest.raises(NoncommutingImagesError):
             matrix_multiply(a, b)
+
+
+def test_library_builds_skip_the_validating_constructor(monkeypatch):
+    from groupdet import compare_aut_vs_A, invert_via_det
+
+    calls = []
+    init = EndoMatrix.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(EndoMatrix, "__init__", counting_init)
+    s3, c2 = build_group("S3"), build_group("C2")
+    pg = ProductGroup.of(s3, c2)
+    phi = enumerate_autos(pg.product)[-1]
+    a = decompose(phi, pg)
+    builds = {
+        "enumerate_m_matrices": lambda: enumerate_m_matrices((s3, c2)),
+        "enumerate_A": lambda: enumerate_A((s3, c2)),
+        "enumerate_Z": lambda: enumerate_Z((s3, c2)),
+        "matrix_multiply": lambda: matrix_multiply(a, a),
+        "decompose": lambda: decompose(phi, pg),
+        "identity_matrix": lambda: identity_matrix((s3, c2)),
+        "invert_via_det": lambda: invert_via_det(a),
+        "compare_aut_vs_A": lambda: compare_aut_vs_A(c2, c2).violating_matrices[0],
+    }
+    for name, build in builds.items():
+        del calls[:]
+        assert build(), name
+        assert calls == [], name
+    EndoMatrix((s3, c2), a.entries)
+    assert calls == [1]
+
+
+def test_matrix_set_order_is_pinned():
+    # The order of every matrix set feeds each seeded draw from it; one digest
+    # over the key sequences of the row-commuting sets with factors of order
+    # <= 8 (and C2 x C2 x C3), and of A and Z on the catalog pairs of product
+    # order <= 64, pinned from the validating build.
+    import hashlib
+
+    from groupdet import CATALOG
+
+    groups = {s: build_group(s) for s in CATALOG}
+    pairs = list(itertools.combinations_with_replacement(CATALOG, 2))
+    msets = [p for p in pairs if max(groups[s].order for s in p) <= 8] + [("C2", "C2", "C3")]
+    assert len(msets) == 46
+    digest = hashlib.sha256()
+
+    def feed(specs, tag, mats):
+        digest.update((" x ".join(specs) + f":{tag}:{len(mats)};").encode())
+        for m in mats:
+            for v in m.key():
+                digest.update(bytes(v))
+
+    for p in msets:
+        feed(p, "M", enumerate_m_matrices(tuple(build_group(s) for s in p)))
+    for p in pairs:
+        facs = tuple(groups[s] for s in p)
+        if facs[0].order * facs[1].order <= 64:
+            feed(p, "A", enumerate_A(facs))
+            feed(p, "Z", enumerate_Z(facs))
+    assert digest.hexdigest() == (
+        "c53325469f5e90dca78b618140be0172ebd163cb3ff0a38878b3c22656fca613"
+    )
 
 
 def test_in_A_examples():
