@@ -309,10 +309,11 @@ def test_library_builds_skip_the_validating_constructor(monkeypatch):
 
 
 def test_matrix_set_order_is_pinned():
-    # The order of every matrix set feeds each seeded draw from it; one digest
-    # over the key sequences of the row-commuting sets with factors of order
-    # <= 8 (and C2 x C2 x C3), and of A and Z on the catalog pairs of product
-    # order <= 64, pinned from the validating build.
+    # The order of every matrix set feeds each seeded draw from it, so a
+    # change to how matrices are built must not reorder them: one digest over
+    # the key sequences of the row-commuting sets with factors of order <= 8
+    # (and C2 x C2 x C3), and of A and Z on the catalog pairs of product
+    # order <= 64.
     import hashlib
 
     from groupdet import CATALOG
