@@ -373,6 +373,7 @@ class FiniteGroup:
         of classes is normal and a normal subgroup is a union of classes."""
         return self._joins(self.conjugacy_classes)
 
+    # No package code calls this; perfbench/layertrace.py wraps it by name.
     @_memoised
     def direct_factorizations(self) -> tuple["DirectFactorization", ...]:
         """All unordered internal direct factorizations, including (1, G)."""
@@ -505,53 +506,41 @@ class CommonFactorWitness:
 # --------------------------------------------------------------------------
 
 
-def _flatten_factors(gs: Sequence[FiniteGroup]) -> tuple[FiniteGroup, ...]:
-    flat: list[FiniteGroup] = []
-    for g in gs:
-        if g.factors is not None:
-            flat.extend(g.factors)
-        else:
-            flat.append(g)
-    return tuple(flat)
-
-
-def direct_product(*factors: FiniteGroup, flatten: bool = True) -> FiniteGroup:
+def direct_product(*factors: FiniteGroup) -> FiniteGroup:
     """External direct product with factor metadata.
 
-    By default products of products are flattened, so the factor list consists
-    of non-product building blocks.  ``flatten=False`` keeps the factors
-    exactly as given, which matters when a matrix is laid out over composite
-    blocks.  Elements are numbered mixed-radix with the last factor varying
-    fastest; for two factors this is (h, k) -> h*|K| + k.  This function is
-    the only code that knows the numbering: the product records ``factors``
-    and ``coords``, where ``coords[x]`` is the tuple of factor elements of x,
-    and everything else reads those.  A product of groups is a group, so the
-    table is not validated again; its identity is the number of the tuple of
-    factor identities.
+    The factors are kept exactly as given, so a product may itself be a
+    factor (a composite block of a matrix).  Elements are numbered mixed-radix
+    with the last factor varying fastest; for two factors this is
+    (h, k) -> h*|K| + k.  This function is the only code that knows the
+    numbering: the product records ``factors`` and ``coords``, where
+    ``coords[x]`` is the tuple of factor elements of x, and everything else
+    reads those.  A product of groups is a group, so the table is not
+    validated again; its identity is the number of the tuple of factor
+    identities.
     """
-    flat = _flatten_factors(factors) if flatten else tuple(factors)
-    if not flat:
+    if not factors:
         raise ValidationError("direct product needs at least one factor")
-    if len(flat) == 1:
-        return flat[0]
+    if len(factors) == 1:
+        return factors[0]
     # Fold in one factor at a time: with n = |g|, the pair (x, y) of an
     # element x of the product so far and y of g becomes x*n + y.
     table: list = [(0,)]
     coords: list[tuple[int, ...]] = [()]
     identity = 0
-    for g in flat:
+    for g in factors:
         n = g.order
         table = [
             tuple([x * n + y for x in row for y in grow]) for row in table for grow in g.table
         ]
         coords = [c + (y,) for c in coords for y in range(n)]
         identity = identity * n + g.identity
-    labels = ["(" + ", ".join(g.labels[c] for g, c in zip(flat, cs)) + ")" for cs in coords]
+    labels = ["(" + ", ".join(g.labels[c] for g, c in zip(factors, cs)) + ")" for cs in coords]
     name = " x ".join(
-        f"({g.name})" if g.factors is not None else g.name for g in flat
+        f"({g.name})" if g.factors is not None else g.name for g in factors
     )
     product = FiniteGroup._trusted(tuple(table), identity, name, labels)
-    product.factors = flat
+    product.factors = factors
     product.coords = tuple(coords)
     return product
 
@@ -749,7 +738,7 @@ def build_group(spec: str) -> FiniteGroup:
     Results are cached per normalized spec, so repeated builds return the
     same object.  Table files are read on every build, and the cached group
     is returned only while their contents are unchanged.  Product
-    expressions record flat factor metadata used by the matrix layer.
+    expressions record one factor per atom, which the matrix layer reads.
     """
     atoms = _split_atoms(spec)
     if any(not a for a in atoms):
@@ -811,39 +800,46 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]
     return next(_maps_from_generator_images(g1, g2, pools, injective=True), None)
 
 
+@_memoised
+def _direct_factors(g: FiniteGroup) -> tuple[tuple[DirectFactorization, FiniteGroup], ...]:
+    """Each nontrivial direct factor of g, with its first complement, as a group.
+
+    Factors and complements are normal subgroups, taken in the order of
+    ``normal_subgroups()``, (order, elements).  Two normal subgroups with
+    trivial intersection commute elementwise, so a normal subgroup of the
+    complementary order meeting the factor trivially is a complement.
+    """
+    normals = g.normal_subgroups()
+    by_order: dict[int, list[Subgroup]] = {}
+    for c in normals:
+        by_order.setdefault(c.order, []).append(c)
+    out = []
+    for x in normals[1:]:
+        xs = set(x.elements)
+        for c in by_order.get(g.order // x.order, ()):
+            if len(xs.intersection(c.elements)) == 1:
+                out.append((DirectFactorization(g, x, c), x.as_group()[0]))
+                break
+    return tuple(out)
+
+
 def common_nontrivial_factor(
     h: FiniteGroup, k: FiniteGroup, central_only: bool = False
 ) -> Optional[CommonFactorWitness]:
     """Search for a shared nontrivial direct factor, up to isomorphism.
 
     With ``central_only`` the search is restricted to factors lying inside the
-    center of their parent.  Returns the first witness in canonical order
-    (factors sorted by order then elements), or None.
+    center of their parent.  Returns the first witness in the order of
+    ``_direct_factors`` (h's factor outermost), or None.
     """
-    def factor_list(g: FiniteGroup) -> list[DirectFactorization]:
-        out = []
-        seen: set[tuple[int, ...]] = set()
-        for fact in g.direct_factorizations():
-            for side, other in ((fact.left, fact.right), (fact.right, fact.left)):
-                if side.order == 1 or side.elements in seen:
-                    continue
-                if central_only and not side.is_central():
-                    continue
-                seen.add(side.elements)
-                out.append(DirectFactorization(g, side, other))
-        out.sort(key=lambda f: (f.left.order, f.left.elements))
-        return out
+    def factors(g: FiniteGroup):
+        return [f for f in _direct_factors(g) if not central_only or f[0].left.is_central()]
 
-    h_facts = factor_list(h)
-    k_facts = factor_list(k)
-    # Dedup candidate factors up to isomorphism before pairing.
-    for hf in h_facts:
-        hg, _ = hf.left.as_group()
-        for kf in k_facts:
-            if kf.left.order != hf.left.order:
-                continue
-            kg, _ = kf.left.as_group()
-            iso = are_isomorphic(hg, kg)
-            if iso is not None:
-                return CommonFactorWitness(hf, kf, iso)
+    k_facts = factors(k)
+    for hf, hg in factors(h):
+        for kf, kg in k_facts:
+            if kf.left.order == hf.left.order:
+                iso = are_isomorphic(hg, kg)
+                if iso is not None:
+                    return CommonFactorWitness(hf, kf, iso)
     return None

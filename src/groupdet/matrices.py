@@ -116,7 +116,7 @@ class ProductGroup:
 @_memoised
 def _product_over(first: FiniteGroup, factors: tuple[FiniteGroup, ...]) -> ProductGroup:
     """``ProductGroup`` over ``factors``, kept on ``first``, which is ``factors[0]``."""
-    return ProductGroup(direct_product(*factors, flatten=False))
+    return ProductGroup(direct_product(*factors))
 
 
 def _product_of_composites(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Union
 
-from .autcompare import _aut_equals_A, _composites
+from .autcompare import _composites, _set_order
 from .errors import ResourceLimitError, StructuralError
 from .groups import (
     CommonFactorWitness,
@@ -25,13 +25,14 @@ from .groups import (
 from .maps import (
     GroupMap,
     _derived_map,
+    aut_order,
     enumerate_homs,
     identity_map,
     is_bijective,
     is_normal_endo,
     pointwise_sum,
 )
-from .matrices import DEFAULT_AUT_ENUM_LIMIT, _check_enum_bound, map_to_dict
+from .matrices import DEFAULT_AUT_ENUM_LIMIT, ProductGroup, _check_enum_bound, map_to_dict
 
 __all__ = [
     "PairWitness",
@@ -304,20 +305,25 @@ def a_subgroup_check(
     lambda in Aut(h), nu in Aut(k), mu: h -> Z(k), xi: k -> Z(h).  Since
     lambda + xi.mu = lambda.(1 + lambda^-1.xi.mu) and xi -> lambda^-1.xi
     permutes Hom(k, Z(h)), the first holds for every lambda iff 1 + xi.mu is
-    bijective for every (xi, mu); likewise nu + mu.xi with 1 + mu.xi.  So
-    the check is two loops over the distinct composites of
-    ``autcompare._composites``, the h side first, and no automorphism group
-    is listed.  On failure the witness is the first non-bijective sum, the
-    same as over lambda (or nu) in sorted order, whose first member is the
-    identity.
+    bijective for every (xi, mu); likewise nu + mu.xi with 1 + mu.xi.  And
+    1 + xi.mu is bijective iff 1 + mu.xi is: both are endomorphisms, since
+    the added part has central image, and if xi.mu(x) = x^-1 with x != 1 then
+    y = mu(x) != 1 has mu.xi(y) = y^-1, and back.  So the check is one loop
+    over the distinct composites xi.mu of ``autcompare._composites``, and no
+    automorphism group is listed.  On failure the witness is the first
+    non-bijective sum, the same as over lambda in sorted order, whose first
+    member is the identity.
+
+    The maps 1 + xi.mu are also the maps 1 - xi.mu, since xi -> xi^-1
+    permutes Hom(k, Z(h)) and (xi^-1).mu = -(xi.mu); so A is closed exactly
+    when it lies inside Aut(h x k) (``compare_aut_vs_A``'s ``a_subset_aut``).
     """
     _check_enum_bound((h, k), max_product_order)
-    for a, b in ((h, k), (k, h)):
-        one = identity_map(a)
-        for phi, _ in _composites(a, b):
-            s = pointwise_sum(one, phi, require_commuting=True)
-            if not is_bijective(s):
-                return False, s
+    one = identity_map(h)
+    for phi, _ in _composites(h, k):
+        s = pointwise_sum(one, phi, require_commuting=True)
+        if not is_bijective(s):
+            return False, s
     return True, None
 
 
@@ -390,10 +396,12 @@ def classify_pair(
     coincide with the absence of a common nontrivial direct factor, central
     incompatibility with the absence of a central one and with A being a
     subgroup, and Aut = A again with the absence of a common factor.  Any
-    divergence raises StructuralError.  Of Aut vs A only the verdict is read, with
-    no witness, and H x K is built only when A is inside Aut (``_aut_equals_A``).
-    The Aut-level facts degrade to None (and ``incomplete=True``) when the
-    product exceeds the enumeration bound.
+    divergence raises StructuralError.  Each A-side fact is decided once.
+    ``a_subgroup_check`` also decides whether A is inside Aut(H x K), as the
+    maps 1 + xi.mu it tests are the maps 1 - xi.mu; if so, Aut = A iff
+    |Aut(H x K)| = |A|, and H x K is built only then.  The Aut-level facts
+    degrade to None (and ``incomplete=True``) when the product exceeds the
+    enumeration bound.
     """
     hg = build_group(h) if isinstance(h, str) else h
     kg = build_group(k) if isinstance(k, str) else k
@@ -410,7 +418,9 @@ def classify_pair(
     incomplete = False
     try:
         a_subgroup, _ = a_subgroup_check(hg, kg, max_product_order)
-        a_equals_aut = _aut_equals_A(hg, kg, max_product_order)
+        a_equals_aut = a_subgroup and (
+            aut_order(ProductGroup.of(hg, kg).product) == _set_order(hg, kg, False)[1]
+        )
     except ResourceLimitError:
         incomplete = True
 

@@ -16,6 +16,7 @@ from groupdet import (
     aut_order,
     build_group,
     central_aut_group,
+    classify_pair,
     compare_aut_vs_A,
     compare_autc_vs_Z,
     direct_product,
@@ -165,23 +166,27 @@ def test_lemcomm_witness_consistent_with_comparison():
     assert w.key() in {m.key() for m in aut_minus_set}
 
 
-def test_verdict_helper_matches_the_comparison():
-    # classify_pair reads Aut = A from autcompare._aut_equals_A, which builds
-    # no witness; compare_aut_vs_A, which lists witnesses, is its oracle.
+def test_classify_verdicts_match_the_comparison():
+    # classify_pair reads A <= Aut off a_subgroup_check (1 + xi.mu and
+    # 1 - xi.mu run over the same maps) and Aut = A off the orders, with no
+    # witness; compare_aut_vs_A, which lists witnesses, is its oracle.
     cases = [(a, b, 144) for a, b in combinations_with_replacement(CATALOG, 2)]
     cases += [("C2 x S4", "S4", 1152), ("D8 x D8", "C2", 128)]
     verdicts, a_not_inside = set(), 0
     for a, b, bound in cases:
         h, k = _g(a), _g(b)
-        verdict = autcompare._aut_equals_A(h, k, bound)
+        report = classify_pair(h, k, bound)
         cmp = compare_aut_vs_A(h, k, bound)
-        assert verdict == cmp.equal, (a, b)
-        verdicts.add(verdict)
+        assert not report.incomplete, (a, b)
+        assert report.a_equals_aut == cmp.equal, (a, b)
+        assert report.a_is_subgroup == cmp.a_subset_aut, (a, b)
+        verdicts.add(report.a_equals_aut)
         a_not_inside += not cmp.a_subset_aut
     assert verdicts == {True, False}
     assert a_not_inside == 12  # the pairs decided without building H x K
-    with pytest.raises(ResourceLimitError):
-        autcompare._aut_equals_A(_g("C12"), _g("C12"), 143)
+    report = classify_pair(_g("C12"), _g("C12"), 143)
+    assert report.incomplete
+    assert report.a_is_subgroup is None and report.a_equals_aut is None
 
 
 def _listing_comparison(h, k, max_product_order, central=False):

@@ -83,7 +83,7 @@ def _relabelled(g, perm):
 def _products():
     out = [direct_product(build_group(a), build_group(b)) for a, b in CATALOG_PAIRS]
     out.append(direct_product(build_group("C2"), build_group("C2"), build_group("C3")))
-    out.append(direct_product(build_group("C2"), build_group("C2 x C4"), flatten=False))
+    out.append(direct_product(build_group("C2"), build_group("C2 x C4")))
     # Factors whose identity is not element 0, so the product identity is
     # a nontrivial mixed-radix number.
     rng = random.Random(1)

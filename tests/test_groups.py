@@ -23,6 +23,7 @@ from groupdet import (
     is_bijective,
     load_table_file,
 )
+from groupdet import groups
 from groupdet.cli import CATALOG
 
 EXPECTED_ORDERS = {
@@ -293,14 +294,11 @@ def test_elementary_abelian_and_products():
     pg = build_group("C2 x C4")
     assert pg.order == 8 and pg.factors is not None
     assert [f.order for f in pg.factors] == [2, 4]
-    nested = direct_product(build_group("C2"), build_group("C2 x C4"))
-    assert nested.order == 16
-    assert len(nested.factors) == 3  # flattened by default
 
 
 def test_unflattened_product_keeps_blocks():
     block = build_group("C2 x C4")
-    g = direct_product(build_group("C2"), block, flatten=False)
+    g = direct_product(build_group("C2"), block)
     assert len(g.factors) == 2
     assert g.factors[1] is block
     assert g.name == "C2 x (C2 x C4)"
@@ -431,6 +429,56 @@ def test_central_only_common_factor():
     assert common_nontrivial_factor(
         build_group("S3"), build_group("S3"), central_only=True
     ) is None
+
+
+def _oracle_factor_list(g, central_only=False):
+    """The factor list the common-factor search once rebuilt on every call:
+    each nontrivial side of a factorization in ``direct_factorizations()``,
+    with the other side of the first factorization it appears in, sorted by
+    (order, elements)."""
+    out, seen = [], set()
+    for fact in g.direct_factorizations():
+        for side, other in ((fact.left, fact.right), (fact.right, fact.left)):
+            if side.order == 1 or side.elements in seen:
+                continue
+            if central_only and not side.is_central():
+                continue
+            seen.add(side.elements)
+            out.append((side.elements, other.elements))
+    out.sort(key=lambda f: (len(f[0]), f[0]))
+    return out
+
+
+def test_direct_factors_match_the_listing_of_every_factorization():
+    for spec in CATALOG + ("E2^4",) + PRODUCTS_72:
+        g = build_group(spec)
+        factors = groups._direct_factors(g)
+        got = [(f.left.elements, f.right.elements) for f, _ in factors]
+        assert got == _oracle_factor_list(g), spec
+        central = [(f.left.elements, f.right.elements) for f, _ in factors if f.left.is_central()]
+        assert central == _oracle_factor_list(g, central_only=True), spec
+        for f, fg in factors:
+            assert fg.order == f.left.order and f.parent is g, spec
+
+
+def test_common_factor_search_extracts_each_factor_once(monkeypatch):
+    calls = []
+    as_group = Subgroup.as_group
+
+    def counted(self):
+        calls.append(self.parent)
+        return as_group(self)
+
+    # Fresh copies, so no factor list is kept on them from an earlier test.
+    h = FiniteGroup(build_group("C2 x S3").table, name="h")
+    k = FiniteGroup(build_group("C2 x C2").table, name="k")
+    expected = len(_oracle_factor_list(h)) + len(_oracle_factor_list(k))
+    monkeypatch.setattr(Subgroup, "as_group", counted)
+    for _ in range(3):
+        assert common_nontrivial_factor(h, k).h_factor.order == 2
+        assert common_nontrivial_factor(h, k, central_only=True).h_factor.order == 2
+        assert common_nontrivial_factor(k, h) is not None
+    assert len(calls) == expected
 
 
 def test_subgroup_closure_validation():

@@ -24,6 +24,10 @@ factor exactly when their decompositions share an indecomposable.
   central since the center is trivial.  The pair is compatible and
   centrally incompatible, and ``incomplete`` at the default bound (the
   product has order 13,824).
+- E2^6 and C2: E2^6 is C2^6, so C2 is a common factor, and it is central
+  in both.  The pair is compatible, centrally compatible and not totally
+  incompatible, its smallest common factor has order 2, and the product
+  has order 128, over the default bound, so it is ``incomplete``.
 
 The budgets are fixed; a run over them means the code got slower.
 """
@@ -100,3 +104,17 @@ def test_s4_x_s4_and_s4_share_s4_but_no_central_factor_at_the_default_bound():
     assert report.centrally_incompatible
     print(f"LARGE PAIR S4 x S4 / S4: {elapsed:.2f}s")
     assert elapsed < 4.0
+
+
+def test_e2_6_and_c2_share_a_central_c2_at_the_default_bound():
+    report, elapsed = _timed("E2^6", "C2")
+    assert report.incomplete
+    assert report.a_is_subgroup is None and report.a_equals_aut is None
+    assert report.common_factor is not None
+    assert report.common_factor.h_factor.order == 2
+    assert report.common_factor.k_factor.order == 2
+    assert not report.incompatible
+    assert not report.centrally_incompatible
+    assert not report.totally_incompatible and report.total_length is None
+    print(f"LARGE PAIR E2^6 / C2: {elapsed:.2f}s")
+    assert elapsed < 5.0

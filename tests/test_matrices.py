@@ -118,7 +118,7 @@ def test_product_numbering_matches_raw_coordinates():
     _check_numbering_against_raw_tables(pg, (s3, c3, c2))
     # a composite block kept whole: its elements are single coordinates
     block = direct_product(c2, c3)
-    nested = ProductGroup(direct_product(block, s3, flatten=False))
+    nested = ProductGroup(direct_product(block, s3))
     assert nested.factors == (block, s3) and block.identity == 2
     _check_numbering_against_raw_tables(nested, (block, s3))
 
