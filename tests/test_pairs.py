@@ -277,7 +277,7 @@ def test_a_subgroup_check_examples():
     assert not ok
     # the witness is 1 + xi.mu = identity + identity, the zero map on C2
     assert w.values == (0, 0)
-    # the witness is on the h side: by lemma 1 the k side fails with it
+    # the witness is on the h side; some 1 + mu.xi on the k side fails too
     h, k = _g("C2 x C4"), _g("C2")
     ok, w = a_subgroup_check(h, k)
     assert not ok and w.domain is h and not is_bijective(w)
@@ -304,8 +304,8 @@ def _sums_bijective(a, b, sign):
 
 
 def test_a_subgroup_check_needs_neither_the_k_side_nor_the_minus_sign():
-    # Lemma 1: 1 + xi.mu is bijective on h iff 1 + mu.xi is on k, so the
-    # k-side loop a_subgroup_check no longer runs is kept here as an oracle.
+    # Lemma 1: 1 + xi.mu is bijective on h iff 1 + mu.xi is on k, so
+    # a_subgroup_check tests the h side only; both sides are checked here.
     # Lemma 2: xi -> xi^-1 permutes Hom(k, Z(h)), so "every 1 - xi.mu is
     # bijective" (A inside Aut) is the same test.
     seen = set()
