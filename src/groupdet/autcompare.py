@@ -10,7 +10,7 @@ unitriangular matrices that fail to commute.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import islice
 from math import prod
 
@@ -19,7 +19,6 @@ from .errors import PreconditionError, StructuralError
 from .groups import (
     DirectFactorization,
     FiniteGroup,
-    _memoised,
     build_group,
     common_nontrivial_factor,
 )
@@ -32,7 +31,6 @@ from .maps import (
     enumerate_homs,
     identity_map,
     is_bijective,
-    pointwise_diff,
     zero_map,
 )
 from .matrices import (
@@ -100,26 +98,6 @@ class AutComparison:
         }
 
 
-@_memoised
-def _composites(h: FiniteGroup, k: FiniteGroup) -> tuple[tuple[GroupMap, tuple], ...]:
-    """The pairs (phi, pairs), one for each distinct composite phi = xi.mu.
-
-    xi runs over Hom(k, Z(h)) and mu over Hom(h, Z(k)); ``pairs`` lists the
-    (xi, mu) whose composite has phi's values, in (xi, mu) order, and
-    composites come in the order of their first pair.  A test of 1 - xi.mu
-    or 1 + xi.mu depends on phi's values alone, so it runs once per distinct
-    composite and stands for every pair in ``pairs``.  Kept on h, one per k.
-    """
-    mus = enumerate_homs(h, k, restrict_codomain=k.center())
-    xis = enumerate_homs(k, h, restrict_codomain=h.center())
-    composites: dict[tuple[int, ...], tuple[GroupMap, list]] = {}
-    for xi in xis:
-        for mu in mus:
-            phi = compose(xi, mu)
-            composites.setdefault(phi.values, (phi, []))[1].append((xi, mu))
-    return tuple((phi, tuple(pairs)) for phi, pairs in composites.values())
-
-
 def _set_order(h: FiniteGroup, k: FiniteGroup, central: bool) -> tuple[int, int]:
     """|diagonal| and the order of A, or of Z (``central``): see ``_counted_comparison``."""
     diagonal = prod(len(reps) for g in (h, k) for reps in _aut_chain(g, central))
@@ -143,15 +121,20 @@ def _counted_comparison(
 
         |set minus Aut| = |diagonal| #{(xi, mu) : 1 - xi.mu not bijective},
 
-    counted by one loop over the distinct composites xi.mu of ``_composites``,
-    the same failing pairs for A and Z.  The set is inside Aut iff no pair
-    fails.  Aut is inside A iff |A n Aut| = |Aut(H x K)|.  A member of Z
-    that is an automorphism is central, as (h, k) -> (lam(h) h^-1 xi'(k),
-    mu'(h) nu(k) k^-1) lies in Z(H) x Z(K), so Aut_c is inside Z iff
-    |Z n Aut| = |Aut_c(H x K)|.  The chains give both orders; nothing is listed.
+    the same failing pairs for A and Z.  1 - xi.mu is an endomorphism, as
+    xi.mu has central image, so it fails iff xi(mu(x)) = x for some x != 1,
+    and that x is central.  The count needs the pairs themselves, so one loop
+    over every (xi, mu) tests that, forming no map: quadratic in the hom
+    sets, where ``a_subgroup_check`` decides "no pair fails" in one pass.
+
+    The set is inside Aut iff no pair fails.  Aut is inside A iff
+    |A n Aut| = |Aut(H x K)|.  A member of Z that is an automorphism is
+    central, as (h, k) -> (lam(h) h^-1 xi'(k), mu'(h) nu(k) k^-1) lies in
+    Z(H) x Z(K), so Aut_c is inside Z iff |Z n Aut| = |Aut_c(H x K)|.  The
+    chains give both orders; nothing is listed.
 
     Witnesses, up to WITNESS_CAP per side: ``set_minus_aut`` holds
-    [[lam, lam.xi], [nu.mu, nu]] over the failing (xi, mu) in loop order,
+    [[lam, lam.xi], [nu.mu, nu]] over the failing (xi, mu) in (xi, mu) order,
     then lam, then nu fastest, lam and nu walked through the chain products
     (members of A or Z by construction, so built by ``_built_matrix``
     unchecked); ``aut_minus_set`` holds the members of the chain of H x K (level 0
@@ -165,12 +148,12 @@ def _counted_comparison(
         return (_derived_map(g, g, v, hom=True) for v in _chain_products(g, central))
 
     diagonal, set_order = _set_order(h, k, central)
-    one = identity_map(h)
+    zh = [x for x in h.center().elements if x != h.identity]
     failing = [
-        pair
-        for phi, pairs in _composites(h, k)
-        if not is_bijective(pointwise_diff(one, phi))
-        for pair in pairs
+        (xi, mu)
+        for xi in enumerate_homs(k, h, restrict_codomain=h.center())
+        for mu in enumerate_homs(h, k, restrict_codomain=k.center())
+        if any(xi.values[mu.values[x]] == x for x in zh)
     ]
     set_minus_aut = tuple(islice(
         (
@@ -203,8 +186,9 @@ def compare_aut_vs_A(
     """Decide both inclusions between Aut(H x K) and A by counting, with witnesses.
 
     ``classify_pair`` reaches the same verdict without witnesses: A is inside
-    Aut iff A is a subgroup (``a_subgroup_check``), and then Aut = A iff the
-    orders agree."""
+    Aut iff A is a subgroup (``a_subgroup_check``, one pass over each hom
+    set), and then Aut = A iff the orders agree.  The count here walks every
+    pair (xi, mu), so it is quadratic in the hom sets."""
     return _counted_comparison(h, k, max_product_order, central=False)
 
 
@@ -243,17 +227,7 @@ class SemidirectReport:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "group_order": self.group_order,
-            "diagonal_order": self.diagonal_order,
-            "normal_order": self.normal_order,
-            "n_is_subgroup": self.n_is_subgroup,
-            "n_is_normal": self.n_is_normal,
-            "u_l_commute": self.u_l_commute,
-            "d_intersect_n_trivial": self.d_intersect_n_trivial,
-            "d_n_covers": self.d_n_covers,
-            "verified": self.verified,
-        }
+        return {**asdict(self), "verified": self.verified}
 
 
 def verify_stem_semidirect(
@@ -293,15 +267,12 @@ def verify_stem_semidirect(
     n_is_subgroup = all(
         matrix_multiply(a, b).key() in n_keys for a in nset for b in nset
     )
-    n_is_normal = True
-    for a in members:
-        a_inv = invert_via_det(a, branch="auto")
-        for x in nset:
-            if matrix_multiply(matrix_multiply(a, x), a_inv).key() not in n_keys:
-                n_is_normal = False
-                break
-        if not n_is_normal:
-            break
+    n_is_normal = all(
+        matrix_multiply(matrix_multiply(a, x), a_inv).key() in n_keys
+        for a in members
+        for a_inv in (invert_via_det(a, branch="auto"),)
+        for x in nset
+    )
     u_l_commute = all(
         matrix_multiply(u, x) == matrix_multiply(x, u) for u in upper for x in lower
     )

@@ -31,7 +31,7 @@ from typing import Optional
 
 from .errors import DeterminantUndefinedError, InversionError, PreconditionError, StructuralError
 from .groups import FiniteGroup
-from .maps import GroupMap, _check_commuting, _derived_map, compose, invert, is_bijective, negate
+from .maps import GroupMap, _check_commuting, _derived_map
 from .matrices import EndoMatrix, _built_matrix, _product_of_composites, in_A
 
 __all__ = [
@@ -313,16 +313,9 @@ def _unwind(factors: tuple[FiniteGroup, ...], state: tuple, left: tuple, inv: di
     inv[p, p] = tuple([t[a][b] for a, b in zip(w, theta_w)])
 
 
-def invert_via_det(m: EndoMatrix, branch: str = "auto") -> EndoMatrix:
-    """The closed-form inverse of an invertible matrix with a usable pivot.
-
-    The chain's final 1 x 1 determinant is inverted and the chain walked back
-    by ``_unwind``.  Raises DeterminantUndefinedError when no pivot route
-    exists and InversionError when the determinant is not bijective.  The
-    result is the matrix of the inverse endomorphism, so it comes from
-    ``_built_matrix`` unchecked.
-    """
-    chain = _chain(m, _sequences(m, branch))
+def _inverse_from(m: EndoMatrix, chain: list[tuple]) -> EndoMatrix:
+    """The inverse of m: the final determinant of its chain inverted, then the
+    chain walked back by ``_unwind``."""
     s, det = _last(m, chain)
     if len(set(det)) != len(det):
         raise InversionError("determinant is not bijective; matrix is not invertible")
@@ -336,28 +329,49 @@ def invert_via_det(m: EndoMatrix, branch: str = "auto") -> EndoMatrix:
     return _built_matrix(f, rows)
 
 
+def invert_via_det(m: EndoMatrix, branch: str = "auto") -> EndoMatrix:
+    """The closed-form inverse of an invertible matrix with a usable pivot.
+
+    Read from the chain of ``_sequences`` by ``_inverse_from``.  Raises
+    DeterminantUndefinedError when no pivot route exists and InversionError
+    when the determinant is not bijective.  The result is the matrix of the
+    inverse endomorphism, so it comes from ``_built_matrix`` unchecked.
+    """
+    return _inverse_from(m, _chain(m, _sequences(m, branch)))
+
+
+def _branch_chains(m: EndoMatrix, what: str) -> tuple[list[tuple], list[tuple]]:
+    """The h and k chains of a 2 x 2 member of A, whose pivots are automorphisms."""
+    if m.n != 2:
+        raise PreconditionError(f"{what} is defined for 2 x 2 matrices")
+    if not in_A(m):
+        raise PreconditionError(f"{what} needs a member of A")
+    return _chain(m, _BRANCH_SEQUENCES["h"]), _chain(m, _BRANCH_SEQUENCES["k"])
+
+
 def invert_via_det_pleasant(m: EndoMatrix) -> EndoMatrix:
     """The symmetric inverse formula available to members of A (2 x 2).
 
         ( det_h^-1,                -alpha^-1 . beta . det_k^-1 )
         ( -delta^-1 . gamma . det_h^-1,   det_k^-1             )
 
-    Asserted entrywise equal to the general formula inverse.
+    Asserted entrywise equal to the general inverse, read from the h chain
+    (InversionError when m is singular; else det_k is bijective too).  The
+    pivot inverses alpha^-1 and delta^-1 come from the k and h chains.
     """
-    if m.n != 2:
-        raise PreconditionError("the pleasant form is defined for 2 x 2 matrices")
-    if not in_A(m):
-        raise PreconditionError("the pleasant form needs a member of A")
-    (alpha, beta), (gamma, delta) = m.entries
-    dh, dk = det_h(m), det_k(m)
-    if not (is_bijective(dh) and is_bijective(dk)):
-        raise InversionError("determinants are not bijective; matrix is not invertible")
-    dh_inv, dk_inv = invert(dh), invert(dk)
+    h_chain, k_chain = _branch_chains(m, "the pleasant form")
+    general = _inverse_from(m, h_chain)
+    h, k = m.factors
+    (_, beta), (gamma, _) = m.entries
+    dh_inv, dk_inv = general.entries[0][0].values, _inverse(_last(m, k_chain)[1])
+    alpha_inv, delta_inv = k_chain[1][3], h_chain[1][3]  # each chain's pivot inverse
+    upper = tuple([h.inverse[alpha_inv[beta.values[y]]] for y in dk_inv])
+    lower = tuple([k.inverse[delta_inv[gamma.values[x]]] for x in dh_inv])
     out = EndoMatrix(m.factors, [
-        [dh_inv, negate(compose(invert(alpha), compose(beta, dk_inv)))],
-        [negate(compose(invert(delta), compose(gamma, dh_inv))), dk_inv],
+        [_derived_map(h, h, dh_inv), _derived_map(k, h, upper)],
+        [_derived_map(h, k, lower), _derived_map(k, k, dk_inv)],
     ])
-    if out != invert_via_det(m, branch="h"):
+    if out != general:
         raise StructuralError("pleasant inverse disagrees with the general formula")
     return out
 
@@ -378,18 +392,13 @@ class DetIffReport:
 
 def detiff_check(m: EndoMatrix) -> DetIffReport:
     """Evaluate both determinants of a 2 x 2 member of A and their reciprocity."""
-    if m.n != 2:
-        raise PreconditionError("detiff_check is defined for 2 x 2 matrices")
-    if not in_A(m):
-        raise PreconditionError("detiff_check needs a member of A")
-    dh = det_h(m)
-    dk = det_k(m)
-    h_ok = is_bijective(dh)
-    k_ok = is_bijective(dk)
+    h_chain, k_chain = _branch_chains(m, "detiff_check")
+    dh, dk = _last(m, h_chain)[1], _last(m, k_chain)[1]
+    h_ok, k_ok = len(set(dh)) == len(dh), len(set(dk)) == len(dk)
     if not (h_ok and k_ok):
         return DetIffReport(h_ok, k_ok, None)
-    # each identity says det^-1 is the corner block of the other branch's inverse
-    lhs_h = invert_via_det(m, "k").entries[0][0]
-    lhs_k = invert_via_det(m, "h").entries[1][1]
-    holds = lhs_h.values == invert(dh).values and lhs_k.values == invert(dk).values
+    # each identity says det^-1 is the corner block of the other branch's
+    # inverse; a branch's own inverse holds its det^-1 in that corner
+    via_h, via_k = _inverse_from(m, h_chain).entries, _inverse_from(m, k_chain).entries
+    holds = via_k[0][0] == via_h[0][0] and via_h[1][1] == via_k[1][1]
     return DetIffReport(h_ok, k_ok, holds)

@@ -740,6 +740,8 @@ def build_group(spec: str) -> FiniteGroup:
     is returned only while their contents are unchanged.  Product
     expressions record one factor per atom, which the matrix layer reads.
     """
+    if not isinstance(spec, str):
+        raise ParseError(f"group expression {spec!r} is not a string")
     atoms = _split_atoms(spec)
     if any(not a for a in atoms):
         raise ParseError(f"malformed group expression {spec!r}")

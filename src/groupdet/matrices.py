@@ -481,13 +481,19 @@ def map_to_dict(f: GroupMap) -> dict:
     }
 
 
-def map_from_dict(d: dict) -> GroupMap:
+def _fields(d, kind: str, names: tuple[str, ...]) -> tuple:
+    """The named fields of a JSON object payload, or ParseError."""
+    if not isinstance(d, dict):
+        raise ParseError(f"{kind} payload must be an object, not {type(d).__name__}")
     try:
-        domain = build_group(d["domain"])
-        codomain = build_group(d["codomain"])
-        values = d["values"]
+        return tuple(d[name] for name in names)
     except KeyError as exc:
-        raise ParseError(f"map payload missing field {exc}") from None
+        raise ParseError(f"{kind} payload missing field {exc}") from None
+
+
+def map_from_dict(d: dict) -> GroupMap:
+    domain, codomain, values = _fields(d, "map", ("domain", "codomain", "values"))
+    domain, codomain = build_group(domain), build_group(codomain)
     if not isinstance(values, (list, tuple)):
         raise ParseError("map payload 'values' must be a list")
     for v in values:
@@ -504,11 +510,12 @@ def matrix_to_dict(m: EndoMatrix) -> dict:
 
 
 def matrix_from_dict(d: dict) -> EndoMatrix:
-    try:
-        factors = tuple(build_group(s) for s in d["factors"])
-        entries_payload = d["entries"]
-    except KeyError as exc:
-        raise ParseError(f"matrix payload missing field {exc}") from None
+    names, entries_payload = _fields(d, "matrix", ("factors", "entries"))
+    lists = (list, tuple)
+    rows = isinstance(entries_payload, lists) and all(isinstance(r, lists) for r in entries_payload)
+    if not (rows and isinstance(names, lists)):
+        raise ParseError("matrix payload 'factors' must be a list, 'entries' a list of rows")
+    factors = tuple(build_group(s) for s in names)
     n = len(factors)
     if len(entries_payload) != n or any(len(r) != n for r in entries_payload):
         raise ParseError(f"matrix payload must contain {n} x {n} entries")

@@ -118,6 +118,20 @@ def test_flags_a_subcommand_does_not_read_exit_1(tmp_path, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_malformed_matrix_file_is_a_one_line_error(tmp_path):
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps({"factors": [5, 6], "entries": [[1, 2], [3, 4]]}))
+    for cmd in ("det", "invert"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupdet.cli", cmd, "C2", "C2", str(path)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, cmd
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, cmd
+        assert "Traceback" not in proc.stderr, cmd
+
+
 def test_invert_round_trip(tmp_path, capsys):
     m = _twisted_identity()
     assert main(["invert", "S3", "C4", _write_matrix(tmp_path, m)]) == 0

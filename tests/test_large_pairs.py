@@ -28,6 +28,17 @@ factor exactly when their decompositions share an indecomposable.
   in both.  The pair is compatible, centrally compatible and not totally
   incompatible, its smallest common factor has order 2, and the product
   has order 128, over the default bound, so it is ``incomplete``.
+- E2^3 and E2^3: as for E2^6 and C2, C2 is a common central factor, so the
+  pair is compatible, centrally compatible and not totally incompatible.
+  A central common factor makes A not closed, and any common factor makes
+  Aut(H x K) != A.  The product has order 64, inside the default bound.
+- E2^4 and E2^4 at bound 256: the same verdicts as E2^3 and E2^3.
+- E2^4 and C4 x C4 at bound 256: the indecomposable factors are {C2} and
+  {C4}, so no factor is shared and the pair is incompatible and centrally
+  incompatible; A is closed, and by Bidwell, Curran and McCaughan
+  Aut(H x K) = A.  It is also totally incompatible of length 1: sigma lands
+  in the elements of order 2 of C4 x C4, which are squares, and tau kills
+  squares, so tau.sigma = 0.
 
 The budgets are fixed; a run over them means the code got slower.
 """
@@ -118,3 +129,41 @@ def test_e2_6_and_c2_share_a_central_c2_at_the_default_bound():
     assert not report.totally_incompatible and report.total_length is None
     print(f"LARGE PAIR E2^6 / C2: {elapsed:.2f}s")
     assert elapsed < 5.0
+
+
+def _shares_a_central_c2(report):
+    assert not report.incomplete
+    assert report.common_factor is not None
+    assert report.common_factor.h_factor.order == 2
+    assert not report.incompatible
+    assert not report.centrally_incompatible
+    assert not report.totally_incompatible and report.total_length is None
+    assert report.a_is_subgroup is False
+    assert report.a_equals_aut is False
+
+
+def test_e2_3_and_e2_3_share_a_central_c2():
+    report, elapsed = _timed("E2^3", "E2^3")
+    _shares_a_central_c2(report)
+    print(f"LARGE PAIR E2^3 / E2^3: {elapsed:.2f}s")
+    assert elapsed < 2.0
+
+
+def test_e2_4_and_e2_4_share_a_central_c2_at_bound_256():
+    report, elapsed = _timed("E2^4", "E2^4", 256)
+    _shares_a_central_c2(report)
+    print(f"LARGE PAIR E2^4 / E2^4: {elapsed:.2f}s")
+    assert elapsed < 5.0
+
+
+def test_e2_4_and_c4_x_c4_share_no_factor_at_bound_256():
+    report, elapsed = _timed("E2^4", "C4 x C4", 256)
+    assert not report.incomplete
+    assert report.common_factor is None
+    assert report.incompatible
+    assert report.centrally_incompatible
+    assert report.totally_incompatible and report.total_length == 1
+    assert report.a_is_subgroup is True
+    assert report.a_equals_aut is True
+    print(f"LARGE PAIR E2^4 / C4 x C4: {elapsed:.2f}s")
+    assert elapsed < 4.0

@@ -508,3 +508,34 @@ def test_payload_values_must_be_integers(bad):
     m["entries"][0][0] = payload
     with pytest.raises(ParseError):
         matrix_from_dict(m)
+
+
+_C4 = {"domain": "C4", "codomain": "C4", "values": [0, 1, 2, 3]}
+
+
+@pytest.mark.parametrize("bad", [
+    [],
+    "x",
+    {"domain": 2, "codomain": "C4", "values": [0, 1, 2, 3]},
+    {"domain": "C4", "codomain": ["C4"], "values": [0, 1, 2, 3]},
+])
+def test_map_payload_shapes(bad):
+    with pytest.raises(ParseError):
+        map_from_dict(bad)
+    with pytest.raises(ParseError):
+        matrix_from_dict({"factors": ["C4"], "entries": [[bad]]})
+
+
+@pytest.mark.parametrize("bad", [
+    [],
+    "x",
+    {"factors": 5, "entries": [[_C4]]},
+    {"factors": ["C4"], "entries": 7},
+    {"factors": ["C4"], "entries": [_C4]},
+    {"factors": ["C4", "C2"], "entries": [[1, 2], [3, 4]]},
+    {"factors": [5, 6], "entries": [[_C4, _C4], [_C4, _C4]]},
+])
+def test_matrix_payload_shapes(bad):
+    with pytest.raises(ParseError):
+        matrix_from_dict(bad)
+    assert isinstance(matrix_from_dict({"factors": ["C4"], "entries": [[_C4]]}), EndoMatrix)

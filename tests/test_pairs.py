@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from groupdet import autcompare, matrices
+from groupdet import autcompare, matrices, pairs
 from groupdet import (
     CATALOG,
     FiniteGroup,
@@ -28,6 +28,7 @@ from groupdet import (
     is_normal_endo,
     is_totally_incompatible,
     nilpotency_index,
+    pointwise_sum,
     zero_map,
 )
 
@@ -291,33 +292,47 @@ LEMMA_SPECS = CATALOG + (
 )
 
 
-def _sums_bijective(a, b, sign):
-    """Whether every x -> x * xi.mu(x)^sign on a is onto, xi: b -> Z(a), mu: a -> Z(b)."""
+def _first_failing_sum(a, b, sign):
+    """The first x -> x * xi.mu(x)^sign on a that is not onto, or None when none.
+
+    xi runs over Hom(b, Z(a)) and mu over Hom(a, Z(b)), both sorted, xi
+    outermost.  Each distinct composite xi.mu is tested at its first pair,
+    the product taken as if the images commute, as they do: xi.mu is central.
+    """
     xis = enumerate_homs(b, a, restrict_codomain=a.center())
     mus = enumerate_homs(a, b, restrict_codomain=b.center())
-    composites = {tuple(xi.values[y] for y in mu.values) for xi in xis for mu in mus}
-    for phi in composites:
-        powers = phi if sign > 0 else [a.inverse[y] for y in phi]
-        if len({a.mul(x, y) for x, y in enumerate(powers)}) != a.order:
-            return False
-    return True
+    seen = set()
+    for xi in xis:
+        for mu in mus:
+            phi = tuple(xi.values[y] for y in mu.values)
+            if phi in seen:
+                continue
+            seen.add(phi)
+            powers = phi if sign > 0 else [a.inverse[y] for y in phi]
+            values = tuple(a.mul(x, y) for x, y in enumerate(powers))
+            if len(set(values)) != a.order:
+                return values
+    return None
 
 
 def test_a_subgroup_check_needs_neither_the_k_side_nor_the_minus_sign():
     # Lemma 1: 1 + xi.mu is bijective on h iff 1 + mu.xi is on k, so
     # a_subgroup_check tests the h side only; both sides are checked here.
     # Lemma 2: xi -> xi^-1 permutes Hom(k, Z(h)), so "every 1 - xi.mu is
-    # bijective" (A inside Aut) is the same test.
+    # bijective" (A inside Aut) is the same test.  The witness is the first
+    # failing 1 + xi.mu in (xi, mu) order, found here by composing each pair.
     seen = set()
     for a in LEMMA_SPECS:
         for b in LEMMA_SPECS:
             h, k = _g(a), _g(b)
             if h.order * k.order > 1152:
                 continue
-            ok, _ = a_subgroup_check(h, k, 1152)
-            assert ok == _sums_bijective(h, k, 1), (a, b)
-            assert ok == _sums_bijective(k, h, 1), (a, b)
-            assert ok == _sums_bijective(h, k, -1), (a, b)
+            ok, w = a_subgroup_check(h, k, 1152)
+            first = _first_failing_sum(h, k, 1)
+            assert (None if w is None else w.values) == first, (a, b)
+            assert ok == (first is None), (a, b)
+            assert ok == (_first_failing_sum(k, h, 1) is None), (a, b)
+            assert ok == (_first_failing_sum(h, k, -1) is None), (a, b)
             seen.add(ok)
     assert seen == {True, False}
 
@@ -446,25 +461,22 @@ def test_report_consistency_guards():
         )
 
 
-def test_classify_pair_builds_each_ordered_pairs_composites_once(monkeypatch):
+def test_classify_pair_forms_no_composite_but_the_witness(monkeypatch):
     composed = []
 
     def counted(f, g):
-        composed.append((f.domain.name, g.domain.name, f.values, g.values))
-        return compose(f, g)
+        composed.append(compose(f, g))
+        return composed[-1]
 
-    monkeypatch.setattr(autcompare, "compose", counted)
-    for hs, ks in (("C4", "C2"), ("Q8", "C2"), ("C4", "C4")):
-        # Fresh copies, so no composite is kept on them from an earlier test.
+    monkeypatch.setattr(pairs, "compose", counted)
+    for hs, ks, closed in (("C4", "C2", True), ("Q8", "C2", True), ("C4", "C4", False)):
+        # Fresh copies, so no hom listing is kept on them from an earlier test.
         h = FiniteGroup(_g(hs).table, name=f"h = {hs}")
         k = FiniteGroup(_g(ks).table, name=f"k = {ks}")
         composed.clear()
-        classify_pair(h, k, max_product_order=64)
-        assert composed, (hs, ks)
-        assert len(composed) == len(set(composed)), (hs, ks)
-        # (h, k) is formed whole; a_subgroup_check never forms (k, h).
-        for a, b in ((h, k), (k, h)):
-            formed = sum((c[0], c[1]) == (b.name, a.name) for c in composed)
-            xis = enumerate_homs(b, a, restrict_codomain=a.center())
-            mus = enumerate_homs(a, b, restrict_codomain=b.center())
-            assert formed == (len(xis) * len(mus) if a is h else 0), (hs, ks)
+        assert classify_pair(h, k, max_product_order=64).a_is_subgroup is closed
+        # A closed: no composite; not closed: only the witness's xi.mu.
+        assert len(composed) == (0 if closed else 1), (hs, ks)
+        if not closed:
+            _, w = a_subgroup_check(h, k, 64)
+            assert w.values == pointwise_sum(identity_map(h), composed[0]).values
