@@ -31,6 +31,7 @@ from .maps import (
     enumerate_homs,
     identity_map,
     is_bijective,
+    negate,
     zero_map,
 )
 from .matrices import (
@@ -105,6 +106,31 @@ def _set_order(h: FiniteGroup, k: FiniteGroup, central: bool) -> tuple[int, int]
     return diagonal, diagonal * off * len(enumerate_homs(h, k, restrict_codomain=k.center()))
 
 
+def _failing_pairs(h: FiniteGroup, k: FiniteGroup):
+    """The (xi, mu) in Hom(k, Z(h)) x Hom(h, Z(k)) with 1 + xi.mu not bijective, in order.
+
+    1 + xi.mu is an endomorphism, as xi.mu has central image, so it fails iff
+    xi(mu(x)) = x^-1 for some x != 1, an x in Z(h).  One pass over the mu
+    collects, for each y = mu(x), the x^-1 that xi must not send y to.  A xi
+    that sends no y to one of its x^-1 fails with no mu, at one lookup per y;
+    only the xi that fail somewhere loop over the mu.  As xi -> xi^-1
+    permutes Hom(k, Z(h)) and (xi^-1).mu = -(xi.mu), the maps 1 + xi.mu are
+    the maps 1 - xi.mu.
+    """
+    mus = enumerate_homs(h, k, restrict_codomain=k.center())
+    zh = [x for x in h.center().elements if x != h.identity]
+    avoid: dict[int, set[int]] = {}
+    for x in zh:
+        for y in {mu.values[x] for mu in mus}:
+            avoid.setdefault(y, set()).add(h.inverse[x])
+    for xi in enumerate_homs(k, h, restrict_codomain=h.center()):
+        xv = xi.values
+        if any(xv[y] in xs for y, xs in avoid.items()):
+            for mu in mus:
+                if any(xv[mu.values[x]] == h.inverse[x] for x in zh):
+                    yield xi, mu
+
+
 def _counted_comparison(
     h: FiniteGroup, k: FiniteGroup, max_product_order: int, central: bool
 ) -> AutComparison:
@@ -113,33 +139,24 @@ def _counted_comparison(
     A has automorphisms on the diagonal, Z (``central``) central ones, read
     from the chain of Aut or Aut_c (``_aut_chain``); both have Hom(k, Z(h))
     and Hom(h, Z(k)) off it, and the set's order is the four pool sizes'
-    product.  A member [[lam, xi'], [mu', nu]] recomposes to an automorphism
-    iff its determinant det_h = lam - xi'.nu^-1.mu' is bijective.  Write
-    xi' = lam.xi and mu' = nu.mu; automorphisms, central or not, preserve the
-    centre, so xi and mu run over Hom(k, Z(h)) and Hom(h, Z(k)) once as xi'
-    and mu' do, and det_h = lam.(1 - xi.mu) (the identity pivot).  So
+    product.  A member [[lam, xi'], [mu', nu]] is an automorphism iff
+    det_h = lam - xi'.nu^-1.mu' is bijective.  Automorphisms keep the centre,
+    so xi' = lam.xi^-1 and mu' = nu.mu run over the hom sets once as xi and
+    mu do, and det_h = lam.(1 + xi.mu): |set minus Aut| is |diagonal| times
+    the number of ``_failing_pairs``, for A and Z alike.
 
-        |set minus Aut| = |diagonal| #{(xi, mu) : 1 - xi.mu not bijective},
-
-    the same failing pairs for A and Z.  1 - xi.mu is an endomorphism, as
-    xi.mu has central image, so it fails iff xi(mu(x)) = x for some x != 1,
-    and that x is central.  The count needs the pairs themselves, so one loop
-    over every (xi, mu) tests that, forming no map: quadratic in the hom
-    sets, where ``a_subgroup_check`` decides "no pair fails" in one pass.
-
-    The set is inside Aut iff no pair fails.  Aut is inside A iff
+    The set is inside Aut iff no pair fails; Aut is inside A iff
     |A n Aut| = |Aut(H x K)|.  A member of Z that is an automorphism is
     central, as (h, k) -> (lam(h) h^-1 xi'(k), mu'(h) nu(k) k^-1) lies in
     Z(H) x Z(K), so Aut_c is inside Z iff |Z n Aut| = |Aut_c(H x K)|.  The
     chains give both orders; nothing is listed.
 
     Witnesses, up to WITNESS_CAP per side: ``set_minus_aut`` holds
-    [[lam, lam.xi], [nu.mu, nu]] over the failing (xi, mu) in (xi, mu) order,
+    [[lam, lam.xi^-1], [nu.mu, nu]] over the failing (xi, mu) in order,
     then lam, then nu fastest, lam and nu walked through the chain products
-    (members of A or Z by construction, so built by ``_built_matrix``
-    unchecked); ``aut_minus_set`` holds the members of the chain of H x K (level 0
-    fastest) outside the set, made and decomposed one at a time until all of
-    them, or WITNESS_CAP, are found.
+    (members of the set by construction, so built unchecked); ``aut_minus_set``
+    holds the members of the chain of H x K (level 0 fastest) outside the set,
+    decomposed one at a time until all of them, or WITNESS_CAP, are found.
     """
     _check_enum_bound((h, k), max_product_order)
     pg = ProductGroup.of(h, k)
@@ -148,23 +165,14 @@ def _counted_comparison(
         return (_derived_map(g, g, v, hom=True) for v in _chain_products(g, central))
 
     diagonal, set_order = _set_order(h, k, central)
-    zh = [x for x in h.center().elements if x != h.identity]
-    failing = [
-        (xi, mu)
-        for xi in enumerate_homs(k, h, restrict_codomain=h.center())
-        for mu in enumerate_homs(h, k, restrict_codomain=k.center())
-        if any(xi.values[mu.values[x]] == x for x in zh)
-    ]
-    set_minus_aut = tuple(islice(
-        (
-            _built_matrix((h, k), ((lam, compose(lam, xi)), (compose(nu, mu), nu)))
-            for xi, mu in failing
-            for lam in autos(h)
-            for nu in autos(k)
-        ),
-        WITNESS_CAP,
-    ))
-    in_both = set_order - diagonal * len(failing)
+    failing = _failing_pairs(h, k)
+    first = list(islice(failing, WITNESS_CAP))
+    n_failing = len(first) + sum(1 for _ in failing)
+    set_minus_aut = tuple(islice((
+        _built_matrix((h, k), ((lam, compose(lam, negate(xi))), (compose(nu, mu), nu)))
+        for xi, mu in first for lam in autos(h) for nu in autos(k)
+    ), WITNESS_CAP))
+    in_both = set_order - diagonal * n_failing
     aut = prod(len(reps) for reps in _aut_chain(pg.product, central))
     member = in_Z if central else in_A
     chain = (decompose(f, pg) for f in autos(pg.product))
@@ -174,7 +182,7 @@ def _counted_comparison(
     return AutComparison(
         aut_order=aut,
         a_order=set_order,
-        a_subset_aut=not failing,
+        a_subset_aut=not first,
         aut_subset_a=in_both == aut,
         violating_matrices=(set_minus_aut, aut_minus_set),
     )
@@ -186,9 +194,9 @@ def compare_aut_vs_A(
     """Decide both inclusions between Aut(H x K) and A by counting, with witnesses.
 
     ``classify_pair`` reaches the same verdict without witnesses: A is inside
-    Aut iff A is a subgroup (``a_subgroup_check``, one pass over each hom
-    set), and then Aut = A iff the orders agree.  The count here walks every
-    pair (xi, mu), so it is quadratic in the hom sets."""
+    Aut iff A is a subgroup (``a_subgroup_check``), and then Aut = A iff the
+    orders agree.  The count reads every pair of ``_failing_pairs``, so it is
+    quadratic only in the failing xi."""
     return _counted_comparison(h, k, max_product_order, central=False)
 
 

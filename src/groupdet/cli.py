@@ -22,7 +22,7 @@ from .errors import (
     StructuralError,
 )
 from .groups import CATALOG, build_group, catalog_groups
-from .matrices import EndoMatrix, map_to_dict, matrix_from_dict, matrix_to_dict
+from .matrices import DEFAULT_AUT_ENUM_LIMIT, EndoMatrix, map_to_dict, matrix_from_dict, matrix_to_dict
 from .pairs import PairReport, classify_pair
 
 __all__ = ["CATALOG", "catalog_groups", "main"]
@@ -44,9 +44,9 @@ def _build_parser() -> argparse.ArgumentParser:
     max_order = _flag(
         "--max-order",
         type=int,
-        default=64,
+        default=DEFAULT_AUT_ENUM_LIMIT,
         metavar="N",
-        help="largest product order enumerated exhaustively (default 64)",
+        help=f"largest product order enumerated exhaustively (default {DEFAULT_AUT_ENUM_LIMIT})",
     )
     as_json = _flag("--json", action="store_true", help="emit JSON instead of text")
     seed = _flag("--seed", type=int, default=0, metavar="U64", help="PRNG seed")
@@ -97,7 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load_matrix(args) -> EndoMatrix:
     with open(args.matrix_file, encoding="utf-8") as fh:
         payload = json.load(fh)
-    m = matrix_from_dict(payload)
+    try:
+        m = matrix_from_dict(payload)
+    except StructuralError as exc:  # an invalid map in the file, not a failed check
+        raise ParseError(str(exc)) from exc
     expected = tuple(build_group(s).name for s in (args.h_spec, args.k_spec))
     got = tuple(f.name for f in m.factors)
     if got != expected:

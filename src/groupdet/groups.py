@@ -803,8 +803,8 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]
 
 
 @_memoised
-def _direct_factors(g: FiniteGroup) -> tuple[tuple[DirectFactorization, FiniteGroup], ...]:
-    """Each nontrivial direct factor of g, with its first complement, as a group.
+def _direct_factors(g: FiniteGroup) -> tuple[DirectFactorization, ...]:
+    """Each nontrivial direct factor of g, with its first complement.
 
     Factors and complements are normal subgroups, taken in the order of
     ``normal_subgroups()``, (order, elements).  Two normal subgroups with
@@ -820,9 +820,15 @@ def _direct_factors(g: FiniteGroup) -> tuple[tuple[DirectFactorization, FiniteGr
         xs = set(x.elements)
         for c in by_order.get(g.order // x.order, ()):
             if len(xs.intersection(c.elements)) == 1:
-                out.append((DirectFactorization(g, x, c), x.as_group()[0]))
+                out.append(DirectFactorization(g, x, c))
                 break
     return tuple(out)
+
+
+@_memoised
+def _factor_group(g: FiniteGroup, i: int) -> FiniteGroup:
+    """The i-th of ``_direct_factors(g)`` as a group, extracted when first compared."""
+    return _direct_factors(g)[i].left.as_group()[0]
 
 
 def common_nontrivial_factor(
@@ -835,13 +841,14 @@ def common_nontrivial_factor(
     ``_direct_factors`` (h's factor outermost), or None.
     """
     def factors(g: FiniteGroup):
-        return [f for f in _direct_factors(g) if not central_only or f[0].left.is_central()]
+        fs = enumerate(_direct_factors(g))
+        return [(i, f) for i, f in fs if not central_only or f.left.is_central()]
 
     k_facts = factors(k)
-    for hf, hg in factors(h):
-        for kf, kg in k_facts:
+    for i, hf in factors(h):
+        for j, kf in k_facts:
             if kf.left.order == hf.left.order:
-                iso = are_isomorphic(hg, kg)
+                iso = are_isomorphic(_factor_group(h, i), _factor_group(k, j))
                 if iso is not None:
                     return CommonFactorWitness(hf, kf, iso)
     return None

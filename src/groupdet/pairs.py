@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Union
 
-from .autcompare import _set_order
+from .autcompare import _failing_pairs, _set_order
 from .errors import ResourceLimitError, StructuralError
 from .groups import (
     CommonFactorWitness,
@@ -302,37 +302,19 @@ def a_subgroup_check(
     """Whether A over (h, k) is closed as a group of automorphisms.
 
     The criterion: lambda + xi.mu and nu + mu.xi are bijective for every
-    lambda in Aut(h), nu in Aut(k), mu: h -> Z(k), xi: k -> Z(h).  Since
+    lambda in Aut(h), nu in Aut(k), mu: h -> Z(k), xi: k -> Z(h).  As
     lambda + xi.mu = lambda.(1 + lambda^-1.xi.mu) and xi -> lambda^-1.xi
-    permutes Hom(k, Z(h)), the first holds for every lambda iff 1 + xi.mu is
-    bijective for every (xi, mu); likewise nu + mu.xi with 1 + mu.xi.  Both
-    are endomorphisms, the added part having central image, so 1 + xi.mu
-    fails iff xi.mu(x) = x^-1 for some x != 1, an x in Z(h); then y = mu(x)
-    has mu.xi(y) = y^-1, and back, so 1 + mu.xi needs no test of its own.
-
-    One pass over the mu collects the x^-1 that each y = mu(x) must not be
-    sent to; one pass over the sorted xi tests them, forming no composite and
-    listing no automorphism group.  The witness is 1 + xi.mu for the first
-    failing xi and its first failing mu: the first failing sum in (xi, mu)
-    order, and so over lambda in sorted order, whose first member is 1.
-
-    The maps 1 + xi.mu are also the maps 1 - xi.mu, since xi -> xi^-1
-    permutes Hom(k, Z(h)) and (xi^-1).mu = -(xi.mu); so A is closed exactly
-    when it lies inside Aut(h x k) (``compare_aut_vs_A``'s ``a_subset_aut``).
+    permutes Hom(k, Z(h)), that is 1 + xi.mu and 1 + mu.xi bijective for
+    every (xi, mu).  mu maps the kernel of 1 + xi.mu into that of 1 + mu.xi,
+    injectively (mu(x) = 1 there gives x^-1 = xi(1) = 1), and xi back, so
+    only ``_failing_pairs`` is read.  The witness is 1 + xi.mu for its first
+    pair: the first failing sum over lambda in sorted order, whose first
+    member is 1.  As the maps 1 + xi.mu are the maps 1 - xi.mu, A is closed
+    iff it lies inside Aut(h x k) (``compare_aut_vs_A``'s ``a_subset_aut``).
     """
     _check_enum_bound((h, k), max_product_order)
-    xis = enumerate_homs(k, h, restrict_codomain=h.center())
-    mus = enumerate_homs(h, k, restrict_codomain=k.center())
-    zh = [x for x in h.center().elements if x != h.identity]
-    avoid: dict[int, set[int]] = {}
-    for x in zh:
-        for y in {mu.values[x] for mu in mus}:
-            avoid.setdefault(y, set()).add(h.inverse[x])
-    for xi in xis:
-        xv = xi.values
-        if any(xv[y] in xs for y, xs in avoid.items()):
-            mu = next(mu for mu in mus if any(xv[mu.values[x]] == h.inverse[x] for x in zh))
-            return False, pointwise_sum(identity_map(h), compose(xi, mu), require_commuting=True)
+    for xi, mu in _failing_pairs(h, k):
+        return False, pointwise_sum(identity_map(h), compose(xi, mu), require_commuting=True)
     return True, None
 
 
@@ -408,10 +390,9 @@ def classify_pair(
     divergence raises StructuralError.  ``a_subgroup_check`` decides each
     A-side fact once and reads neither the pair pass nor the common-factor
     search, so the cross-checks compare independent routes.  It decides
-    whether A is inside Aut(H x K) too, as its maps 1 + xi.mu are the maps
-    1 - xi.mu; if so, Aut = A iff |Aut(H x K)| = |A|, and H x K is built
-    only then.  The Aut-level facts degrade to None (and ``incomplete=True``)
-    when the product exceeds the enumeration bound.
+    whether A is inside Aut(H x K) too; if so, Aut = A iff |Aut(H x K)| =
+    |A|, and H x K is built only then.  The Aut-level facts degrade to None
+    (and ``incomplete=True``) when the product exceeds the enumeration bound.
     """
     hg = build_group(h) if isinstance(h, str) else h
     kg = build_group(k) if isinstance(k, str) else k

@@ -300,6 +300,20 @@ def test_comparison_without_listing_the_product_automorphisms():
     _check_witnesses(cmp)
 
 
+def test_closed_pair_is_counted_without_a_loop_over_every_pair():
+    # E2^4 and C4 x C4 x C4 share no direct factor (Krull-Remak-Schmidt), so
+    # Aut = A and Bidwell-Curran-McCaughan give |GL(4, 2)| |GL(3, Z/4)| |Hom|^2.
+    # No xi fails, so the 4,096 x 4,096 pairs (xi, mu) are never walked.
+    h, k = _g("E2^4"), _g("C4 x C4 x C4")
+    order = 20_160 * 86_016 * 4_096**2
+    for compare in (compare_aut_vs_A, compare_autc_vs_Z):
+        t0 = time.perf_counter()
+        cmp = compare(h, k, max_product_order=1024)
+        assert time.perf_counter() - t0 < 5.0, compare.__name__
+        assert cmp.equal and cmp.violating_matrices == ((), ()), compare.__name__
+        assert cmp.aut_order == cmp.a_order == order == 29_093_077_670_952_960
+
+
 def test_Z_comparison_without_listing_the_product_automorphisms():
     # The product is abelian, so Aut_c = Aut and Z = A: listing the
     # 10,321,920 central automorphisms is over the listing bound.

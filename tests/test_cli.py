@@ -119,17 +119,34 @@ def test_flags_a_subcommand_does_not_read_exit_1(tmp_path, capsys):
 
 
 def test_malformed_matrix_file_is_a_one_line_error(tmp_path):
-    path = tmp_path / "matrix.json"
-    path.write_text(json.dumps({"factors": [5, 6], "entries": [[1, 2], [3, 4]]}))
-    for cmd in ("det", "invert"):
-        proc = subprocess.run(
-            [sys.executable, "-m", "groupdet.cli", cmd, "C2", "C2", str(path)],
-            capture_output=True,
-            text=True,
-        )
-        assert proc.returncode == 1, cmd
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, cmd
-        assert "Traceback" not in proc.stderr, cmd
+    s3 = build_group("S3")
+    swap = matrix_to_dict(_swap_s3())  # [[0, 1], [1, 0]] over (S3, S3)
+
+    def with_entry(i, j, values):
+        payload = json.loads(json.dumps(swap))
+        payload["entries"][i][j]["values"] = values
+        return payload
+
+    other = next(x for x in range(s3.order) if x != s3.identity)
+    payloads = {
+        "factors not specs": {"factors": [5, 6], "entries": [[1, 2], [3, 4]]},
+        "wrong length": with_entry(0, 1, [s3.identity] * 5),
+        "outside the codomain": with_entry(0, 1, [s3.identity] * 5 + [s3.order]),
+        "not a homomorphism": with_entry(0, 1, [other] * 6),
+        "row images do not commute": with_entry(0, 0, list(identity_map(s3).values)),
+    }
+    for label, payload in payloads.items():
+        path = tmp_path / "matrix.json"
+        path.write_text(json.dumps(payload))
+        for cmd in ("det", "invert"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "groupdet.cli", cmd, "S3", "S3", str(path)],
+                capture_output=True,
+                text=True,
+            )
+            assert proc.returncode == 1, (label, cmd, proc.stderr)
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, (label, cmd)
+            assert "Traceback" not in proc.stderr, (label, cmd)
 
 
 def test_invert_round_trip(tmp_path, capsys):

@@ -453,12 +453,14 @@ def test_direct_factors_match_the_listing_of_every_factorization():
     for spec in CATALOG + ("E2^4",) + PRODUCTS_72:
         g = build_group(spec)
         factors = groups._direct_factors(g)
-        got = [(f.left.elements, f.right.elements) for f, _ in factors]
+        got = [(f.left.elements, f.right.elements) for f in factors]
         assert got == _oracle_factor_list(g), spec
-        central = [(f.left.elements, f.right.elements) for f, _ in factors if f.left.is_central()]
+        central = [(f.left.elements, f.right.elements) for f in factors if f.left.is_central()]
         assert central == _oracle_factor_list(g, central_only=True), spec
-        for f, fg in factors:
+        for i, f in enumerate(factors):
+            fg = groups._factor_group(g, i)
             assert fg.order == f.left.order and f.parent is g, spec
+            assert groups._factor_group(g, i) is fg, spec
 
 
 def test_common_factor_search_extracts_each_factor_once(monkeypatch):
@@ -472,13 +474,27 @@ def test_common_factor_search_extracts_each_factor_once(monkeypatch):
     # Fresh copies, so no factor list is kept on them from an earlier test.
     h = FiniteGroup(build_group("C2 x S3").table, name="h")
     k = FiniteGroup(build_group("C2 x C2").table, name="k")
-    expected = len(_oracle_factor_list(h)) + len(_oracle_factor_list(k))
     monkeypatch.setattr(Subgroup, "as_group", counted)
     for _ in range(3):
         assert common_nontrivial_factor(h, k).h_factor.order == 2
         assert common_nontrivial_factor(h, k, central_only=True).h_factor.order == 2
         assert common_nontrivial_factor(k, h) is not None
-    assert len(calls) == expected
+    # Each search stops at the first factor of h, C2, and the first of k.
+    assert calls == [h, k]
+
+    # No common factor, so the searches compare every factor whose order
+    # the other side has, and extract only those, each once.
+    calls.clear()
+    h = FiniteGroup(build_group("S3 x S3").table, name="h")
+    k = FiniteGroup(build_group("C6 x C6").table, name="k")
+    h_orders, k_orders = ({len(x) for x, _ in _oracle_factor_list(g)} for g in (h, k))
+    expected = sum(len(x) in k_orders for x, _ in _oracle_factor_list(h)) + sum(
+        len(x) in h_orders for x, _ in _oracle_factor_list(k)
+    )
+    for _ in range(3):
+        assert common_nontrivial_factor(h, k) is None
+        assert common_nontrivial_factor(k, h) is None
+    assert expected > 2 and len(calls) == expected
 
 
 def test_subgroup_closure_validation():
