@@ -180,8 +180,6 @@ def cmd_det(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    if args.trials < 1:
-        raise ParseError(f"--trials must be at least 1, got {args.trials}")
     h, k = build_group(args.h_spec), build_group(args.k_spec)
     records = run_bench(h, k, trials=args.trials, seed=args.seed, branch=args.branch)
     if args.json:
@@ -237,6 +235,9 @@ def cmd_sweep(args) -> int:
     return EXIT_RESOURCE if incomplete else EXIT_OK
 
 
+# Argument dest -> its name on the command line; each value must be at least 1.
+_POSITIVE = {"max_order": "--max-order", "trials": "--trials", "order": "MAX_FACTOR_ORDER"}
+
 _COMMANDS = {
     "classify": cmd_classify,
     "invert": cmd_invert,
@@ -253,6 +254,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
+        for dest, name in _POSITIVE.items():
+            value = getattr(args, dest, None)
+            if value is not None and value < 1:
+                raise ParseError(f"{name} must be at least 1, got {value}")
         return _COMMANDS[args.command](args)
     except (ParseError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

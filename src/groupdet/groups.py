@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import re
 from dataclasses import dataclass
 from operator import itemgetter
@@ -65,6 +66,18 @@ def _memoised(fn):
         namespace,
     )
     return functools.wraps(fn)(namespace["memoised"])
+
+
+def _exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; StructuralError unless each is an exact
+    integer (``operator.index``, so numpy integers pass) and not a bool."""
+    vals = tuple(values)
+    try:
+        if bool not in map(type, vals):
+            return tuple(map(operator.index, vals))
+    except TypeError:
+        pass
+    raise StructuralError(f"{what} must be exact integers, not bools, floats or strings")
 
 
 def _walk(rows: Sequence[Sequence[int]], reached: list[int], seen: set[int], gens: list[int]):
@@ -193,8 +206,8 @@ class FiniteGroup:
     def _trusted(cls, rows: tuple, identity: int, name: str, labels: Sequence[str]):
         """A group from tuple rows known to form a group table with this identity.
 
-        Skips validation; only ``direct_product`` and ``Subgroup.as_group``
-        call it, with tables derived from validated groups.
+        Skips validation; only ``_product`` (behind ``direct_product``) and
+        ``Subgroup.as_group`` call it, with tables derived from validated groups.
         """
         g = cls.__new__(cls)
         g._setup(rows, identity, name, labels)
@@ -400,9 +413,11 @@ class Subgroup:
     elements: tuple[int, ...]
 
     def __init__(self, parent: FiniteGroup, elements: Iterable[int]):
-        elems = tuple(sorted(set(int(x) for x in elements)))
+        elems = tuple(sorted(set(_exact_ints(elements, "subgroup elements"))))
         object.__setattr__(self, "parent", parent)
         object.__setattr__(self, "elements", elems)
+        if elems and (elems[0] < 0 or elems[-1] >= parent.order):
+            raise StructuralError("subgroup elements fall outside the parent")
         if parent.identity not in elems:
             raise StructuralError("subgroup must contain the identity")
         es = set(elems)
@@ -507,7 +522,7 @@ class CommonFactorWitness:
 
 
 def direct_product(*factors: FiniteGroup) -> FiniteGroup:
-    """External direct product with factor metadata.
+    """External direct product with factor metadata, one per tuple of factors.
 
     The factors are kept exactly as given, so a product may itself be a
     factor (a composite block of a matrix).  Elements are numbered mixed-radix
@@ -517,12 +532,18 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
     ``coords[x]`` is the tuple of factor elements of x, and everything else
     reads those.  A product of groups is a group, so the table is not
     validated again; its identity is the number of the tuple of factor
-    identities.
+    identities.  The product is kept on the first factor (``_product``), so
+    every caller asking for the same factors gets the same group.
     """
     if not factors:
         raise ValidationError("direct product needs at least one factor")
     if len(factors) == 1:
         return factors[0]
+    return _product(factors[0], factors)
+
+
+@_memoised
+def _product(first: FiniteGroup, factors: tuple[FiniteGroup, ...]) -> FiniteGroup:
     # Fold in one factor at a time: with n = |g|, the pair (x, y) of an
     # element x of the product so far and y of g becomes x*n + y.
     table: list = [(0,)]
@@ -640,8 +661,8 @@ def _read_text(path: str) -> str:
 
 
 def load_table_file(path: str) -> FiniteGroup:
-    """Load a group table file: order line, N table rows, optional labels: line."""
-    return _table_from_text(path, _read_text(path))
+    """Load a table file (order line, N rows, optional labels: line) as ``@path`` is built."""
+    return _atom_group("@" + path)
 
 
 def _table_from_text(path: str, text: str) -> FiniteGroup:
@@ -678,30 +699,30 @@ def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGr
     return FiniteGroup(table, name=name)
 
 
-_ATOM_RE = re.compile(r"^(C(\d+)|D(\d+)|S(\d+)|Q8|E(\d+)\^(\d+))$")
+_ATOM_RE = re.compile(r"^(?:C(\d+)|D(\d+)|S(\d+)|Q8|E(\d+)\^(\d+))$")
+# First letter of a catalog atom -> its constructor, called on the atom's numbers.
+_ATOMS = {"C": cyclic, "D": dihedral, "S": symmetric, "Q": quaternion8, "E": elementary_abelian}
 
-# Normalized spec -> (contents of its table files, group).  Kept here, not on
-# a group through _memoised: the key is a spec string, and an entry is reused
-# only while the table files it read still hold the same text.
-_build_cache: dict[str, tuple[tuple[Optional[str], ...], FiniteGroup]] = {}
+# Atom -> (its table file's text, or None for a catalog atom; group).  Kept
+# here, not on a group through _memoised: the key is a string, and an entry
+# is reused only while its table file still holds the same text.
+_build_cache: dict[str, tuple[Optional[str], FiniteGroup]] = {}
 
 
-def _build_atom(atom: str, text: Optional[str]) -> FiniteGroup:
-    if atom.startswith("@"):
-        return _table_from_text(atom[1:], text)
-    m = _ATOM_RE.match(atom)
-    if not m:
-        raise ParseError(f"unrecognized group atom {atom!r}")
-    if atom == "Q8":
-        return quaternion8()
-    kind = atom[0]
-    if kind == "C":
-        return cyclic(int(m.group(2)))
-    if kind == "D":
-        return dihedral(int(m.group(3)))
-    if kind == "S":
-        return symmetric(int(m.group(4)))
-    return elementary_abelian(int(m.group(5)), int(m.group(6)))
+def _atom_group(atom: str) -> FiniteGroup:
+    text = _read_text(atom[1:]) if atom.startswith("@") else None
+    cached = _build_cache.get(atom)
+    if cached is not None and cached[0] == text:
+        return cached[1]
+    if text is not None:
+        g = _table_from_text(atom[1:], text)
+    else:
+        m = _ATOM_RE.match(atom)
+        if not m:
+            raise ParseError(f"unrecognized group atom {atom!r}")
+        g = _ATOMS[atom[0]](*(int(d) for d in m.groups() if d is not None))
+    _build_cache[atom] = (text, g)
+    return g
 
 
 _PRODUCT_RE = re.compile(r"\s+x\s+")
@@ -735,25 +756,17 @@ def _split_atoms(spec: str) -> list[str]:
 def build_group(spec: str) -> FiniteGroup:
     """Build a group from an expression like ``"C4"`` or ``"S3 x C4"``.
 
-    Results are cached per normalized spec, so repeated builds return the
-    same object.  Table files are read on every build, and the cached group
-    is returned only while their contents are unchanged.  Product
-    expressions record one factor per atom, which the matrix layer reads.
+    Each atom's group is kept per atom, so repeated builds return the same
+    object; a table file is read on every build, and its kept group is
+    returned only while the text is unchanged.  A product expression is the
+    ``direct_product`` of its atoms' groups, one factor per atom.
     """
     if not isinstance(spec, str):
         raise ParseError(f"group expression {spec!r} is not a string")
     atoms = _split_atoms(spec)
     if any(not a for a in atoms):
         raise ParseError(f"malformed group expression {spec!r}")
-    key = " x ".join(atoms)
-    texts = tuple(_read_text(a[1:]) if a.startswith("@") else None for a in atoms)
-    cached = _build_cache.get(key)
-    if cached is not None and cached[0] == texts:
-        return cached[1]
-    parts = [_build_atom(a, text) for a, text in zip(atoms, texts)]
-    g = parts[0] if len(parts) == 1 else direct_product(*parts)
-    _build_cache[key] = (texts, g)
-    return g
+    return direct_product(*[_atom_group(a) for a in atoms])
 
 
 # The groups the examples revolve around: small cyclics, the three

@@ -20,7 +20,7 @@ from .errors import (
     StructuralError,
     NoncommutingImagesError,
 )
-from .groups import DirectFactorization, FiniteGroup, Subgroup, _memoised
+from .groups import DirectFactorization, FiniteGroup, Subgroup, _exact_ints, _memoised
 
 __all__ = [
     "GroupMap",
@@ -65,7 +65,7 @@ class GroupMap:
         values: Sequence[int],
         hom: Optional[bool] = None,
     ):
-        vals = tuple(int(v) for v in values)
+        vals = _exact_ints(values, "map values")
         if len(vals) != domain.order:
             raise StructuralError(
                 f"value array has length {len(vals)}, domain has order {domain.order}"

@@ -20,7 +20,6 @@ from .errors import (
     PreconditionError,
     ResourceLimitError,
     StructuralError,
-    ValidationError,
 )
 from .groups import FiniteGroup, _memoised, build_group, direct_product
 from .maps import (
@@ -97,13 +96,9 @@ class ProductGroup:
 
     @classmethod
     def of(cls, *factors: FiniteGroup) -> "ProductGroup":
-        """Product over exactly these factors, composite blocks kept whole.
-
-        One per tuple of factors, kept on the first factor (``_product_over``).
-        """
-        if not factors:
-            raise ValidationError("direct product needs at least one factor")
-        return _product_over(factors[0], factors)
+        """The one ``ProductGroup`` of ``direct_product(*factors)``, composite
+        blocks kept whole (``_product_group``)."""
+        return _product_group(direct_product(*factors))
 
     @property
     def n(self) -> int:
@@ -114,9 +109,9 @@ class ProductGroup:
 
 
 @_memoised
-def _product_over(first: FiniteGroup, factors: tuple[FiniteGroup, ...]) -> ProductGroup:
-    """``ProductGroup`` over ``factors``, kept on ``first``, which is ``factors[0]``."""
-    return ProductGroup(direct_product(*factors))
+def _product_group(product: FiniteGroup) -> ProductGroup:
+    """The ``ProductGroup`` of ``product``, kept on it."""
+    return ProductGroup(product)
 
 
 def _product_of_composites(
@@ -221,7 +216,7 @@ def decompose(phi: GroupMap, pg: Optional[ProductGroup] = None) -> EndoMatrix:
     if pg is None:
         if phi.domain is not phi.codomain:
             raise PreconditionError("decompose needs an endomorphism")
-        pg = ProductGroup(phi.domain)
+        pg = _product_group(phi.domain)
     if phi.domain is not pg.product or phi.codomain is not pg.product:
         raise PreconditionError("map is not an endomorphism of the given product")
     if not phi.is_homomorphism():

@@ -9,6 +9,7 @@ from groupdet import autcompare, maps, matrices
 from groupdet import (
     CATALOG,
     AutComparison,
+    FiniteGroup,
     PreconditionError,
     ProductGroup,
     ResourceLimitError,
@@ -332,8 +333,9 @@ def test_Z_side_lists_no_automorphism_group(monkeypatch):
     def refuse(g):
         raise AssertionError(f"listed Aut({g.name})")
 
-    # A fresh product, so nothing is cached on it yet.
-    product = direct_product(_g("Q8"), _g("C4"))
+    # A product over fresh factors, so nothing is cached on it yet.
+    q8, c4 = (FiniteGroup(_g(spec).table, name=spec) for spec in ("Q8", "C4"))
+    product = direct_product(q8, c4)
     monkeypatch.setattr(maps, "enumerate_autos", refuse)
     monkeypatch.setattr(matrices, "enumerate_autos", refuse)
     cmp = compare_autc_vs_Z(_g("C4"), _g("C4"))

@@ -229,6 +229,24 @@ def test_bench_rejects_nonpositive_trials(trials, capsys):
     assert "--trials must be at least 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["classify", "C2", "C2", "--max-order", "-5"], "--max-order"),
+        (["classify", "C2", "C2", "--max-order", "0"], "--max-order"),
+        (["sweep", "3", "--max-order", "0"], "--max-order"),
+        (["sweep", "-3"], "MAX_FACTOR_ORDER"),
+        (["sweep", "0"], "MAX_FACTOR_ORDER"),
+    ],
+)
+def test_bounds_below_one_are_usage_errors(argv, name, capsys):
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert f"{name} must be at least 1" in captured.err
+
+
 def test_sweep_small(capsys):
     assert main(["sweep", "4"]) == 0
     out = capsys.readouterr().out

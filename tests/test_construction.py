@@ -197,4 +197,4 @@ def test_trusted_constructor_has_exactly_two_callers():
                 for fn in node.body
                 if isinstance(fn, ast.FunctionDef) and _calls_trusted(fn)
             ]
-    assert sorted(callers) == ["Subgroup.as_group", "direct_product"]
+    assert sorted(callers) == ["Subgroup.as_group", "_product"]

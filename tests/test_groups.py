@@ -268,6 +268,24 @@ def test_table_file_edits_are_reread(tmp_path):
     assert build_group(f"@{path}") is edited
 
 
+def test_rewritten_table_file_gives_a_new_atom_and_a_new_product(tmp_path):
+    path = tmp_path / "t.txt"
+    _write_table(path, build_group("C2"))
+    old_atom = build_group(f"@{path}")
+    old = build_group(f"@{path} x C3")
+    assert old.factors[0] is old_atom and load_table_file(str(path)) is old_atom
+    old_table = old.table
+    _write_table(path, build_group("C4"))
+    atom = load_table_file(str(path))
+    assert atom is not old_atom and atom.order == 4
+    assert build_group(f"@{path}") is atom
+    product = build_group(f"@{path} x C3")
+    assert product is not old and product.factors == (atom, build_group("C3"))
+    assert product.factors[0] is atom and product.order == 12
+    # The old product still describes the old file.
+    assert old.table == old_table and old.order == 6 and old.factors[0] is old_atom
+
+
 def test_table_file_path_with_spaces(tmp_path):
     folder = tmp_path / "dir with space"
     folder.mkdir()
@@ -294,6 +312,31 @@ def test_elementary_abelian_and_products():
     pg = build_group("C2 x C4")
     assert pg.order == 8 and pg.factors is not None
     assert [f.order for f in pg.factors] == [2, 4]
+
+
+def test_product_spec_factors_are_the_groups_of_its_atoms():
+    for spec in ("C2 x C4", "S3 x C4 x Q8", "C2xC2", "E2^2 x C3"):
+        g = build_group(spec)
+        atoms = [build_group(a) for a in re.split(r"\s*x\s*", spec)]
+        assert len(g.factors) == len(atoms)
+        assert all(f is a for f, a in zip(g.factors, atoms)), spec
+
+
+def test_one_group_object_per_product():
+    from groupdet import ProductGroup
+
+    c2, c4, s3 = build_group("C2"), build_group("C4"), build_group("S3")
+    g = build_group("C2 x C4")
+    assert build_group("C2xC4") is g
+    assert direct_product(c2, c4) is g
+    assert ProductGroup.of(c2, c4).product is g
+    assert ProductGroup.of(c2, c4) is ProductGroup.of(c2, c4)
+    three = build_group("S3 x C2 x C4")
+    assert direct_product(s3, c2, c4) is three
+    assert ProductGroup.of(s3, c2, c4).product is three
+    # A composite block is a factor of its own; the flat product is another group.
+    nested = direct_product(c2, g)
+    assert nested is direct_product(c2, g) and nested is not build_group("C2 x C2 x C4")
 
 
 def test_unflattened_product_keeps_blocks():

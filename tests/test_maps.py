@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from groupdet import (
     CATALOG,
+    FiniteGroup,
     GroupMap,
     InversionError,
     PreconditionError,
     ResourceLimitError,
     StructuralError,
+    Subgroup,
     aut_order,
     build_group,
     central_aut_group,
@@ -51,6 +53,11 @@ END_COUNTS = {"C2": 2, "C4": 4, "S3": 10, "Q8": 28, "D8": 36}
 AUT_COUNTS = {"C4": 2, "S3": 6, "Q8": 24, "D8": 8, "E2^2": 6, "C12": 4}
 
 SMALL_SPECS = ("C2", "C3", "C4", "C5", "C6", "C8", "S3", "D8", "Q8")
+
+
+def _fresh(spec):
+    """A new group with the table of ``spec``, so nothing is kept on it or on its products."""
+    return FiniteGroup(build_group(spec).table, name=spec)
 
 
 def _power(g, x, k):
@@ -133,6 +140,20 @@ def test_public_constructor_validates_values():
         with pytest.raises(StructuralError):
             map_from_dict({"domain": "C4", "codomain": "C2", "values": values})
     assert GroupMap(c4, c2, [0, 1, 0, 1]).values == (0, 1, 0, 1)
+    # Exact integers only: no rounding, parsing or bools, here or for subgroups.
+    for values in ([0, 1.9], ["0", "1"], [0, True], [0.0, 1.0]):
+        with pytest.raises(StructuralError, match="integers"):
+            GroupMap(c2, c2, values)
+    for elements in ([0.5, 1.2], ["0"], [False], [0, 1.0]):
+        with pytest.raises(StructuralError, match="integers"):
+            Subgroup(c2, elements)
+    for elements in ([0, 2], [0, -1]):
+        with pytest.raises(StructuralError, match="outside"):
+            Subgroup(c2, elements)
+    # numpy integers are exact, so they pass and come out as Python ints.
+    f = GroupMap(c2, c2, np.array([0, 1]))
+    assert f.values == (0, 1) and {type(v) for v in f.values} == {int}
+    assert Subgroup(c2, np.array([1, 0])).elements == (0, 1)
 
 
 def test_enumerate_homs_counts():
@@ -264,7 +285,7 @@ def test_aut_order_counts_without_listing():
     assert aut_order(g) == 20_158_709_760  # |GL(6, 2)|
     assert time.perf_counter() - t0 < 1.0
     # A fresh group small enough to list: counting must not list it either.
-    small = direct_product(build_group("C2"), build_group("C4"))
+    small = direct_product(_fresh("C2"), _fresh("C4"))
     assert aut_order(small) == 8
     for h in (g, small):
         assert (_chain_listing, False) not in h._cache  # the key enumerate_autos fills
@@ -292,20 +313,19 @@ def _count_searches(monkeypatch):
 
 def test_each_structure_is_computed_once_whichever_entry_point_asks_first(monkeypatch):
     calls = _count_searches(monkeypatch)
-    c2, c4 = build_group("C2"), build_group("C4")
     for first, then in ((aut_order, enumerate_autos), (enumerate_autos, aut_order)):
-        g = direct_product(c2, c4)  # fresh, so nothing is kept on it yet
+        g = direct_product(_fresh("C2"), _fresh("C4"))  # nothing is kept on it yet
         first(g)
         searched = len(calls)
         assert searched > 0
         then(g)
         assert len(calls) == searched, (first.__name__, then.__name__)
     # The central chain too, and a restricted hom listing however it is asked for.
-    g = direct_product(c2, c4)
+    g = direct_product(_fresh("C2"), _fresh("C4"))
     central_aut_group(g)
     searched = len(calls)
     assert _aut_chain(g, True) and len(calls) == searched
-    h = direct_product(c2, c2)
+    h = direct_product(_fresh("C2"), _fresh("C2"))
     before = len(calls)
     homs = enumerate_homs(h, g, restrict_codomain=g.center())
     assert len(calls) == before + 1

@@ -130,6 +130,52 @@ def test_decompose_identity_gives_identity_matrix():
     assert m.entries == ident.entries
 
 
+def _write_table(path, g):
+    lines = [str(g.order)] + [" ".join(str(v) for v in row) for row in g.table]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_decompose_without_pg_round_trips_every_automorphism(tmp_path):
+    path = tmp_path / "s3.txt"
+    _write_table(path, build_group("S3"))
+    # |Aut(S3 x C4)| = 6 * 2 * 2 and Aut(C2 x S3) = Aut(D12) = D12.
+    for spec, count in (("S3 x C4", 24), (f"@{path} x C4", 24), (f"C2 x @{path}", 12)):
+        g = build_group(spec)
+        autos = enumerate_autos(g)
+        assert len(autos) == count, spec
+        for f in autos:
+            m = decompose(f)
+            assert m.factors == g.factors
+            assert recompose(m) == f, spec
+
+
+def test_decomposed_matrix_multiplies_with_one_over_the_spec_atoms():
+    c2, c4 = build_group("C2"), build_group("C4")
+    m = decompose(identity_map(build_group("C2 x C4")))
+    ident = identity_matrix((c2, c4))
+    assert matrix_multiply(m, ident) == ident == matrix_multiply(ident, m)
+
+
+def test_decompose_without_pg_builds_one_product_group(monkeypatch):
+    import groupdet.matrices as matrices
+
+    built = []
+    init = matrices.ProductGroup.__init__
+
+    def counted(self, product):
+        built.append(product)
+        init(self, product)
+
+    monkeypatch.setattr(matrices.ProductGroup, "__init__", counted)
+    # Over new factor groups, so no ProductGroup exists for the product yet.
+    c2, c4 = (group_from_table(build_group(s).table, name=s) for s in ("C2", "C4"))
+    g = direct_product(c2, c4)
+    phi = identity_map(g)
+    assert decompose(phi) == decompose(phi)
+    assert built == [g]
+    assert ProductGroup.of(c2, c4).product is g and built == [g]
+
+
 def test_decompose_swap_automorphism():
     s3 = build_group("S3")
     pg = _pg("S3", "S3")
