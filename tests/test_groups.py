@@ -280,8 +280,8 @@ def test_rewritten_table_file_gives_a_new_atom_and_a_new_product(tmp_path):
     assert atom is not old_atom and atom.order == 4
     assert build_group(f"@{path}") is atom
     product = build_group(f"@{path} x C3")
-    assert product is not old and product.factors == (atom, build_group("C3"))
-    assert product.factors[0] is atom and product.order == 12
+    assert product is not old and product.order == 12
+    assert product.factors[0] is atom and product.factors[1] is build_group("C3")
     # The old product still describes the old file.
     assert old.table == old_table and old.order == 6 and old.factors[0] is old_atom
 
