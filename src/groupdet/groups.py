@@ -181,6 +181,11 @@ def _validate_table(table: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ..
     return rows, e
 
 
+# Numbers the groups in the order they are built (FiniteGroup._built), so
+# that direct_product can keep a product on its factor built last.
+_build_count = itertools.count()
+
+
 class FiniteGroup:
     """A finite group given by its multiplication table.
 
@@ -230,6 +235,7 @@ class FiniteGroup:
         self.factors: Optional[tuple[FiniteGroup, ...]] = None
         self.coords: Optional[tuple[tuple[int, ...], ...]] = None
         self._cache: dict = {}
+        self._built = next(_build_count)
 
     # -- element arithmetic ------------------------------------------------
 
@@ -532,18 +538,20 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
     ``coords[x]`` is the tuple of factor elements of x, and everything else
     reads those.  A product of groups is a group, so the table is not
     validated again; its identity is the number of the tuple of factor
-    identities.  The product is kept on the first factor (``_product``), so
-    every caller asking for the same factors gets the same group.
+    identities.  The product is kept on the factor built last (``_product``),
+    so every caller asking for the same factors gets the same group, and the
+    product goes when that factor does: a product with a table file's group
+    is not kept alive by an older catalog atom after the file is rewritten.
     """
     if not factors:
         raise ValidationError("direct product needs at least one factor")
     if len(factors) == 1:
         return factors[0]
-    return _product(factors[0], factors)
+    return _product(max(factors, key=lambda g: g._built), factors)
 
 
 @_memoised
-def _product(first: FiniteGroup, factors: tuple[FiniteGroup, ...]) -> FiniteGroup:
+def _product(newest: FiniteGroup, factors: tuple[FiniteGroup, ...]) -> FiniteGroup:
     # Fold in one factor at a time: with n = |g|, the pair (x, y) of an
     # element x of the product so far and y of g becomes x*n + y.
     table: list = [(0,)]

@@ -11,8 +11,10 @@ addition, accumulated in ascending column order.
 from __future__ import annotations
 
 import itertools
+import operator
+from collections.abc import Sequence
 from math import prod
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import (
     FactorizationError,
@@ -60,7 +62,7 @@ __all__ = [
 ]
 
 DEFAULT_AUT_ENUM_LIMIT = 64
-# enumerate_m_matrices refuses to build more matrices than this.
+# enumerate_m_matrices refuses a set of more matrices than this.
 _M_MATRIX_LIMIT = 2_000_000
 
 class ProductGroup:
@@ -359,10 +361,53 @@ def _matrix_pools(
     return pools
 
 
+class _MatrixSet(Sequence):
+    """A read-only sequence of matrices, each built when it is asked for.
+
+    It holds the factors and, per row, a tuple of the row tuples that row may
+    take; the members are every choice of one row tuple per row, in
+    ``itertools.product`` order (last row fastest).  Index i is decoded in
+    that mixed radix, so ``s[i]`` costs one ``_built_matrix`` and no member
+    is kept: the set takes the memory of its row choices, not of its
+    members.  A slice is a tuple.  Every row tuple must be valid by how it
+    was made (see each caller), since the members skip the checks of
+    ``EndoMatrix``.
+    """
+
+    __slots__ = ("_factors", "_rows", "_len")
+
+    def __init__(self, factors: tuple, rows: Sequence[Sequence[tuple]]):
+        self._factors = factors
+        self._rows = tuple(tuple(r) for r in rows)
+        self._len = prod(len(r) for r in self._rows)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(*i.indices(self._len)))
+        i = operator.index(i)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError(f"matrix set index out of range for {self._len} matrices")
+        picked = []
+        for choices in reversed(self._rows):
+            i, r = divmod(i, len(choices))
+            picked.append(choices[r])
+        return _built_matrix(self._factors, tuple(reversed(picked)))
+
+    def __iter__(self):
+        facs = self._factors
+        return (_built_matrix(facs, rows) for rows in itertools.product(*self._rows))
+
+
 def _pool_matrices(
     factors: Sequence[FiniteGroup], max_product_order: int, central_diagonal: bool
-) -> tuple[EndoMatrix, ...]:
-    """Every matrix with one entry from each pool of ``_matrix_pools``, in order.
+) -> Sequence[EndoMatrix]:
+    """Every matrix with one entry from each pool of ``_matrix_pools``, in order,
+    as a ``_MatrixSet``.
 
     Each pool holds homomorphisms with the cell's domain and codomain, and off
     the diagonal their images are central, so every row commutes and the
@@ -370,37 +415,35 @@ def _pool_matrices(
     """
     facs = tuple(factors)
     _check_enum_bound(facs, max_product_order)
-    n = len(facs)
     pools = _matrix_pools(facs, central_diagonal)
-    return tuple(
-        _built_matrix(facs, tuple([combo[i * n : (i + 1) * n] for i in range(n)]))
-        for combo in itertools.product(*(cell for row in pools for cell in row))
-    )
+    return _MatrixSet(facs, [itertools.product(*row) for row in pools])
 
 
 def enumerate_A(
     factors: Sequence[FiniteGroup], max_product_order: int = DEFAULT_AUT_ENUM_LIMIT
-) -> tuple[EndoMatrix, ...]:
-    """All matrices with automorphism diagonal and center-valued off-diagonal."""
+) -> Sequence[EndoMatrix]:
+    """All matrices with automorphism diagonal and center-valued off-diagonal,
+    as a read-only sequence whose members are built on access."""
     return _pool_matrices(factors, max_product_order, central_diagonal=False)
 
 
 def enumerate_Z(
     factors: Sequence[FiniteGroup], max_product_order: int = DEFAULT_AUT_ENUM_LIMIT
-) -> tuple[EndoMatrix, ...]:
+) -> Sequence[EndoMatrix]:
     """Like enumerate_A with central automorphisms on the diagonal."""
     return _pool_matrices(factors, max_product_order, central_diagonal=True)
 
 
-def enumerate_m_matrices(factors: Sequence[FiniteGroup]) -> tuple[EndoMatrix, ...]:
-    """Every matrix of homomorphisms satisfying the row commutation condition.
+def enumerate_m_matrices(factors: Sequence[FiniteGroup]) -> Sequence[EndoMatrix]:
+    """Every matrix of homomorphisms satisfying the row commutation condition,
+    as a read-only sequence whose members are built on access.
 
     Rows are filtered independently (the condition only couples entries within
-    a row), then combined.  ``_M_MATRIX_LIMIT`` guards against runaway products.
-    Every entry comes from ``enumerate_homs`` with the right domain and
-    codomain, and every row passed the commutation filter, so the matrices
-    come from ``_built_matrix`` unchecked, their rows being the tuples that
-    ``itertools.product`` yields.
+    a row), and the set holds only those row choices: its members are their
+    combinations in ``itertools.product`` order.  ``_M_MATRIX_LIMIT`` guards
+    against runaway products.  Every entry comes from ``enumerate_homs`` with
+    the right domain and codomain, and every row passed the commutation
+    filter, so the matrices come from ``_built_matrix`` unchecked.
     """
     facs = tuple(factors)
     n = len(facs)
@@ -412,10 +455,10 @@ def enumerate_m_matrices(factors: Sequence[FiniteGroup]) -> tuple[EndoMatrix, ..
         ]
         for target in facs
     ]
-    total = prod(len(rows) for rows in row_choices)
-    if total > _M_MATRIX_LIMIT:
-        raise ResourceLimitError(f"{total} matrices exceed the bound {_M_MATRIX_LIMIT}")
-    return tuple(_built_matrix(facs, rows) for rows in itertools.product(*row_choices))
+    mats = _MatrixSet(facs, row_choices)
+    if len(mats) > _M_MATRIX_LIMIT:
+        raise ResourceLimitError(f"{len(mats)} matrices exceed the bound {_M_MATRIX_LIMIT}")
+    return mats
 
 
 def enumerate_aut_matrices(

@@ -286,6 +286,29 @@ def test_rewritten_table_file_gives_a_new_atom_and_a_new_product(tmp_path):
     assert old.table == old_table and old.order == 6 and old.factors[0] is old_atom
 
 
+def test_rewritten_table_file_leaves_no_product_on_a_catalog_atom(tmp_path):
+    # A product is kept on the factor built last, so a product with a table
+    # file's group goes with that group when the file is rewritten, on
+    # either side of the catalog atom.
+    import gc
+    import weakref
+
+    atoms = [build_group(s) for s in CATALOG]
+    sizes = [len(g._cache) for g in atoms]
+    path = tmp_path / "t.txt"
+    old = []
+    for i in range(10):
+        _write_table(path, build_group(("C2", "C3")[i % 2]))
+        for spec in (f"C2 x @{path}", f"@{path} x C2"):
+            product = build_group(spec)
+            assert build_group(spec) is product
+            old.append(weakref.ref(product))
+    assert [len(g._cache) for g in atoms] == sizes
+    del product
+    gc.collect()
+    assert [r() is None for r in old] == [True] * 18 + [False] * 2
+
+
 def test_table_file_path_with_spaces(tmp_path):
     folder = tmp_path / "dir with space"
     folder.mkdir()

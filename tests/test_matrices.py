@@ -337,9 +337,9 @@ def test_library_builds_skip_the_validating_constructor(monkeypatch):
     phi = enumerate_autos(pg.product)[-1]
     a = decompose(phi, pg)
     builds = {
-        "enumerate_m_matrices": lambda: enumerate_m_matrices((s3, c2)),
-        "enumerate_A": lambda: enumerate_A((s3, c2)),
-        "enumerate_Z": lambda: enumerate_Z((s3, c2)),
+        "enumerate_m_matrices": lambda: tuple(enumerate_m_matrices((s3, c2))),
+        "enumerate_A": lambda: tuple(enumerate_A((s3, c2))),
+        "enumerate_Z": lambda: tuple(enumerate_Z((s3, c2))),
         "matrix_multiply": lambda: matrix_multiply(a, a),
         "decompose": lambda: decompose(phi, pg),
         "identity_matrix": lambda: identity_matrix((s3, c2)),
@@ -419,6 +419,105 @@ def test_enumerate_A_counts_and_bound():
     assert len(enumerate_Z((c2, c2))) == 4
     with pytest.raises(ResourceLimitError):
         enumerate_A((build_group("C12"), build_group("C12")))
+
+
+def _reference_keys(facs, kind):
+    """The keys of the M, A or Z set over ``facs``, from the hom listings and
+    the group tables alone: one cell pool per entry, rows filtered for
+    commuting images (M), and the rows combined by ``itertools.product``."""
+    n = len(facs)
+    tables = [f.table for f in facs]
+    centers = [
+        {z for z in range(len(t)) if all(t[z][x] == t[x][z] for x in range(len(t)))}
+        for t in tables
+    ]
+
+    def keep(i, j, values):
+        if kind == "M":
+            return True
+        if i != j:
+            return set(values) <= centers[i]
+        if len(set(values)) != len(values):
+            return False
+        t, e = tables[i], facs[i].identity
+        inv = [row.index(e) for row in t]
+        return kind == "A" or all(t[v][inv[x]] in centers[i] for x, v in enumerate(values))
+
+    def commutes(t, row):
+        images = [set(values) for values in row]
+        return all(
+            t[x][y] == t[y][x]
+            for a in range(n) for b in range(a + 1, n)
+            for x in images[a] for y in images[b]
+        )
+
+    rows = []
+    for i in range(n):
+        cells = [
+            [f.values for f in enumerate_homs(facs[j], facs[i]) if keep(i, j, f.values)]
+            for j in range(n)
+        ]
+        rows.append([r for r in itertools.product(*cells) if commutes(tables[i], r)])
+    return (tuple(itertools.chain(*pick)) for pick in itertools.product(*rows))
+
+
+def test_matrix_sets_are_sequences_built_on_access():
+    # M, A and Z are read-only sequences: iteration, indexing from either
+    # end and an independent product of the cell pools agree member by
+    # member, an index past the end raises, and a slice is a tuple.
+    from groupdet import CATALOG
+
+    groups = {s: build_group(s) for s in CATALOG}
+    cases = [
+        tuple(groups[s] for s in p)
+        for p in itertools.combinations_with_replacement(CATALOG, 2)
+        if groups[p[0]].order * groups[p[1]].order <= 64
+    ]
+    sets = [(facs, kind, fn(facs))
+            for facs in cases
+            for kind, fn in (("M", enumerate_m_matrices), ("A", enumerate_A), ("Z", enumerate_Z))]
+    c2c2c3 = tuple(build_group(s) for s in ("C2", "C2", "C3"))
+    sets.append((c2c2c3, "M", enumerate_m_matrices(c2c2c3)))
+    for facs, kind, s in sets:
+        where = (kind, [f.name for f in facs])
+        n = len(s)
+        walked = 0
+        for a, i, want in itertools.zip_longest(s, range(n), _reference_keys(facs, kind)):
+            b = s[i]
+            assert a.factors == b.factors == facs, where
+            assert a.key() == b.key() == want, (where, i)
+            walked += 1
+        assert walked == n > 0, where
+        assert s[-1] == s[n - 1] and s[-n] == s[0], where
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                s[bad]
+        head = s[:12]
+        assert isinstance(head, tuple) and head == tuple(itertools.islice(s, 12)), where
+    assert len(sets) == 3 * len(cases) + 1
+
+
+def test_m_matrix_set_is_not_materialised(monkeypatch):
+    # 313,600 matrices over D8 x D8, each built only when indexed: the set
+    # holds the 560 row choices per row, not its members.
+    import tracemalloc
+
+    from groupdet import matrices
+
+    d8 = build_group("D8")
+    enumerate_homs(d8, d8)
+    tracemalloc.start()
+    try:
+        mats = enumerate_m_matrices((d8, d8))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(mats) == 313_600
+    assert peak < 1_000_000
+    # The bound is on the set's size, checked when the set is made.
+    monkeypatch.setattr(matrices, "_M_MATRIX_LIMIT", 313_599)
+    with pytest.raises(ResourceLimitError):
+        enumerate_m_matrices((d8, d8))
 
 
 def test_aut_matrices_all_in_A_for_stem_pair():
