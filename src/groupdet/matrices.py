@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from math import prod
 from typing import Optional
 
@@ -376,7 +376,7 @@ class _MatrixSet(Sequence):
 
     __slots__ = ("_factors", "_rows", "_len")
 
-    def __init__(self, factors: tuple, rows: Sequence[Sequence[tuple]]):
+    def __init__(self, factors: tuple, rows: Iterable[Iterable[tuple]]):
         self._factors = factors
         self._rows = tuple(tuple(r) for r in rows)
         self._len = prod(len(r) for r in self._rows)
