@@ -27,6 +27,7 @@ from .maps import (
     _aut_chain,
     _chain_products,
     _derived_map,
+    _inverse,
     compose,
     enumerate_homs,
     identity_map,
@@ -366,9 +367,7 @@ def lemcomm_witness(h: FiniteGroup, k: FiniteGroup) -> EndoMatrix:
     x_index = {x: i for i, x in enumerate(x_elems)}
     y_index = {y: i for i, y in enumerate(y_elems)}
     iso = common.iso_values
-    iso_inv = [-1] * len(iso)
-    for i, v in enumerate(iso):
-        iso_inv[v] = i
+    iso_inv = _inverse(iso)
     alpha = GroupMap(h, h, _component_endo(hf, onto_left=False))
     delta = GroupMap(k, k, _component_endo(kf, onto_left=False))
     x_part = _component_endo(hf, onto_left=True)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .errors import StructuralError
@@ -83,14 +83,7 @@ class BenchRecord:
     wall_time: float
 
     def as_dict(self) -> dict:
-        return {
-            "pair": list(self.pair),
-            "method": self.method,
-            "steps_headline": self.steps_headline,
-            "steps_full": dict(self.steps_full),
-            "verdict": self.verdict,
-            "wall_time": self.wall_time,
-        }
+        return {**asdict(self), "pair": list(self.pair)}
 
 
 def naive_step_bound(h: FiniteGroup, k: FiniteGroup) -> int:
@@ -135,6 +128,16 @@ def run_bench(
     pg = ProductGroup.of(h, k)
     pair = (h.name, k.name)
     records: list[BenchRecord] = []
+
+    def record(method: str, counter: OpCounter, verdict: bool, wall_time: float) -> BenchRecord:
+        full = {
+            "pivot_inversion": counter.lookups,
+            "build_cost": counter.evaluations,
+            "injectivity_comparisons": counter.comparisons,
+        }
+        headline = counter.lookups + counter.comparisons
+        return BenchRecord(pair, method, headline, full, verdict, wall_time)
+
     for _ in range(trials):
         m = sample_a_member(h, k, rng)
 
@@ -156,32 +159,6 @@ def run_bench(
             raise StructuralError(
                 f"method disagreement on {pair}: naive={naive_verdict} det={det_verdict}"
             )
-        records.append(
-            BenchRecord(
-                pair=pair,
-                method="naive",
-                steps_headline=naive_counter.comparisons,
-                steps_full={
-                    "pivot_inversion": 0,
-                    "build_cost": 0,
-                    "injectivity_comparisons": naive_counter.comparisons,
-                },
-                verdict=naive_verdict,
-                wall_time=naive_time,
-            )
-        )
-        records.append(
-            BenchRecord(
-                pair=pair,
-                method="determinant",
-                steps_headline=det_counter.lookups + det_counter.comparisons,
-                steps_full={
-                    "pivot_inversion": det_counter.lookups,
-                    "build_cost": det_counter.evaluations,
-                    "injectivity_comparisons": det_counter.comparisons,
-                },
-                verdict=det_verdict,
-                wall_time=det_time,
-            )
-        )
+        records.append(record("naive", naive_counter, naive_verdict, naive_time))
+        records.append(record("determinant", det_counter, det_verdict, det_time))
     return records

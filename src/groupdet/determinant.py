@@ -31,7 +31,7 @@ from typing import Optional
 
 from .errors import DeterminantUndefinedError, InversionError, PreconditionError, StructuralError
 from .groups import FiniteGroup
-from .maps import GroupMap, _check_commuting, _derived_map
+from .maps import GroupMap, _check_commuting, _derived_map, _inverse
 from .matrices import EndoMatrix, _built_matrix, _product_of_composites, in_A
 
 __all__ = [
@@ -100,14 +100,6 @@ class PartialDet:
             )
         s = self.survivors[0]
         return self.maps[(s, s)]
-
-
-def _inverse(values: tuple[int, ...]) -> tuple[int, ...]:
-    """The inverse of a bijection held as a value tuple."""
-    out = [0] * len(values)
-    for x, y in enumerate(values):
-        out[y] = x
-    return tuple(out)
 
 
 def _step(factors: tuple[FiniteGroup, ...], node: tuple, p: int) -> Optional[tuple]:

@@ -80,6 +80,14 @@ def _exact_ints(values: Iterable, what: str) -> tuple[int, ...]:
     raise StructuralError(f"{what} must be exact integers, not bools, floats or strings")
 
 
+def _composer(values: tuple[int, ...]):
+    """The function x -> (x[v] for v in values), as a tuple: ``x`` after ``values``."""
+    if len(values) == 1:  # itemgetter of one index returns the item, not a tuple
+        (v,) = values
+        return lambda x: (x[v],)
+    return itemgetter(*values)
+
+
 def _walk(rows: Sequence[Sequence[int]], reached: list[int], seen: set[int], gens: list[int]):
     """Extend ``reached`` after ``gens[-1]`` was appended to ``gens``.
 
@@ -166,10 +174,8 @@ def _validate_table(table: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ..
             _walk(rows, reached, seen, gens)
 
     for a in gens:
-        # times_a(row_x)[y] = x*(a*y); there is a generator only when n >= 2,
-        # so itemgetter gets at least two keys and returns a tuple.
         row_a = rows[a]
-        times_a = itemgetter(*row_a)
+        times_a = _composer(row_a)  # times_a(row_x)[y] = x*(a*y)
         for x, row_x in enumerate(rows):
             row_xa = rows[row_x[a]]
             if times_a(row_x) != row_xa:

@@ -10,7 +10,6 @@ so the assumption is checked rather than silently used.
 from __future__ import annotations
 
 from math import prod
-from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 from .errors import (
@@ -20,7 +19,7 @@ from .errors import (
     StructuralError,
     NoncommutingImagesError,
 )
-from .groups import DirectFactorization, FiniteGroup, Subgroup, _exact_ints, _memoised
+from .groups import DirectFactorization, FiniteGroup, Subgroup, _composer, _exact_ints, _memoised
 
 __all__ = [
     "GroupMap",
@@ -53,7 +52,9 @@ class GroupMap:
     """A total function ``domain -> codomain`` held as a tuple of images.
 
     The homomorphism property is a tri-state cache: unknown until queried,
-    then pinned.  Instances are value-immutable and safe to share.
+    then pinned.  A ``hom`` claim passed to the constructor is checked, and a
+    false one raises StructuralError.  Instances are value-immutable and safe
+    to share.
     """
 
     __slots__ = ("domain", "codomain", "values", "_hom", "_image")
@@ -75,8 +76,11 @@ class GroupMap:
         self.domain = domain
         self.codomain = codomain
         self.values = vals
-        self._hom = hom
+        self._hom = None
         self._image: Optional[frozenset[int]] = None
+        if hom is not None and self.is_homomorphism() != hom:
+            verdict = "is not" if hom else "is"
+            raise StructuralError(f"map claims hom={hom}, but {verdict} a homomorphism")
 
     def __call__(self, x: int) -> int:
         return self.values[x]
@@ -134,11 +138,12 @@ def _derived_map(
     """A map whose values were read from validated maps or group tables.
 
     ``values`` must be a tuple of codomain indices, one per domain element; it
-    is stored as given, without the public constructor's coercion and range
-    check.  Callers are the map algebra and the hom/auto search below, the
-    product code (``ProductGroup``, ``recompose``, ``decompose``), the maps
-    ``determinant`` returns from its value-tuple elimination chain
-    (determinants and inverse entries), and the chain walk of ``autcompare``.
+    is stored as given, without the public constructor's coercion, range and
+    ``hom`` checks.  Callers are the identity and zero maps, the map algebra
+    and the hom/auto search below, the product code (``ProductGroup``,
+    ``recompose``, ``decompose``), the maps ``determinant`` returns from its
+    value-tuple elimination chain (determinants and inverse entries), and the
+    chain walk of ``autcompare``.
     """
     f = object.__new__(GroupMap)
     f.domain = domain
@@ -150,12 +155,12 @@ def _derived_map(
 
 
 def identity_map(g: FiniteGroup) -> GroupMap:
-    return GroupMap(g, g, range(g.order), hom=True)
+    return _derived_map(g, g, tuple(range(g.order)), hom=True)
 
 
 def zero_map(domain: FiniteGroup, codomain: FiniteGroup) -> GroupMap:
     """The constant map onto the codomain identity."""
-    return GroupMap(domain, codomain, [codomain.identity] * domain.order, hom=True)
+    return _derived_map(domain, codomain, (codomain.identity,) * domain.order, hom=True)
 
 
 def _check_composable(f: GroupMap, g: GroupMap) -> None:
@@ -224,6 +229,14 @@ def is_bijective(f: GroupMap) -> bool:
     return len(set(v)) == len(v)
 
 
+def _inverse(values: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a bijection held as a value tuple."""
+    out = [0] * len(values)
+    for x, y in enumerate(values):
+        out[y] = x
+    return tuple(out)
+
+
 def invert(f: GroupMap) -> GroupMap:
     """Functional inverse of a bijection, built by swapping the graph.
 
@@ -231,11 +244,8 @@ def invert(f: GroupMap) -> GroupMap:
     """
     if not is_bijective(f):
         raise InversionError(f"map is not bijective: {f!r}")
-    out = [0] * f.domain.order
-    for x, y in enumerate(f.values):
-        out[y] = x
     hom = True if f._hom else None
-    return _derived_map(f.codomain, f.domain, tuple(out), hom)
+    return _derived_map(f.codomain, f.domain, _inverse(f.values), hom)
 
 
 def is_central_automorphism(f: GroupMap) -> bool:
@@ -527,9 +537,7 @@ def _aut_chain(g: FiniteGroup, central: bool) -> tuple[tuple[tuple[int, ...], ..
                 for s in movers:
                     e = s[d]
                     if e not in orbit:
-                        # itemgetter(*r)(s) is s r as a value tuple; g has
-                        # a generator, so r has at least two entries.
-                        orbit[e] = itemgetter(*orbit[d])(s)
+                        orbit[e] = _composer(orbit[d])(s)  # s r
                         queue.append(e)
         levels.append(tuple(orbit[c] for c in pools[i] if c in orbit))
     return tuple(reversed(levels))
@@ -554,9 +562,7 @@ def _chain_products(g: FiniteGroup, central: bool) -> Iterator[tuple[int, ...]]:
         return
 
     def walk(i: int, right: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        # itemgetter(*right)(t) is the tuple t[right[x]] over x; right has at
-        # least two entries (a group with a generator), so it is a tuple.
-        get = itemgetter(*right)
+        get = _composer(right)  # get(t) is t right
         if i == 0:
             for t in levels[0]:
                 yield get(t)

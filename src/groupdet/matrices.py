@@ -27,6 +27,7 @@ from .groups import FiniteGroup, _memoised, build_group, direct_product
 from .maps import (
     GroupMap,
     _chain_listing,
+    _check_commuting,
     _derived_map,
     compose,
     enumerate_autos,
@@ -36,7 +37,6 @@ from .maps import (
     is_bijective,
     is_central_automorphism,
     pointwise_diff,
-    pointwise_sum,
     zero_map,
 )
 
@@ -264,18 +264,19 @@ def identity_matrix(factors: Sequence[FiniteGroup]) -> EndoMatrix:
 
 
 @_memoised
-def _entry_composite(dom, mid, cod, mid_b, fv, gv) -> GroupMap:
-    """The composite x -> fv[gv[x]] of matrix entries f: mid -> cod and g: dom -> mid_b,
-    given by their values; matrix entries are homomorphisms, and so is the composite."""
+def _entry_composite(dom, cod, fv, gv) -> GroupMap:
+    """The composite x -> fv[gv[x]], dom -> cod, of two matrix entries given by their
+    values; matrix entries are homomorphisms, and so is the composite."""
     return _derived_map(dom, cod, tuple([fv[v] for v in gv]), hom=True)
 
 
 @_memoised
-def _entry_sum(dom, cod, dom_b, cod_b, fv, gv) -> GroupMap:
-    """pointwise_sum(f, g), commutation checked, for f: dom -> cod and g: dom_b -> cod_b."""
-    return pointwise_sum(
-        _derived_map(dom, cod, fv), _derived_map(dom_b, cod_b, gv), require_commuting=True
-    )
+def _entry_sum(dom, cod, fv, gv) -> GroupMap:
+    """The pointwise sum x -> fv[x] * gv[x], dom -> cod, of two value tuples whose
+    images are checked to commute in cod."""
+    _check_commuting(cod, fv, gv)
+    t = cod.table
+    return _derived_map(dom, cod, tuple([t[a][b] for a, b in zip(fv, gv)]))
 
 
 def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
@@ -287,23 +288,23 @@ def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
     ``_built_matrix`` unchecked.
 
     Composites and sums are memoised on their domain group (``_entry_composite``
-    and ``_entry_sum``), keyed by the operands' groups and value tuples: a
-    pair is computed, and for a sum its commutation checked, the first time
-    it is seen.  The public ``compose`` and ``pointwise_sum`` keep no memo.
+    and ``_entry_sum``), keyed by the entry's domain, its codomain and the two
+    value tuples: a pair is computed, and for a sum its commutation checked,
+    the first time it is seen.  The public ``compose`` and ``pointwise_sum``
+    keep no memo.
     """
     if a.factors != b.factors:
         raise StructuralError("matrix factors do not match")
     n = a.n
     rows = []
-    for a_row in a.entries:
+    for i, a_row in enumerate(a.entries):
         row = []
         for j in range(n):
-            f, g = a_row[0], b.entries[0][j]
-            acc = _entry_composite(g.domain, f.domain, f.codomain, g.codomain, f.values, g.values)
+            dom, cod = b.factors[j], a.factors[i]
+            acc = _entry_composite(dom, cod, a_row[0].values, b.entries[0][j].values)
             for k in range(1, n):
-                f, g = a_row[k], b.entries[k][j]
-                t = _entry_composite(g.domain, f.domain, f.codomain, g.codomain, f.values, g.values)
-                acc = _entry_sum(acc.domain, acc.codomain, t.domain, t.codomain, acc.values, t.values)
+                t = _entry_composite(dom, cod, a_row[k].values, b.entries[k][j].values)
+                acc = _entry_sum(dom, cod, acc.values, t.values)
             row.append(acc)
         rows.append(tuple(row))
     return _built_matrix(a.factors, tuple(rows))

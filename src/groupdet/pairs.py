@@ -11,7 +11,6 @@ cross-checks every such equivalence while assembling its report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Optional, Union
 
 from .autcompare import _failing_pairs, _set_order
@@ -19,6 +18,7 @@ from .errors import ResourceLimitError, StructuralError
 from .groups import (
     CommonFactorWitness,
     FiniteGroup,
+    _composer,
     build_group,
     common_nontrivial_factor,
 )
@@ -68,14 +68,6 @@ class PairWitness:
             "tau": map_to_dict(self.tau),
             "element": self.element,
         }
-
-
-def _composer(values: tuple[int, ...]):
-    """The function x -> (x[v] for v in values), as a tuple: ``x`` after ``values``."""
-    if len(values) == 1:  # itemgetter of one index returns the item, not a tuple
-        (v,) = values
-        return lambda x: (x[v],)
-    return itemgetter(*values)
 
 
 def _fixed_point(values: tuple[int, ...], identity: int) -> Optional[int]:

@@ -1,4 +1,7 @@
 """Step accounting and reproducibility of the benchmark harness."""
+import importlib
+import importlib.util
+import pathlib
 import random
 
 import pytest
@@ -21,6 +24,25 @@ from groupdet import (
 
 def _g(spec):
     return build_group(spec)
+
+
+def test_every_traced_name_resolves():
+    """perfbench/layertrace.py, loaded by path, names 36 functions and methods;
+    each resolves the way ``Tracer.install`` looks it up: a function by getattr
+    on ``groupdet.<module>``, a method in its class's ``__dict__``."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "layertrace.py"
+    spec = importlib.util.spec_from_file_location("layertrace", path)
+    layertrace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layertrace)
+    names = [(module, q) for module, qs in layertrace.WRAPPED.items() for q in qs]
+    assert len(names) == 36
+    for module, qualname in names:
+        mod = importlib.import_module(f"groupdet.{module}")
+        if "." in qualname:
+            cls_name, attr = qualname.split(".")
+            assert callable(getattr(mod, cls_name).__dict__.get(attr)), (module, qualname)
+        else:
+            assert callable(getattr(mod, qualname, None)), (module, qualname)
 
 
 def _pairwise_comparisons(f):

@@ -38,6 +38,7 @@ from groupdet import (
     invert_via_det_pleasant,
     is_bijective,
     is_invertible_via_det,
+    matrix_multiply,
     recompose,
     zero_map,
 )
@@ -59,6 +60,22 @@ def _singular_c2c2():
     c2 = build_group("C2")
     one = identity_map(c2)
     return EndoMatrix((c2, c2), ((one, one), (one, one)))
+
+
+def test_matrices_over_a_trivial_factor():
+    # Over C1 x C2 every entry in the first row or column has a one-entry
+    # domain or codomain; C1 x C2 has one automorphism and two endomorphisms.
+    c1, c2 = build_group("C1"), build_group("C2")
+    pg = ProductGroup.of(c1, c2)
+    mats = enumerate_m_matrices((c1, c2))
+    assert len(mats) == 2
+    for m in mats:
+        phi = recompose(m, pg)
+        assert decompose(phi, pg) == m
+        assert matrix_multiply(m, m) == decompose(compose(phi, phi), pg)
+        assert is_invertible_via_det(m) == is_bijective(phi)
+    (m,) = enumerate_aut_matrices(pg)
+    assert matrix_multiply(invert_via_det(m), m) == identity_matrix((c1, c2))
 
 
 def test_fsequence_validation():

@@ -229,6 +229,12 @@ def test_import_does_not_load_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, groupdet; print('groupdet.cli' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.stdout.strip() == "False", proc.stderr  # the package root leaves the CLI out
 
 
 def test_grammar_errors():

@@ -156,6 +156,48 @@ def test_public_constructor_validates_values():
     assert Subgroup(c2, np.array([1, 0])).elements == (0, 1)
 
 
+def test_public_constructor_checks_a_hom_claim():
+    # A false claim used to be stored as given: EndoMatrix accepted the first
+    # map below, and decompose split the second into a matrix recomposing to 0.
+    c3, c2 = build_group("C3"), build_group("C2")
+    p = direct_product(c3, c2)
+    for dom, values in ((c3, [0, 0, 1]), (p, [0, 0, 0, 0, 0, 1])):
+        with pytest.raises(StructuralError, match="hom=True"):
+            GroupMap(dom, dom, values, hom=True)
+        assert GroupMap(dom, dom, values, hom=False).hom_flag is False
+    with pytest.raises(StructuralError, match="hom=False"):
+        GroupMap(c3, c3, [0, 2, 1], hom=False)
+    assert GroupMap(c3, c3, [0, 2, 1], hom=True).hom_flag is True
+
+
+def test_identity_and_zero_maps_skip_the_validating_constructor(monkeypatch):
+    calls = []
+    init = GroupMap.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupMap, "__init__", counting_init)
+    s3, c4 = build_group("S3"), build_group("C4")
+    assert identity_map(s3).values == tuple(range(6)) and identity_map(s3).hom_flag
+    assert zero_map(s3, c4).values == (0,) * 6 and zero_map(s3, c4).hom_flag
+    assert calls == []
+    GroupMap(s3, s3, range(6))
+    assert calls == [1]
+
+
+def test_trivial_group_maps():
+    c1 = build_group("C1")
+    assert c1.order == 1 and c1.generators() == ()
+    assert aut_order(c1) == 1
+    assert [f.values for f in enumerate_autos(c1)] == [(0,)]
+    assert [f.values for f in enumerate_homs(c1, build_group("S3"))] == [(0,)]
+    assert invert(identity_map(c1)) == identity_map(c1)
+    # a one-entry value tuple: itemgetter of one key would return an item
+    assert maps._composer((0,))((7,)) == (7,)
+
+
 def test_enumerate_homs_counts():
     for (hs, ks), n in HOM_COUNTS.items():
         homs = enumerate_homs(build_group(hs), build_group(ks))

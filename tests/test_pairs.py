@@ -35,6 +35,18 @@ from groupdet import (
 SMALL_SPECS = ("C2", "C3", "C4", "C5", "C6", "S3", "D8", "Q8")
 
 
+def test_classify_pairs_with_the_trivial_group():
+    # Every map into or out of C1 is trivial, so every composite is 0: no
+    # nontrivial fixed point, nilpotent of length 1, no common factor.  A
+    # homomorphism out of C1 has a one-entry value tuple.
+    for h, k in (("C1", "C1"), ("C1", "S3")):
+        r = classify_pair(h, k).as_dict()
+        assert r["incompatible"] and r["centrally_incompatible"], (h, k)
+        assert r["totally_incompatible"] and r["total_length"] == 1, (h, k)
+        assert r["common_factor"] is None and r["witnesses"] == [], (h, k)
+        assert r["a_is_subgroup"] and r["a_equals_aut"] and not r["incomplete"], (h, k)
+
+
 def _g(spec):
     return build_group(spec)
 
