@@ -37,7 +37,7 @@ from groupdet import (
     power_map,
     zero_map,
 )
-from groupdet import maps
+from groupdet import groups, maps
 from groupdet.maps import AUT_LIST_LIMIT, _aut_chain, _chain_listing, _maps_from_generator_images
 
 HOM_COUNTS = {
@@ -195,7 +195,7 @@ def test_trivial_group_maps():
     assert [f.values for f in enumerate_homs(c1, build_group("S3"))] == [(0,)]
     assert invert(identity_map(c1)) == identity_map(c1)
     # a one-entry value tuple: itemgetter of one key would return an item
-    assert maps._composer((0,))((7,)) == (7,)
+    assert groups._composer((0,))((7,)) == (7,)
 
 
 def test_enumerate_homs_counts():
