@@ -14,10 +14,17 @@ entry(i,j) - entry(i,p) . pivot^-1 . entry(p,j).
 
 One private routine, ``_chain``, does every elimination, on value tuples,
 trying candidate sequences in a fixed order and each shared prefix once.
-A step keeps its pivot's inverse, so the inverse runs back along the chain
-without inverting a pivot again: the final 1 x 1 determinant is inverted,
-then each earlier state from the inverse of the state its pivot left, by
-the 2 x 2 block formulas.  The public functions are views of that chain.
+Each step forms its new entries in one pass that also checks their images
+commute.  A step keeps its pivot's inverse, so the inverse runs back along
+the chain without inverting a pivot again: the final 1 x 1 determinant is
+inverted, then each earlier state from the inverse of the state its pivot
+left, by the 2 x 2 block formulas.  The public functions are views of that
+chain.
+
+Every bijectivity test and every inverse, of a pivot or of a determinant,
+is one lookup in ``_pivot_inverse``, which each factor memoises: a factor
+has at most |End| pivots and determinants, so across calls each is tested
+and inverted once.
 
 A determinant can be *undefined* (no bijective pivot at some step) without
 the matrix being singular; that situation raises DeterminantUndefinedError
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DeterminantUndefinedError, InversionError, PreconditionError, StructuralError
-from .groups import FiniteGroup
+from .groups import FiniteGroup, _memoised
 from .maps import GroupMap, _check_commuting, _derived_map, _inverse
 from .matrices import EndoMatrix, _built_matrix, _product_of_composites, in_A
 
@@ -102,31 +109,50 @@ class PartialDet:
         return self.maps[(s, s)]
 
 
+@_memoised
+def _pivot_inverse(g: FiniteGroup, values: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """The inverse of the self-map ``values`` of g; None when it is not a bijection.
+
+    Every bijectivity test and every inverse of this module comes here, and
+    ``_memoised`` keeps the answer on g.  It depends on ``values`` alone, so it
+    never goes stale, and the pivots and determinants of a matrix of
+    homomorphisms are endomorphisms of their factor: at most |End(g)| entries.
+    """
+    if len(set(values)) != len(values):
+        return None
+    return _inverse(values)
+
+
 def _step(factors: tuple[FiniteGroup, ...], node: tuple, p: int) -> Optional[tuple]:
     """Eliminate pivot p from a chain node; None when entry (p, p) is not bijective.
 
     A node is (eliminated, survivors, entries, w): ``entries[i * n + j]`` is
     the value tuple of entry (i, j), and w the last pivot's inverse (None at
-    the top).  The pivot is tested before any new entry (i, j) - (i, p) . w .
-    (p, j) is built, and each has its images checked to commute.
+    the top).  The pivot is tested, and inverted, by ``_pivot_inverse`` before
+    any new entry (i, j) - (i, p) . w . (p, j) is built.  Each row i takes
+    bw = -(i, p) . w once; each entry is then formed in one pass that also
+    checks its images commute, and ``_check_commuting`` runs only to raise.
     """
     eliminated, survivors, e, _ = node
     n = len(factors)
-    pivot = e[p * n + p]
-    if len(set(pivot)) != len(pivot):
+    w = _pivot_inverse(factors[p], e[p * n + p])
+    if w is None:
         return None
-    w = _inverse(pivot)
     rest = tuple([i for i in survivors if i != p])
     out = [None] * (n * n)
     for i in rest:
         g = factors[i]
         t, neg = g.table, g.inverse
         b = e[i * n + p]
+        bw = [neg[b[y]] for y in w]
         for j in rest:
-            a = e[i * n + j]
-            bwc = [b[w[x]] for x in e[p * n + j]]
-            _check_commuting(g, a, bwc)
-            out[i * n + j] = tuple([t[u][neg[v]] for u, v in zip(a, bwc)])
+            a, c = e[i * n + j], e[p * n + j]
+            # u commutes with b(w(c(x))) exactly when it commutes with its
+            # inverse v, so a pair that does not commute drops its product
+            entry = [r for u, x in zip(a, c) if (r := t[u][(v := bw[x])]) == t[v][u]]
+            if len(entry) != len(a):
+                _check_commuting(g, a, [b[w[x]] for x in c])
+            out[i * n + j] = tuple(entry)
     return eliminated + (p,), rest, out, w
 
 
@@ -213,7 +239,7 @@ def determinant_step_bound(h: FiniteGroup, k: FiniteGroup, branch: str = "h") ->
 
 def _full_sequences(n: int):
     """Candidate elimination sequences: canonical first, then lexicographic rest."""
-    canonical = FSequence.canonical(n).images
+    canonical = tuple(range(n - 1, 0, -1))
     yield canonical
     for survivor in range(n):
         for perm in itertools.permutations([i for i in range(n) if i != survivor]):
@@ -228,17 +254,17 @@ def _sequences(m: EndoMatrix, branch: str = "auto"):
     """The elimination sequences ``_chain`` tries, in order.
 
     For 2 x 2, 'h' eliminates delta (index 1), 'k' alpha (index 0), and 'auto'
-    the branch with the smaller ``determinant_step_bound`` first.  Larger
-    matrices take every full sequence, canonical first.
+    the branch with the smaller ``determinant_step_bound`` first (h on a tie).
+    Larger matrices take every full sequence, canonical first.
     """
     if m.n != 2:
         if branch != "auto":
             raise PreconditionError("explicit branches exist only for 2 x 2 matrices")
         return _full_sequences(m.n)
     if branch == "auto":
-        h, k = m.factors
-        cheaper_h = determinant_step_bound(h, k, "h") <= determinant_step_bound(h, k, "k")
-        branch = "hk" if cheaper_h else "kh"
+        h, k = m.factors[0].order, m.factors[1].order
+        # |K| + C(|H|, 2) <= |H| + C(|K|, 2), both sides doubled, less 2|H| + 2|K|
+        branch = "hk" if h * (h - 3) <= k * (k - 3) else "kh"
     elif branch not in ("h", "k"):
         raise PreconditionError(f"unknown branch {branch!r}; use 'h', 'k' or 'auto'")
     return _BRANCH_SEQUENCES[branch]
@@ -265,8 +291,8 @@ def is_invertible_via_det(m: EndoMatrix) -> bool:
     DeterminantUndefinedError when no admissible pivot choice exists; the
     caller should then fall back to a direct check.
     """
-    det = _last(m, _chain(m, _sequences(m)))[1]
-    return len(set(det)) == len(det)
+    s, det = _last(m, _chain(m, _sequences(m)))
+    return _pivot_inverse(m.factors[s], det) is not None
 
 
 def _unwind(factors: tuple[FiniteGroup, ...], state: tuple, left: tuple, inv: dict) -> None:
@@ -309,9 +335,10 @@ def _inverse_from(m: EndoMatrix, chain: list[tuple]) -> EndoMatrix:
     """The inverse of m: the final determinant of its chain inverted, then the
     chain walked back by ``_unwind``."""
     s, det = _last(m, chain)
-    if len(set(det)) != len(det):
+    det_inv = _pivot_inverse(m.factors[s], det)
+    if det_inv is None:
         raise InversionError("determinant is not bijective; matrix is not invertible")
-    inv = {(s, s): _inverse(det)}
+    inv = {(s, s): det_inv}
     f = m.factors
     for k in range(len(chain) - 1, 0, -1):
         _unwind(f, chain[k - 1], chain[k], inv)
@@ -355,7 +382,7 @@ def invert_via_det_pleasant(m: EndoMatrix) -> EndoMatrix:
     general = _inverse_from(m, h_chain)
     h, k = m.factors
     (_, beta), (gamma, _) = m.entries
-    dh_inv, dk_inv = general.entries[0][0].values, _inverse(_last(m, k_chain)[1])
+    dh_inv, dk_inv = general.entries[0][0].values, _pivot_inverse(k, _last(m, k_chain)[1])
     alpha_inv, delta_inv = k_chain[1][3], h_chain[1][3]  # each chain's pivot inverse
     upper = tuple([h.inverse[alpha_inv[beta.values[y]]] for y in dk_inv])
     lower = tuple([k.inverse[delta_inv[gamma.values[x]]] for x in dh_inv])
@@ -385,8 +412,9 @@ class DetIffReport:
 def detiff_check(m: EndoMatrix) -> DetIffReport:
     """Evaluate both determinants of a 2 x 2 member of A and their reciprocity."""
     h_chain, k_chain = _branch_chains(m, "detiff_check")
-    dh, dk = _last(m, h_chain)[1], _last(m, k_chain)[1]
-    h_ok, k_ok = len(set(dh)) == len(dh), len(set(dk)) == len(dk)
+    h, k = m.factors
+    h_ok = _pivot_inverse(h, _last(m, h_chain)[1]) is not None
+    k_ok = _pivot_inverse(k, _last(m, k_chain)[1]) is not None
     if not (h_ok and k_ok):
         return DetIffReport(h_ok, k_ok, None)
     # each identity says det^-1 is the corner block of the other branch's

@@ -435,28 +435,48 @@ def enumerate_Z(
     return _pool_matrices(factors, max_product_order, central_diagonal=True)
 
 
+def _commuting_rows(facs: tuple[FiniteGroup, ...], target: FiniteGroup) -> list[tuple]:
+    """Every row of homomorphisms facs[j] -> target whose images pairwise
+    commute, in ``itertools.product`` order.
+
+    Partial rows are extended one column at a time, so a row is dropped at
+    its first clash, and rows share the images of their common prefix: whether
+    a new image commutes with the images so far is decided once per (tuple of
+    images so far, image).
+    """
+    t = target.table
+    commutes: dict[tuple, bool] = {}
+    rows: list[tuple[tuple, tuple]] = [((), ())]  # (row so far, its images)
+    for f in facs:
+        homs = [(hom, hom.image()) for hom in enumerate_homs(f, target)]
+        longer = []
+        for row, images in rows:
+            for hom, im in homs:
+                key = images, im
+                ok = commutes.get(key)
+                if ok is None:
+                    ok = commutes[key] = all(
+                        t[x][y] == t[y][x] for seen in images for x in seen for y in im
+                    )
+                if ok:
+                    longer.append((row + (hom,), images + (im,)))
+        rows = longer
+    return [row for row, _ in rows]
+
+
 def enumerate_m_matrices(factors: Sequence[FiniteGroup]) -> Sequence[EndoMatrix]:
     """Every matrix of homomorphisms satisfying the row commutation condition,
     as a read-only sequence whose members are built on access.
 
-    Rows are filtered independently (the condition only couples entries within
-    a row), and the set holds only those row choices: its members are their
-    combinations in ``itertools.product`` order.  ``_M_MATRIX_LIMIT`` guards
+    Rows are filtered independently by ``_commuting_rows`` (the condition only
+    couples entries within a row), and the set holds only those row choices:
+    its members are their combinations in ``itertools.product`` order.  ``_M_MATRIX_LIMIT`` guards
     against runaway products.  Every entry comes from ``enumerate_homs`` with
     the right domain and codomain, and every row passed the commutation
     filter, so the matrices come from ``_built_matrix`` unchecked.
     """
     facs = tuple(factors)
-    n = len(facs)
-    row_choices = [
-        [
-            combo
-            for combo in itertools.product(*(enumerate_homs(f, target) for f in facs))
-            if all(_images_commute(combo[a], combo[b]) for a in range(n) for b in range(a + 1, n))
-        ]
-        for target in facs
-    ]
-    mats = _MatrixSet(facs, row_choices)
+    mats = _MatrixSet(facs, [_commuting_rows(facs, target) for target in facs])
     if len(mats) > _M_MATRIX_LIMIT:
         raise ResourceLimitError(f"{len(mats)} matrices exceed the bound {_M_MATRIX_LIMIT}")
     return mats

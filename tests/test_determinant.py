@@ -10,6 +10,7 @@ from groupdet import (
     DeterminantUndefinedError,
     EndoMatrix,
     FSequence,
+    FiniteGroup,
     GroupMap,
     InversionError,
     NoncommutingImagesError,
@@ -457,48 +458,73 @@ def test_elimination_checks_that_schur_images_commute():
         f_determinant(three)
 
 
-def test_elimination_shares_prefixes_and_inverts_each_pivot_once(monkeypatch):
-    """Per call, every elimination prefix is computed at most once and a dead
-    one is never extended; an inverse inverts each pivot it eliminated, and
-    the final determinant, exactly once, and never calls maps.invert (the
-    module does not import it)."""
+def _counted_det_mod(monkeypatch):
+    """The determinant module with its steps, pivot-inverse lookups and raw
+    inversions each appended to a list as they run."""
     import groupdet.determinant as det_mod
 
-    steps, inversions = [], []
-    step, inverse = det_mod._step, det_mod._inverse
+    steps, lookups, inversions = [], [], []
+    step, lookup, inverse = det_mod._step, det_mod._pivot_inverse, det_mod._inverse
 
     def counted_step(factors, node, p):
         out = step(factors, node, p)
         steps.append((node[0] + (p,), out is not None))
         return out
 
+    def counted_lookup(g, values):
+        lookups.append((g, values))
+        return lookup(g, values)
+
     def counted_inverse(values):
         inversions.append(values)
         return inverse(values)
 
-    assert not hasattr(det_mod, "invert")
     monkeypatch.setattr(det_mod, "_step", counted_step)
+    monkeypatch.setattr(det_mod, "_pivot_inverse", counted_lookup)
     monkeypatch.setattr(det_mod, "_inverse", counted_inverse)
-    facs = tuple(build_group(s) for s in ("C2", "C2", "C3"))
+    return det_mod, steps, lookups, inversions
+
+
+def _fresh(*specs):
+    """New groups for the specs: build_group keeps one group per spec, and a
+    group's memo would carry inverses over from earlier tests."""
+    return tuple(FiniteGroup(build_group(s).table, name=s) for s in specs)
+
+
+def test_elimination_shares_prefixes_and_inverts_each_pivot_once(monkeypatch):
+    """Per call, every elimination prefix is computed at most once and a dead
+    one is never extended; each step, live or dead, looks its pivot up once,
+    and a finished chain looks up its determinant once.  Over all the calls
+    each distinct (factor, values) is inverted exactly once, and maps.invert
+    is never called (the module does not import it)."""
+    det_mod, steps, lookups, inversions = _counted_det_mod(monkeypatch)
+    assert not hasattr(det_mod, "invert")
+    facs = _fresh("C2", "C2", "C3")
     mats = enumerate_m_matrices(facs)
     assert len(mats) == 48
     saved = 0
+    seen = set()
     for m in mats:
         for fn in (is_invertible_via_det, invert_via_det):
             steps.clear()
+            lookups.clear()
             inversions.clear()
             try:
                 fn(m)
-                finished = True
-            except (DeterminantUndefinedError, InversionError):
-                finished = False
+                chained = True
+            except DeterminantUndefinedError:
+                chained = False
+            except InversionError:
+                chained = True
             keys = [key for key, _ in steps]
             assert len(keys) == len(set(keys))
             dead = {key for key, alive in steps if not alive}
             assert not any(key[:k] in dead for key in keys for k in range(1, len(key)))
-            live = sum(alive for _, alive in steps)
-            if fn is invert_via_det:
-                assert len(inversions) == live + finished
+            assert len(lookups) == len(steps) + chained
+            assert all(g in facs for g, _ in lookups)
+            new = {(g, v) for g, v in lookups if (g, v) not in seen}
+            assert sorted(inversions) == sorted(v for _, v in new if len(set(v)) == len(v))
+            seen |= new
             # the steps the same sequences cost when each is walked afresh
             alive = dict(steps)
             unshared = 0
@@ -509,33 +535,63 @@ def test_elimination_shares_prefixes_and_inverts_each_pivot_once(monkeypatch):
                     break
             saved += unshared - len(steps)
     assert saved > 0
+    assert seen and len(seen) <= sum(len(enumerate_homs(g, g)) for g in facs)
+
+
+def _corrects_both_pivots(m):
+    """m is invertible, and beta . delta^-1 . gamma and gamma . alpha^-1 . beta
+    are both nonzero, so det_h differs from alpha and det_k from delta."""
+    (alpha, beta), (gamma, delta) = m.entries
+    h, k = m.factors
+    return (compose(beta, compose(invert(delta), gamma)) != zero_map(h, h)
+            and compose(gamma, compose(invert(alpha), beta)) != zero_map(k, k)
+            and is_bijective(recompose(m, ProductGroup.of(h, k))))
 
 
 def test_both_branch_views_read_one_chain_per_branch(monkeypatch):
     """detiff_check and invert_via_det_pleasant eliminate each branch's pivot
-    once and invert each pivot and each determinant once."""
-    import groupdet.determinant as det_mod
-
-    steps, inversions = [], []
-    step, inverse = det_mod._step, det_mod._inverse
-
-    def counted_step(factors, node, p):
-        steps.append(p)
-        return step(factors, node, p)
-
-    def counted_inverse(values):
-        inversions.append(values)
-        return inverse(values)
-
-    monkeypatch.setattr(det_mod, "_step", counted_step)
-    monkeypatch.setattr(det_mod, "_inverse", counted_inverse)
-    s3, c4 = build_group("S3"), build_group("C4")
-    # Z(S3) = 1, so beta is zero; take a member with gamma nonzero
-    m = next(m for m in enumerate_A((s3, c4)) if m.entries[1][0] != zero_map(s3, c4))
-    for fn in (detiff_check, invert_via_det_pleasant):
-        steps.clear()
+    once and look up only alpha, delta, det_h and det_k; on fresh factors the
+    first call inverts each distinct one of those once and the second none."""
+    _, steps, lookups, inversions = _counted_det_mod(monkeypatch)
+    cases = [
+        # Z(S3) = 1, so beta is zero (det_h = alpha, det_k = delta); take
+        # a member with gamma nonzero
+        (("S3", "C4"), lambda m: m.entries[1][0] != zero_map(*m.factors), 2),
+        (("C4", "C4"), _corrects_both_pivots, 4),
+    ]
+    for specs, pick, distinct in cases:
+        h, k = _fresh(*specs)
+        m = next(m for m in enumerate_A((h, k)) if pick(m))
         inversions.clear()
-        fn(m)
-        assert sorted(steps) == [0, 1], fn.__name__
-        assert len(inversions) == 4, fn.__name__  # alpha, delta, det_h, det_k
-    assert detiff_check(m).reciprocal_identities_hold
+        looked = {}
+        for fn in (detiff_check, invert_via_det_pleasant):
+            steps.clear()
+            lookups.clear()
+            fn(m)
+            assert sorted(p for (p,), _ in steps) == [0, 1], fn.__name__
+            looked[fn.__name__] = set(lookups)
+        (alpha, _), (_, delta) = m.entries
+        four = {(h, alpha.values), (k, delta.values), (h, det_h(m).values), (k, det_k(m).values)}
+        assert len(four) == distinct, specs
+        assert looked == dict.fromkeys(looked, four), specs
+        assert sorted(inversions) == sorted(v for _, v in four), specs
+        assert detiff_check(m).reciprocal_identities_hold
+
+
+def test_pivot_inverse_decides_bijectivity_and_keeps_each_inverse():
+    """On every endomorphism of S3, D8, Q8 and C12: None when it is not a
+    bijection, else the inverse value tuple, and the same object when asked
+    again."""
+    from groupdet.determinant import _pivot_inverse
+
+    for g in _fresh("S3", "D8", "Q8", "C12"):
+        endos = enumerate_homs(g, g)
+        assert any(is_bijective(f) for f in endos) and not all(is_bijective(f) for f in endos)
+        for f in endos:
+            w = _pivot_inverse(g, f.values)
+            if not is_bijective(f):
+                assert w is None, (g.name, f.values)
+                continue
+            assert all(w[f.values[x]] == x for x in range(g.order)), (g.name, f.values)
+            assert all(f.values[w[y]] == y for y in range(g.order)), (g.name, f.values)
+            assert _pivot_inverse(g, f.values) is w

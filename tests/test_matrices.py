@@ -461,6 +461,35 @@ def _reference_keys(facs, kind):
     return (tuple(itertools.chain(*pick)) for pick in itertools.product(*rows))
 
 
+def test_commuting_rows_match_the_product_filter():
+    """``_commuting_rows`` keeps the rows, in the order, of the filter it
+    replaced: every combination of homs in ``itertools.product`` order, kept
+    when each two of its images commute."""
+    from groupdet.matrices import _commuting_rows
+
+    def product_filter(facs, target):
+        n = len(facs)
+        t = target.table
+        return [
+            combo
+            for combo in itertools.product(*(enumerate_homs(f, target) for f in facs))
+            if all(
+                t[x][y] == t[y][x]
+                for a in range(n) for b in range(a + 1, n)
+                for x in combo[a].image() for y in combo[b].image()
+            )
+        ]
+
+    small = catalog_groups(8)
+    cases = [tuple(p) for p in itertools.combinations_with_replacement(small, 2)]
+    cases += [tuple(build_group(s) for s in specs)
+              for specs in (("C2", "C2", "C3"), ("S3", "C2", "C2"))]
+    for facs in cases:
+        for target in facs:
+            assert _commuting_rows(facs, target) == product_filter(facs, target), (
+                [f.name for f in facs], target.name)
+
+
 def test_matrix_sets_are_sequences_built_on_access():
     # M, A and Z are read-only sequences: iteration, indexing from either
     # end and an independent product of the cell pools agree member by
