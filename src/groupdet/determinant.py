@@ -113,10 +113,7 @@ class PartialDet:
 def _pivot_inverse(g: FiniteGroup, values: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     """The inverse of the self-map ``values`` of g; None when it is not a bijection.
 
-    Every bijectivity test and every inverse of this module comes here, and
-    ``_memoised`` keeps the answer on g.  It depends on ``values`` alone, so it
-    never goes stale, and the pivots and determinants of a matrix of
-    homomorphisms are endomorphisms of their factor: at most |End(g)| entries.
+    The answer depends on ``values`` alone, so the memo on g never goes stale.
     """
     if len(set(values)) != len(values):
         return None
