@@ -78,7 +78,7 @@ class FSequence:
 
     @classmethod
     def canonical(cls, n: int) -> "FSequence":
-        return cls(n, tuple(range(n - 1, 0, -1)))
+        return cls(n, _canonical_images(n))
 
     @property
     def survivors(self) -> tuple[int, ...]:
@@ -107,6 +107,11 @@ class PartialDet:
             )
         s = self.survivors[0]
         return self.maps[(s, s)]
+
+
+def _canonical_images(n: int) -> tuple[int, ...]:
+    """The indices the canonical sequence eliminates: n - 1 down to 1."""
+    return tuple(range(n - 1, 0, -1))
 
 
 @_memoised
@@ -222,7 +227,7 @@ def det_A(m: EndoMatrix) -> GroupMap:
     """The canonical determinant of a member of A (all pivots automorphisms)."""
     if not in_A(m):
         raise PreconditionError("det_A needs diagonal automorphisms and central off-diagonal images")
-    s, det = _last(m, _chain(m, [FSequence.canonical(m.n).images]))
+    s, det = _last(m, _chain(m, [_canonical_images(m.n)]))
     return _derived_map(m.factors[s], m.factors[s], det)
 
 
@@ -231,12 +236,17 @@ def determinant_step_bound(h: FiniteGroup, k: FiniteGroup, branch: str = "h") ->
     if branch not in ("h", "k"):
         raise StructuralError(f"no step bound for branch {branch!r}")
     pivot, tested = (k, h) if branch == "h" else (h, k)
-    return pivot.order + tested.order * (tested.order - 1) // 2
+    return _step_bound(pivot.order, tested.order)
+
+
+def _step_bound(pivot: int, tested: int) -> int:
+    """``determinant_step_bound`` from the pivot and tested factor orders."""
+    return pivot + tested * (tested - 1) // 2
 
 
 def _full_sequences(n: int):
     """Candidate elimination sequences: canonical first, then lexicographic rest."""
-    canonical = tuple(range(n - 1, 0, -1))
+    canonical = _canonical_images(n)
     yield canonical
     for survivor in range(n):
         for perm in itertools.permutations([i for i in range(n) if i != survivor]):
@@ -260,8 +270,7 @@ def _sequences(m: EndoMatrix, branch: str = "auto"):
         return _full_sequences(m.n)
     if branch == "auto":
         h, k = m.factors[0].order, m.factors[1].order
-        # |K| + C(|H|, 2) <= |H| + C(|K|, 2), both sides doubled, less 2|H| + 2|K|
-        branch = "hk" if h * (h - 3) <= k * (k - 3) else "kh"
+        branch = "hk" if _step_bound(k, h) <= _step_bound(h, k) else "kh"
     elif branch not in ("h", "k"):
         raise PreconditionError(f"unknown branch {branch!r}; use 'h', 'k' or 'auto'")
     return _BRANCH_SEQUENCES[branch]
@@ -328,13 +337,14 @@ def _unwind(factors: tuple[FiniteGroup, ...], state: tuple, left: tuple, inv: di
     inv[p, p] = tuple([t[a][b] for a, b in zip(w, theta_w)])
 
 
-def _inverse_from(m: EndoMatrix, chain: list[tuple]) -> EndoMatrix:
+def _inverse_from(m: EndoMatrix, chain: list[tuple]) -> Optional[EndoMatrix]:
     """The inverse of m: the final determinant of its chain inverted, then the
-    chain walked back by ``_unwind``."""
+    chain walked back by ``_unwind``.  None when that determinant is not
+    bijective, so m is singular."""
     s, det = _last(m, chain)
     det_inv = _pivot_inverse(m.factors[s], det)
     if det_inv is None:
-        raise InversionError("determinant is not bijective; matrix is not invertible")
+        return None
     inv = {(s, s): det_inv}
     f = m.factors
     for k in range(len(chain) - 1, 0, -1):
@@ -353,7 +363,10 @@ def invert_via_det(m: EndoMatrix, branch: str = "auto") -> EndoMatrix:
     when the determinant is not bijective.  The result is the matrix of the
     inverse endomorphism, so it comes from ``_built_matrix`` unchecked.
     """
-    return _inverse_from(m, _chain(m, _sequences(m, branch)))
+    out = _inverse_from(m, _chain(m, _sequences(m, branch)))
+    if out is None:
+        raise InversionError("determinant is not bijective; matrix is not invertible")
+    return out
 
 
 def _branch_chains(m: EndoMatrix, what: str) -> tuple[list[tuple], list[tuple]]:
@@ -377,6 +390,8 @@ def invert_via_det_pleasant(m: EndoMatrix) -> EndoMatrix:
     """
     h_chain, k_chain = _branch_chains(m, "the pleasant form")
     general = _inverse_from(m, h_chain)
+    if general is None:
+        raise InversionError("determinant is not bijective; matrix is not invertible")
     h, k = m.factors
     (_, beta), (gamma, _) = m.entries
     dh_inv, dk_inv = general.entries[0][0].values, _pivot_inverse(k, _last(m, k_chain)[1])
@@ -409,13 +424,12 @@ class DetIffReport:
 def detiff_check(m: EndoMatrix) -> DetIffReport:
     """Evaluate both determinants of a 2 x 2 member of A and their reciprocity."""
     h_chain, k_chain = _branch_chains(m, "detiff_check")
-    h, k = m.factors
-    h_ok = _pivot_inverse(h, _last(m, h_chain)[1]) is not None
-    k_ok = _pivot_inverse(k, _last(m, k_chain)[1]) is not None
+    via_h, via_k = _inverse_from(m, h_chain), _inverse_from(m, k_chain)
+    h_ok, k_ok = via_h is not None, via_k is not None
     if not (h_ok and k_ok):
         return DetIffReport(h_ok, k_ok, None)
     # each identity says det^-1 is the corner block of the other branch's
     # inverse; a branch's own inverse holds its det^-1 in that corner
-    via_h, via_k = _inverse_from(m, h_chain).entries, _inverse_from(m, k_chain).entries
+    via_h, via_k = via_h.entries, via_k.entries
     holds = via_k[0][0] == via_h[0][0] and via_h[1][1] == via_k[1][1]
     return DetIffReport(h_ok, k_ok, holds)

@@ -550,8 +550,9 @@ def _corrects_both_pivots(m):
 
 def test_both_branch_views_read_one_chain_per_branch(monkeypatch):
     """detiff_check and invert_via_det_pleasant eliminate each branch's pivot
-    once and look up only alpha, delta, det_h and det_k; on fresh factors the
-    first call inverts each distinct one of those once and the second none."""
+    once and make four look-ups each, of exactly alpha, delta, det_h and
+    det_k; on fresh factors the first call inverts each distinct one of those
+    once and the second none."""
     _, steps, lookups, inversions = _counted_det_mod(monkeypatch)
     cases = [
         # Z(S3) = 1, so beta is zero (det_h = alpha, det_k = delta); take
@@ -569,6 +570,7 @@ def test_both_branch_views_read_one_chain_per_branch(monkeypatch):
             lookups.clear()
             fn(m)
             assert sorted(p for (p,), _ in steps) == [0, 1], fn.__name__
+            assert len(lookups) == 4, fn.__name__  # two pivots, two determinants
             looked[fn.__name__] = set(lookups)
         (alpha, _), (_, delta) = m.entries
         four = {(h, alpha.values), (k, delta.values), (h, det_h(m).values), (k, det_k(m).values)}
