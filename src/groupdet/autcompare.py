@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from itertools import islice
-from math import prod
 
 from .determinant import invert_via_det
 from .errors import PreconditionError, StructuralError
@@ -24,7 +23,7 @@ from .groups import (
 )
 from .maps import (
     GroupMap,
-    _aut_chain,
+    _chain_order,
     _chain_products,
     _derived_map,
     _inverse,
@@ -102,7 +101,7 @@ class AutComparison:
 
 def _set_order(h: FiniteGroup, k: FiniteGroup, central: bool) -> tuple[int, int]:
     """|diagonal| and the order of A, or of Z (``central``): see ``_counted_comparison``."""
-    diagonal = prod(len(reps) for g in (h, k) for reps in _aut_chain(g, central))
+    diagonal = _chain_order(h, central) * _chain_order(k, central)
     off = len(enumerate_homs(k, h, restrict_codomain=h.center()))
     return diagonal, diagonal * off * len(enumerate_homs(h, k, restrict_codomain=k.center()))
 
@@ -174,7 +173,7 @@ def _counted_comparison(
         for xi, mu in first for lam in autos(h) for nu in autos(k)
     ), WITNESS_CAP))
     in_both = set_order - diagonal * n_failing
-    aut = prod(len(reps) for reps in _aut_chain(pg.product, central))
+    aut = _chain_order(pg.product, central)
     member = in_Z if central else in_A
     chain = (decompose(f, pg) for f in autos(pg.product))
     aut_minus_set = tuple(islice(

@@ -687,6 +687,8 @@ def _table_from_text(path: str, text: str) -> FiniteGroup:
         n = int(lines[0])
     except ValueError:
         raise ParseError(f"{path}: first line must be the order, got {lines[0]!r}") from None
+    if n < 1:
+        raise ParseError(f"{path}: the order must be positive, got {n}")
     if len(lines) < n + 1:
         raise ParseError(f"{path}: expected {n} table rows, found {len(lines) - 1}")
     table = []

@@ -543,9 +543,14 @@ def _aut_chain(g: FiniteGroup, central: bool) -> tuple[tuple[tuple[int, ...], ..
     return tuple(reversed(levels))
 
 
+def _chain_order(g: FiniteGroup, central: bool) -> int:
+    """|Aut(g)|, or |Aut_c(g)|: the product of the level sizes of ``_aut_chain``."""
+    return prod(len(reps) for reps in _aut_chain(g, central))
+
+
 def aut_order(g: FiniteGroup) -> int:
-    """|Aut(g)|, the product of the level sizes of ``_aut_chain``; lists nothing."""
-    return prod(len(reps) for reps in _aut_chain(g, False))
+    """|Aut(g)| from ``_aut_chain``; lists nothing."""
+    return _chain_order(g, False)
 
 
 def _chain_products(g: FiniteGroup, central: bool) -> Iterator[tuple[int, ...]]:
@@ -579,7 +584,7 @@ def _chain_listing(g: FiniteGroup, central: bool) -> tuple[GroupMap, ...]:
 
     Raises ResourceLimitError over AUT_LIST_LIMIT members, before any product.
     """
-    order = prod(len(reps) for reps in _aut_chain(g, central))
+    order = _chain_order(g, central)
     if order > AUT_LIST_LIMIT:
         raise ResourceLimitError(
             f"{g.name} has {order} {'central ' * central}automorphisms, "

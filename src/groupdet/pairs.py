@@ -19,6 +19,7 @@ from .groups import (
     CommonFactorWitness,
     FiniteGroup,
     _composer,
+    _memoised,
     build_group,
     common_nontrivial_factor,
 )
@@ -114,6 +115,8 @@ class _CompositeFacts(dict):
     A composite's facts are None when it is not a normal endomorphism, and
     otherwise (its first nontrivial fixed point, its nilpotency index), each
     None when absent.  Every verdict of the pair predicates reads only these.
+    They depend on nothing but the group and the tuple, so one instance per
+    group (``_composite_facts``) serves every pair pass and never goes stale.
     """
 
     def __init__(self, g: FiniteGroup):
@@ -127,6 +130,11 @@ class _CompositeFacts(dict):
             facts = (_fixed_point(values, g.identity), _nilpotency_index(values, g.identity))
         self[values] = facts
         return facts
+
+
+@_memoised
+def _composite_facts(g: FiniteGroup) -> _CompositeFacts:
+    return _CompositeFacts(g)
 
 
 class _Verdicts:
@@ -180,45 +188,26 @@ class _Verdicts:
             self.length = max(self.length, min(n_st, n_ts))
 
 
-def _pair_pass(h: FiniteGroup, k: FiniteGroup) -> tuple[_Verdicts, _Verdicts]:
-    """Every pair predicate, over all pairs and over the center-valued ones, in one walk.
+def _pair_pass(h: FiniteGroup, k: FiniteGroup, central: bool) -> _Verdicts:
+    """Every pair predicate of one family: all pairs, or the center-valued ones.
 
     A pair (sigma, tau) in Hom(h, k) x Hom(k, h) qualifies when sigma.tau and
     tau.sigma are both normal endomorphisms.  Normality is tested exactly,
     not shortcut through image centrality, because compositions with
-    noncentral image can still be normal.  The walk runs sigma outermost,
-    both in sorted order.  The composites are value tuples, and their facts
-    (``_CompositeFacts``) are worked out once per distinct tuple.
-
-    The pair is center-valued when sigma lands in Z(k) and tau in Z(h).  The
-    sorted center-valued homomorphisms are a subsequence of the sorted
-    homomorphisms, so the center-valued pairs come in the same order as a
-    walk over them alone, and each first central hit is that walk's
-    witness.  Once all four witnesses are found the walk stops; once the
-    plain family is settled, it visits center-valued pairs only.  Returns
-    the (plain, central) verdicts.
+    noncentral image can still be normal.  The central family takes sigma
+    into Z(k) and tau into Z(h).  The walk runs sigma outermost, both in
+    sorted order, and stops once the family is settled.  The composites are
+    value tuples, and their facts are worked out once per group and tuple
+    (``_composite_facts``), so the two families share them.
     """
-    zh, zk = h.center_set(), k.center_set()
-    k_facts, h_facts = _CompositeFacts(k), _CompositeFacts(h)
-    plain, central = _Verdicts(False), _Verdicts(True)
-    taus = [
-        (tau, _composer(tau.values), zh.issuperset(tau.values))
-        for tau in enumerate_homs(k, h)
-    ]
-    central_taus = [entry for entry in taus if entry[2]]
-    for sigma in enumerate_homs(h, k):
+    zk, zh = (k.center(), h.center()) if central else (None, None)
+    k_facts, h_facts = _composite_facts(k), _composite_facts(h)
+    verdicts = _Verdicts(central)
+    taus = [(tau, _composer(tau.values)) for tau in enumerate_homs(k, h, restrict_codomain=zh)]
+    for sigma in enumerate_homs(h, k, restrict_codomain=zk):
         sv = sigma.values
-        s_central = zk.issuperset(sv)
-        if not plain.settled:
-            row = taus
-        elif central.settled:
-            break
-        elif s_central:
-            row = central_taus
-        else:
-            continue
         after_sigma = _composer(sv)
-        for tau, after_tau, t_central in row:
+        for tau, after_tau in taus:
             st = after_tau(sv)  # sigma.tau, a self-map of k
             st_facts = k_facts[st]
             if st_facts is None:
@@ -226,10 +215,10 @@ def _pair_pass(h: FiniteGroup, k: FiniteGroup) -> tuple[_Verdicts, _Verdicts]:
             ts_facts = h_facts[after_sigma(tau.values)]  # tau.sigma, on h
             if ts_facts is None:
                 continue
-            plain.visit(sigma, tau, st, st_facts, ts_facts)
-            if s_central and t_central:
-                central.visit(sigma, tau, st, st_facts, ts_facts)
-    return plain, central
+            verdicts.visit(sigma, tau, st, st_facts, ts_facts)
+        if verdicts.settled:
+            break
+    return verdicts
 
 
 def is_incompatible(
@@ -242,7 +231,7 @@ def is_incompatible(
     of the other.  Returns the first counterexample in enumeration order.
     With ``central`` the homomorphisms are restricted to the center-valued ones.
     """
-    verdicts = _pair_pass(h, k)[central]
+    verdicts = _pair_pass(h, k, central)
     return verdicts.incompatible, verdicts.compatible
 
 
@@ -269,7 +258,7 @@ def is_totally_incompatible(
     qualifying (sigma, tau) of the smaller of the two nilpotency indices, so
     that for every pair one composition to that power is already trivial.
     """
-    verdicts = _pair_pass(h, k)[central]
+    verdicts = _pair_pass(h, k, central)
     return verdicts.totally, verdicts.total_length, verdicts.not_totally
 
 
@@ -282,7 +271,7 @@ def is_centrally_totally_incompatible_of_length(
     """
     if n < 1:
         raise StructuralError("length must be a positive integer")
-    central = _pair_pass(h, k)[True]
+    central = _pair_pass(h, k, True)
     return central.totally and central.total_length <= n
 
 
@@ -388,7 +377,7 @@ def classify_pair(
     """
     hg = build_group(h) if isinstance(h, str) else h
     kg = build_group(k) if isinstance(k, str) else k
-    plain, central = _pair_pass(hg, kg)
+    plain, central = _pair_pass(hg, kg, False), _pair_pass(hg, kg, True)
     incompatible, centrally, totally = plain.incompatible, central.incompatible, plain.totally
     witnesses = [
         w for w in (plain.compatible, central.compatible, plain.not_totally) if w is not None

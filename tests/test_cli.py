@@ -118,6 +118,18 @@ def test_flags_a_subcommand_does_not_read_exit_1(tmp_path, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def test_malformed_table_file_is_a_one_line_error(tmp_path):
+    path = tmp_path / "t.txt"
+    path.write_text("-1\n0\n", encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "groupdet.cli", "classify", f"@{path}", "C2"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr == f"error: {path}: the order must be positive, got -1\n"
+
+
 def test_malformed_matrix_file_is_a_one_line_error(tmp_path):
     s3 = build_group("S3")
     swap = matrix_to_dict(_swap_s3())  # [[0, 1], [1, 0]] over (S3, S3)

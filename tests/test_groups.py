@@ -238,7 +238,7 @@ def test_import_does_not_load_numpy():
 
 
 def test_grammar_errors():
-    for bad in ("C0", "C-3", "D3", "Q16", "E4^2", "E2^0", "x C2", "C2 x", ""):
+    for bad in ("C0", "C-3", "D3", "Q16", "E4^2", "E2^0", "x C2", "C2 x", "", "C2 C4", "C2xxC4"):
         with pytest.raises(ParseError):
             build_group(bad)
 
@@ -332,6 +332,29 @@ def test_undecodable_table_file_is_a_parse_error(tmp_path):
         build_group(f"@{path}")
     with pytest.raises(ParseError):
         load_table_file(str(path))
+
+
+# Each malformed table file, with a phrase of the ParseError it must raise.
+BAD_TABLE_FILES = {
+    "": "empty table file",
+    "two\n0 1\n1 0\n": "first line must be the order",
+    "0\n": "the order must be positive, got 0",
+    "-1\n0\n": "the order must be positive, got -1",
+    "2\n0 1\n": "expected 2 table rows, found 1",
+    "2\n0 1\n1\n": "row 2 has 1 entries, expected 2",
+    "2\n0 1\n1 a\n": "row 2 contains a non-integer entry",
+    "2\n0 1\n1 0\n0 1\n": "unexpected trailing content after table rows",
+    "2\n0 1\n1 0\nlabels: e\n": "expected 2 labels, got 1",
+}
+
+
+@pytest.mark.parametrize("text, phrase", BAD_TABLE_FILES.items())
+def test_malformed_table_file_is_a_parse_error_naming_the_file(tmp_path, text, phrase):
+    path = tmp_path / "t.txt"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(ParseError) as err:
+        build_group(f"@{path}")
+    assert str(err.value).startswith(f"{path}: ") and phrase in str(err.value)
 
 
 def test_elementary_abelian_and_products():

@@ -492,3 +492,36 @@ def test_classify_pair_forms_no_composite_but_the_witness(monkeypatch):
         if not closed:
             _, w = a_subgroup_check(h, k, 64)
             assert w.values == pointwise_sum(identity_map(h), composed[0]).values
+
+
+def test_each_view_lists_only_the_hom_sets_of_its_family(monkeypatch):
+    listed = []
+
+    def recording(domain, codomain, restrict_codomain=None):
+        assert restrict_codomain in (None, codomain.center())
+        listed.append(restrict_codomain is not None)
+        return enumerate_homs(domain, codomain, restrict_codomain)
+
+    monkeypatch.setattr(pairs, "enumerate_homs", recording)
+    h, k = _g("D8"), _g("C4 x C2")
+    views = {
+        False: (
+            lambda: is_incompatible(h, k),
+            lambda: is_totally_incompatible(h, k),
+        ),
+        True: (
+            lambda: is_centrally_incompatible(h, k),
+            lambda: is_incompatible(h, k, central=True),
+            lambda: is_totally_incompatible(h, k, central=True),
+            lambda: is_centrally_totally_incompatible_of_length(h, k, 2),
+        ),
+    }
+    for central, calls in views.items():
+        for call in calls:
+            listed.clear()
+            call()
+            # Hom(k, h), then Hom(h, k); center-restricted exactly for the central views.
+            assert listed == [central, central]
+    listed.clear()
+    classify_pair(h, k, max_product_order=1)
+    assert listed == [False, False, True, True]
