@@ -14,12 +14,14 @@ entry(i,j) - entry(i,p) . pivot^-1 . entry(p,j).
 
 One private routine, ``_chain``, does every elimination, on value tuples,
 trying candidate sequences in a fixed order and each shared prefix once.
-Each step forms its new entries in one pass that also checks their images
-commute.  A step keeps its pivot's inverse, so the inverse runs back along
-the chain without inverting a pivot again: the final 1 x 1 determinant is
-inverted, then each earlier state from the inverse of the state its pivot
-left, by the 2 x 2 block formulas.  The public functions are views of that
-chain.
+The prefix memo is a dict local to the call that keeps only interior
+prefixes, those a later sequence can extend; a 2 x 2 sequence is a single
+step, so a 2 x 2 call keeps none.  Each step (``_step``) forms its new
+entries in one pass that also checks their images commute.  A step keeps
+its pivot's inverse, so the inverse runs back along the chain without
+inverting a pivot again: the final 1 x 1 determinant is inverted, then
+each earlier state from the inverse of the state its pivot left, by the
+2 x 2 block formulas.  The public functions are views of that chain.
 
 Every bijectivity test and every inverse, of a pivot or of a determinant,
 is one lookup in ``_pivot_inverse``, which each factor memoises: a factor
@@ -131,27 +133,27 @@ def _step(factors: tuple[FiniteGroup, ...], node: tuple, p: int) -> Optional[tup
     A node is (eliminated, survivors, entries, w): ``entries[i * n + j]`` is
     the value tuple of entry (i, j), and w the last pivot's inverse (None at
     the top).  The pivot is tested, and inverted, by ``_pivot_inverse`` before
-    any new entry (i, j) - (i, p) . w . (p, j) is built.  Each row i takes
-    bw = -(i, p) . w once; each entry is then formed in one pass that also
-    checks its images commute, and ``_check_commuting`` runs only to raise.
+    any new entry (i, j) - (i, p) . w . (p, j) is built.  Each entry is
+    formed in one pass that composes -(i, p) . w . (p, j) pointwise and
+    checks its images commute; ``_check_commuting`` runs only to raise.
     """
     eliminated, survivors, e, _ = node
     n = len(factors)
     w = _pivot_inverse(factors[p], e[p * n + p])
     if w is None:
         return None
-    rest = tuple([i for i in survivors if i != p])
+    k = survivors.index(p)
+    rest = survivors[:k] + survivors[k + 1:]
     out = [None] * (n * n)
     for i in rest:
         g = factors[i]
         t, neg = g.table, g.inverse
         b = e[i * n + p]
-        bw = [neg[b[y]] for y in w]
         for j in rest:
             a, c = e[i * n + j], e[p * n + j]
             # u commutes with b(w(c(x))) exactly when it commutes with its
             # inverse v, so a pair that does not commute drops its product
-            entry = [r for u, x in zip(a, c) if (r := t[u][(v := bw[x])]) == t[v][u]]
+            entry = [r for u, x in zip(a, c) if (r := t[u][(v := neg[b[w[x]]])]) == t[v][u]]
             if len(entry) != len(a):
                 _check_commuting(g, a, [b[w[x]] for x in c])
             out[i * n + j] = tuple(entry)
@@ -162,35 +164,44 @@ def _chain(m: EndoMatrix, sequences) -> list[tuple]:
     """The nodes of the first of ``sequences`` whose pivots are all bijective.
 
     The chain runs from the matrix itself to the state its last pivot leaves.
-    Each prefix's node is kept, so a later sequence sharing it neither
-    recomputes it nor retries a dead pivot.  Raises DeterminantUndefinedError
-    with the dead pivot of the last sequence tried.
+    Only interior prefixes are memoised, in ``shared``, local to the call:
+    a later sequence may extend one, and then neither recomputes it nor
+    retries a dead pivot (stored as None; ``top``, which no step returns,
+    marks a prefix not yet stepped).  A last step is never shared, so its
+    node is kept only in the chain returned.  A 2 x 2 sequence is that one
+    step: the call reads no memo, and its top node takes the four entries
+    unpacked.  Raises DeterminantUndefinedError with the dead pivot of the
+    last sequence tried, the one after its live prefix.
     """
     factors = m.factors
-    top = ((), tuple(range(len(factors))), [f.values for row in m.entries for f in row], None)
+    n = len(factors)
+    if n == 2:
+        (a, b), (c, d) = m.entries
+        top = ((), (0, 1), [a.values, b.values, c.values, d.values], None)
+    else:
+        top = ((), tuple(range(n)), [f.values for row in m.entries for f in row], None)
     shared: dict[tuple[int, ...], Optional[tuple]] = {}
-    dead = None
     for seq in sequences:
-        chain = [top]
+        chain, last = [top], len(seq)
         for k, p in enumerate(seq, 1):
-            key = seq[:k]
-            if key not in shared:
-                shared[key] = _step(factors, chain[-1], p)
-            if shared[key] is None:
-                dead = p
+            if k == last:
+                node = _step(factors, chain[-1], p)
+            elif (node := shared.get(seq[:k], top)) is top:
+                node = shared[seq[:k]] = _step(factors, chain[-1], p)
+            if node is None:
                 break
-            chain.append(shared[key])
+            chain.append(node)
         else:
             return chain
-    why = ("no bijective diagonal entry; determinant route undecidable" if m.n == 2
+    why = ("no bijective diagonal entry; determinant route undecidable" if n == 2
            else "no elimination sequence has bijective pivots")
-    raise DeterminantUndefinedError(why, pivot_index=dead)
+    raise DeterminantUndefinedError(why, pivot_index=seq[len(chain) - 1])
 
 
 def _last(m: EndoMatrix, chain: list[tuple]) -> tuple[int, tuple[int, ...]]:
     """The survivor of a full chain of m and the value tuple of its determinant."""
     _, (s,), e, _ = chain[-1]
-    return s, e[s * m.n + s]
+    return s, e[s * len(m.factors) + s]
 
 
 def f_determinant(m: EndoMatrix, fseq: Optional[FSequence] = None) -> list[PartialDet]:
@@ -199,12 +210,10 @@ def f_determinant(m: EndoMatrix, fseq: Optional[FSequence] = None) -> list[Parti
     The chain starts with the matrix itself (nothing eliminated) and ends,
     for a full sequence, with a single self-map of the surviving factor.
     """
-    n = m.n
-    if fseq is None:
-        fseq = FSequence.canonical(n)
+    f, n = m.factors, m.n
+    fseq = FSequence.canonical(n) if fseq is None else fseq
     if fseq.n != n:
         raise PreconditionError(f"sequence is over {fseq.n} factors, matrix has {n}")
-    f = m.factors
     return [
         PartialDet(f, rest, gone, {
             (i, j): _derived_map(f[j], f[i], e[i * n + j]) for i in rest for j in rest
@@ -257,21 +266,21 @@ def _full_sequences(n: int):
 _BRANCH_SEQUENCES = {"h": ((1,),), "k": ((0,),), "hk": ((1,), (0,)), "kh": ((0,), (1,))}
 
 
-def _sequences(m: EndoMatrix, branch: str = "auto"):
-    """The elimination sequences ``_chain`` tries, in order.
+def _sequences(factors: tuple[FiniteGroup, ...], branch: str = "auto"):
+    """The elimination sequences ``_chain`` tries on a matrix over ``factors``, in order.
 
     For 2 x 2, 'h' eliminates delta (index 1), 'k' alpha (index 0), and 'auto'
     the branch with the smaller ``determinant_step_bound`` first (h on a tie).
     Larger matrices take every full sequence, canonical first.
     """
-    if m.n != 2:
+    if len(factors) != 2:
         if branch != "auto":
             raise PreconditionError("explicit branches exist only for 2 x 2 matrices")
-        return _full_sequences(m.n)
+        return _full_sequences(len(factors))
     if branch == "auto":
-        h, k = m.factors[0].order, m.factors[1].order
-        branch = "hk" if _step_bound(k, h) <= _step_bound(h, k) else "kh"
-    elif branch not in ("h", "k"):
+        h, k = factors[0].order, factors[1].order
+        return _BRANCH_SEQUENCES["hk" if _step_bound(k, h) <= _step_bound(h, k) else "kh"]
+    if branch not in ("h", "k"):
         raise PreconditionError(f"unknown branch {branch!r}; use 'h', 'k' or 'auto'")
     return _BRANCH_SEQUENCES[branch]
 
@@ -284,9 +293,9 @@ def branch_determinant(m: EndoMatrix, branch: str = "auto") -> tuple[str, GroupM
     raises DeterminantUndefinedError, with the last pivot index tried, when
     no branch tried has a bijective pivot.
     """
-    if m.n != 2:
+    if len(m.factors) != 2:
         raise PreconditionError("branch determinants exist only for 2 x 2 matrices")
-    s, det = _last(m, _chain(m, _sequences(m, branch)))
+    s, det = _last(m, _chain(m, _sequences(m.factors, branch)))
     return "hk"[s], _derived_map(m.factors[s], m.factors[s], det)
 
 
@@ -297,8 +306,8 @@ def is_invertible_via_det(m: EndoMatrix) -> bool:
     DeterminantUndefinedError when no admissible pivot choice exists; the
     caller should then fall back to a direct check.
     """
-    s, det = _last(m, _chain(m, _sequences(m)))
-    return _pivot_inverse(m.factors[s], det) is not None
+    _, (s,), e, _ = _chain(m, _sequences(m.factors))[-1]
+    return _pivot_inverse(m.factors[s], e[s * len(m.factors) + s]) is not None
 
 
 def _unwind(factors: tuple[FiniteGroup, ...], state: tuple, left: tuple, inv: dict) -> None:
@@ -346,13 +355,11 @@ def _inverse_from(m: EndoMatrix, chain: list[tuple]) -> Optional[EndoMatrix]:
     if det_inv is None:
         return None
     inv = {(s, s): det_inv}
-    f = m.factors
+    f, n = m.factors, len(m.factors)
     for k in range(len(chain) - 1, 0, -1):
         _unwind(f, chain[k - 1], chain[k], inv)
-    rows = tuple(
-        tuple([_derived_map(f[j], f[i], inv[i, j]) for j in range(m.n)]) for i in range(m.n)
-    )
-    return _built_matrix(f, rows)
+    rows = [tuple([_derived_map(f[j], f[i], inv[i, j]) for j in range(n)]) for i in range(n)]
+    return _built_matrix(f, tuple(rows))
 
 
 def invert_via_det(m: EndoMatrix, branch: str = "auto") -> EndoMatrix:
@@ -363,7 +370,7 @@ def invert_via_det(m: EndoMatrix, branch: str = "auto") -> EndoMatrix:
     when the determinant is not bijective.  The result is the matrix of the
     inverse endomorphism, so it comes from ``_built_matrix`` unchecked.
     """
-    out = _inverse_from(m, _chain(m, _sequences(m, branch)))
+    out = _inverse_from(m, _chain(m, _sequences(m.factors, branch)))
     if out is None:
         raise InversionError("determinant is not bijective; matrix is not invertible")
     return out

@@ -20,7 +20,17 @@ class GroupdetError(Exception):
 
 
 class ValidationError(GroupdetError):
-    """A multiplication table failed a structural check (Latin square, associativity)."""
+    """A multiplication table failed a structural check (Latin square, associativity).
+
+    When one row or column is not a permutation, ``line`` names it as
+    ("row", i) or ("column", j), counted from 0, and ``reason`` is the
+    message after that name; a table file renumbers it as the file counts.
+    """
+
+    def __init__(self, reason: str, line: tuple[str, int] | None = None):
+        super().__init__(reason if line is None else f"{line[0]} {line[1]} {reason}")
+        self.reason = reason
+        self.line = line
 
 
 class ParseError(GroupdetError):

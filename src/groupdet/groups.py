@@ -152,12 +152,12 @@ def _validate_table(table: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ..
             raise ValidationError(f"table entry {bad!r} in row {i} is not an integer")
         if set(row) != span:
             raise ValidationError(
-                f"row {i} is not a permutation of 0..{n - 1}: not a Latin square"
+                f"is not a permutation of 0..{n - 1}: not a Latin square", ("row", i)
             )
     for j, col in enumerate(zip(*rows)):
         if set(col) != span:
             raise ValidationError(
-                f"column {j} is not a permutation of 0..{n - 1}: not a Latin square"
+                f"is not a permutation of 0..{n - 1}: not a Latin square", ("column", j)
             )
 
     plain = tuple(range(n))
@@ -708,7 +708,17 @@ def _table_from_text(path: str, text: str) -> FiniteGroup:
         labels = extra[0][len("labels:"):].split()
         if len(labels) != n:
             raise ParseError(f"{path}: expected {n} labels, got {len(labels)}")
-    return FiniteGroup(table, name=f"@{path}", labels=labels)
+        if len(set(labels)) != n:
+            twice = next(s for s in labels if labels.count(s) > 1)
+            raise ParseError(f"{path}: label {twice!r} is repeated")
+    try:
+        return FiniteGroup(table, name=f"@{path}", labels=labels)
+    except ValidationError as exc:
+        # name the file; a row or column is counted from 1, as above
+        if exc.line is None:
+            raise ValidationError(f"{path}: {exc}") from None
+        kind, i = exc.line
+        raise ParseError(f"{path}: {kind} {i + 1} {exc.reason}") from None
 
 
 def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGroup:

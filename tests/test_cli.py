@@ -130,6 +130,24 @@ def test_malformed_table_file_is_a_one_line_error(tmp_path):
     assert proc.stderr == f"error: {path}: the order must be positive, got -1\n"
 
 
+@pytest.mark.parametrize("text, phrase", [
+    ("2\n0 1\n1 0\nlabels: a a\n", "label 'a' is repeated"),
+    ("2\n0 1\n1 5\n", "row 2 is not a permutation of 0..1: not a Latin square"),
+])
+def test_faulty_one_of_two_table_files_is_named(tmp_path, text, phrase):
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text("2\n0 1\n1 0\nlabels: e a\n", encoding="utf-8")
+    bad.write_text(text, encoding="utf-8")
+    for args in ([f"@{good}", f"@{bad}"], [f"@{bad}", f"@{good}"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupdet.cli", "classify", *args],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr == f"error: {bad}: {phrase}\n"
+
+
 def test_malformed_matrix_file_is_a_one_line_error(tmp_path):
     s3 = build_group("S3")
     swap = matrix_to_dict(_swap_s3())  # [[0, 1], [1, 0]] over (S3, S3)

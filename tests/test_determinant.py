@@ -40,6 +40,7 @@ from groupdet import (
     is_bijective,
     is_invertible_via_det,
     matrix_multiply,
+    pointwise_diff,
     recompose,
     zero_map,
 )
@@ -165,6 +166,68 @@ def test_verdict_matches_oracle_where_decidable():
             except DeterminantUndefinedError:
                 continue
             assert verdict == is_bijective(recompose(m, pg))
+
+
+def _tried_orders(facs):
+    """The elimination orders decide tries, in order, as documented: on 2 x 2
+    the branch with the smaller |pivot| + C(|tested|, 2) first, h (pivot
+    delta, index 1) on a tie; on three factors the canonical (2, 1), then
+    the rest lexicographically by survivor."""
+    if len(facs) == 2:
+        h, k = (g.order for g in facs)
+        h_first = k + h * (h - 1) // 2 <= h + k * (k - 1) // 2
+        return [(1,), (0,)] if h_first else [(0,), (1,)]
+    assert len(facs) == 3
+    return [(2, 1), (1, 2), (0, 2), (2, 0), (0, 1), (1, 0)]
+
+
+def _dead_pivot(m, order):
+    """The first pivot of ``order`` that is not bijective once the earlier
+    ones are eliminated, or None; computed with maps operations only."""
+    state = {(i, j): m.entries[i][j] for i in range(m.n) for j in range(m.n)}
+    alive = list(range(m.n))
+    for k, p in enumerate(order, 1):
+        if not is_bijective(state[p, p]):
+            return p
+        if k == len(order):
+            return None
+        w = invert(state[p, p])
+        alive.remove(p)
+        state = {
+            (i, j): pointwise_diff(state[i, j], compose(state[i, p], compose(w, state[p, j])))
+            for i in alive for j in alive
+        }
+
+
+# Ordered pairs of catalog groups with product order <= 32, and C2 x C2 x C3.
+_DECIDE_FACTORS = [
+    (h, k) for h, k in itertools.product(catalog_groups(), repeat=2) if h.order * k.order <= 32
+] + [tuple(build_group(s) for s in ("C2", "C2", "C3"))]
+
+
+def test_decide_is_exact_on_every_small_m_set():
+    """Every member of each M-set of ``_DECIDE_FACTORS``: a verdict equals
+    the bijectivity of the recomposed map and has a pivot route; an undefined
+    determinant has no route, and its pivot_index is the dead pivot of the
+    last order tried."""
+    members = undefined = 0
+    for facs in _DECIDE_FACTORS:
+        pg = ProductGroup.of(*facs)
+        orders = _tried_orders(facs)
+        for m in enumerate_m_matrices(facs):
+            members += 1
+            try:
+                verdict = is_invertible_via_det(m)
+            except DeterminantUndefinedError as exc:
+                undefined += 1
+                dead = [_dead_pivot(m, order) for order in orders]
+                assert None not in dead, (m, dead)
+                assert exc.pivot_index == dead[-1], (m, dead)
+                continue
+            assert verdict == is_bijective(recompose(m, pg)), m
+            assert any(_dead_pivot(m, order) is None for order in orders), m
+    assert len(_DECIDE_FACTORS) == 53 and members == 14460
+    assert 0 < undefined < members
 
 
 def test_singular_A_member():
@@ -536,6 +599,42 @@ def test_elimination_shares_prefixes_and_inverts_each_pivot_once(monkeypatch):
             saved += unshared - len(steps)
     assert saved > 0
     assert seen and len(seen) <= sum(len(enumerate_homs(g, g)) for g in facs)
+
+
+def test_two_by_two_calls_step_once_per_branch(monkeypatch):
+    """On every member of M(S3 x C4) and M(C4 x S3), decide and invert step
+    each branch at most once, in the order the step bound gives, with
+    distinct keys; each step looks its pivot up once and a finished chain
+    its determinant once.  Over all the calls each distinct (factor, values)
+    is inverted exactly once."""
+    _, steps, lookups, inversions = _counted_det_mod(monkeypatch)
+    seen = set()
+    for specs in (("S3", "C4"), ("C4", "S3")):
+        facs = _fresh(*specs)
+        orders = _tried_orders(facs)
+        mats = enumerate_m_matrices(facs)
+        assert len(mats) == 128
+        for m in mats:
+            for fn in (is_invertible_via_det, invert_via_det):
+                steps.clear()
+                lookups.clear()
+                inversions.clear()
+                try:
+                    fn(m)
+                    chained = True
+                except DeterminantUndefinedError:
+                    chained = False
+                except InversionError:
+                    chained = True
+                keys = [key for key, _ in steps]
+                assert keys == orders[:len(keys)] and 1 <= len(keys) <= 2, keys
+                assert len(keys) == len(set(keys))
+                assert [alive for _, alive in steps] == [False] * (len(keys) - 1) + [chained]
+                assert len(lookups) == len(steps) + chained
+                assert all(g in facs for g, _ in lookups)
+                new = {(g, v) for g, v in lookups if (g, v) not in seen}
+                assert sorted(inversions) == sorted(v for _, v in new if len(set(v)) == len(v))
+                seen |= new
 
 
 def _corrects_both_pivots(m):

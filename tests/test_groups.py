@@ -84,6 +84,17 @@ def test_bad_tables_rejected():
         ])
 
 
+def test_validation_error_names_its_row_or_column():
+    """The constructor counts rows and columns from 0, as the table is indexed."""
+    for table, line, text in [
+        ([[0, 1], [1, 5]], ("row", 1), "row 1 is not a permutation of 0..1: not a Latin square"),
+        ([[0, 1], [0, 1]], ("column", 0), "column 0 is not a permutation of 0..1: not a Latin square"),
+    ]:
+        with pytest.raises(ValidationError) as err:
+            group_from_table(table)
+        assert err.value.line == line and str(err.value) == text
+
+
 @pytest.mark.parametrize(
     "table",
     [
@@ -345,6 +356,10 @@ BAD_TABLE_FILES = {
     "2\n0 1\n1 a\n": "row 2 contains a non-integer entry",
     "2\n0 1\n1 0\n0 1\n": "unexpected trailing content after table rows",
     "2\n0 1\n1 0\nlabels: e\n": "expected 2 labels, got 1",
+    "2\n0 1\n1 0\nlabels: a a\n": "label 'a' is repeated",
+    # FiniteGroup's row and column checks, counted from 1 as the file counts
+    "2\n0 1\n1 5\n": "row 2 is not a permutation of 0..1",
+    "3\n0 1 2\n1 2 0\n2 1 0\n": "column 2 is not a permutation of 0..2",
 }
 
 
@@ -355,6 +370,21 @@ def test_malformed_table_file_is_a_parse_error_naming_the_file(tmp_path, text, p
     with pytest.raises(ParseError) as err:
         build_group(f"@{path}")
     assert str(err.value).startswith(f"{path}: ") and phrase in str(err.value)
+
+
+def test_table_file_that_is_no_group_names_the_file(tmp_path):
+    """A table file whose rows and columns are permutations but which has no
+    identity, or is not associative, raises a ValidationError that names the
+    file."""
+    for text, phrase in [
+        ("3\n0 2 1\n2 1 0\n1 0 2\n", "table has no identity element"),  # x * y = -x - y
+        ("5\n0 1 2 3 4\n1 0 3 4 2\n2 3 4 0 1\n3 4 1 2 0\n4 2 0 1 3\n", "associativity fails"),
+    ]:
+        path = tmp_path / "t.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError) as err:
+            build_group(f"@{path}")
+        assert str(err.value).startswith(f"{path}: ") and phrase in str(err.value)
 
 
 def test_elementary_abelian_and_products():
