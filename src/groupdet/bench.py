@@ -38,16 +38,13 @@ __all__ = [
 
 @dataclass
 class OpCounter:
-    """Tally of elementary steps used by the benchmark accounting.
+    """Tally of the element equality tests made during injectivity checks.
 
-    ``comparisons`` counts element equality tests during injectivity checks,
-    ``lookups`` counts graph lookups spent inverting a bijection, and
-    ``evaluations`` counts map evaluations spent building derived maps.
+    It counts comparisons only; ``run_bench`` charges the determinant's
+    pivot lookups and build evaluations from the factor orders.
     """
 
     comparisons: int = 0
-    lookups: int = 0
-    evaluations: int = 0
 
 
 def _is_injective_counted(values: Sequence[int], counter: OpCounter) -> bool:
@@ -129,14 +126,14 @@ def run_bench(
     pair = (h.name, k.name)
     records: list[BenchRecord] = []
 
-    def record(method: str, counter: OpCounter, verdict: bool, wall_time: float) -> BenchRecord:
+    def record(method: str, comparisons: int, verdict: bool, wall_time: float,
+               lookups: int = 0, evaluations: int = 0) -> BenchRecord:
         full = {
-            "pivot_inversion": counter.lookups,
-            "build_cost": counter.evaluations,
-            "injectivity_comparisons": counter.comparisons,
+            "pivot_inversion": lookups,
+            "build_cost": evaluations,
+            "injectivity_comparisons": comparisons,
         }
-        headline = counter.lookups + counter.comparisons
-        return BenchRecord(pair, method, headline, full, verdict, wall_time)
+        return BenchRecord(pair, method, lookups + comparisons, full, verdict, wall_time)
 
     for _ in range(trials):
         m = sample_a_member(h, k, rng)
@@ -152,13 +149,12 @@ def run_bench(
         det_verdict = _is_injective_counted(det.values, det_counter)
         det_time = time.perf_counter() - start
         pivot, tested = (k, h) if used == "h" else (h, k)
-        det_counter.lookups = pivot.order
-        det_counter.evaluations = tested.order
 
         if naive_verdict != det_verdict:
             raise StructuralError(
                 f"method disagreement on {pair}: naive={naive_verdict} det={det_verdict}"
             )
-        records.append(record("naive", naive_counter, naive_verdict, naive_time))
-        records.append(record("determinant", det_counter, det_verdict, det_time))
+        records.append(record("naive", naive_counter.comparisons, naive_verdict, naive_time))
+        records.append(record("determinant", det_counter.comparisons, det_verdict, det_time,
+                              pivot.order, tested.order))
     return records

@@ -95,16 +95,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_matrix(args) -> EndoMatrix:
-    with open(args.matrix_file, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    """The matrix in ``args.matrix_file``; any fault of the file, an invalid map
+    included, is a ParseError naming it, not a failed equivalence check."""
+    path = args.matrix_file
     try:
-        m = matrix_from_dict(payload)
-    except StructuralError as exc:  # an invalid map in the file, not a failed check
-        raise ParseError(str(exc)) from exc
+        with open(path, "rb") as fh:
+            m = matrix_from_dict(json.loads(fh.read().decode("utf-8")))
+    except UnicodeDecodeError:
+        raise ParseError(f"{path}: matrix file is not UTF-8 text") from None
+    except RecursionError:
+        raise ParseError(f"{path}: matrix file nests too deeply") from None
+    except (json.JSONDecodeError, GroupdetError) as exc:
+        raise ParseError(f"{path}: {exc}") from None
     expected = tuple(build_group(s).name for s in (args.h_spec, args.k_spec))
     got = tuple(f.name for f in m.factors)
     if got != expected:
-        raise ParseError(f"matrix file is over {got}, command line says {expected}")
+        raise ParseError(f"{path}: matrix file is over {got}, command line says {expected}")
     return m
 
 
@@ -259,7 +265,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if value is not None and value < 1:
                 raise ParseError(f"{name} must be at least 1, got {value}")
         return _COMMANDS[args.command](args)
-    except (ParseError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

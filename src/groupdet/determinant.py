@@ -13,10 +13,8 @@ factor p with bijective entry (p, p), replacing entry (i, j) by
 entry(i,j) - entry(i,p) . pivot^-1 . entry(p,j).
 
 One private routine, ``_chain``, does every elimination, on value tuples,
-trying candidate sequences in a fixed order and each shared prefix once.
-The prefix memo is a dict local to the call that keeps only interior
-prefixes, those a later sequence can extend; a 2 x 2 sequence is a single
-step, so a 2 x 2 call keeps none.  Each step (``_step``) forms its new
+trying candidate sequences in a fixed order and walking each from the
+matrix until a pivot is not bijective.  Each step (``_step``) forms its new
 entries in one pass that also checks their images commute.  A step keeps
 its pivot's inverse, so the inverse runs back along the chain without
 inverting a pivot again: the final 1 x 1 determinant is inverted, then
@@ -164,14 +162,11 @@ def _chain(m: EndoMatrix, sequences) -> list[tuple]:
     """The nodes of the first of ``sequences`` whose pivots are all bijective.
 
     The chain runs from the matrix itself to the state its last pivot leaves.
-    Only interior prefixes are memoised, in ``shared``, local to the call:
-    a later sequence may extend one, and then neither recomputes it nor
-    retries a dead pivot (stored as None; ``top``, which no step returns,
-    marks a prefix not yet stepped).  A last step is never shared, so its
-    node is kept only in the chain returned.  A 2 x 2 sequence is that one
-    step: the call reads no memo, and its top node takes the four entries
-    unpacked.  Raises DeterminantUndefinedError with the dead pivot of the
-    last sequence tried, the one after its live prefix.
+    Each sequence is walked afresh from the top and stops at its first dead
+    pivot; a repeated dead pivot costs one ``_pivot_inverse`` lookup.  A
+    2 x 2 top node takes the four entries unpacked.  Raises
+    DeterminantUndefinedError with the dead pivot of the last sequence
+    tried, the one after its live prefix.
     """
     factors = m.factors
     n = len(factors)
@@ -180,14 +175,10 @@ def _chain(m: EndoMatrix, sequences) -> list[tuple]:
         top = ((), (0, 1), [a.values, b.values, c.values, d.values], None)
     else:
         top = ((), tuple(range(n)), [f.values for row in m.entries for f in row], None)
-    shared: dict[tuple[int, ...], Optional[tuple]] = {}
     for seq in sequences:
-        chain, last = [top], len(seq)
-        for k, p in enumerate(seq, 1):
-            if k == last:
-                node = _step(factors, chain[-1], p)
-            elif (node := shared.get(seq[:k], top)) is top:
-                node = shared[seq[:k]] = _step(factors, chain[-1], p)
+        chain = [top]
+        for p in seq:
+            node = _step(factors, chain[-1], p)
             if node is None:
                 break
             chain.append(node)

@@ -197,8 +197,9 @@ class FiniteGroup:
 
     Every table passed to the constructor is validated exactly
     (``_validate_table``: integer entries, Latin square, identity, Light's
-    associativity test).  Groups derived from validated groups (direct
-    products and extracted subgroups) are built by ``_trusted`` instead.
+    associativity test), and its labels must be distinct.  Groups derived
+    from validated groups (direct products and extracted subgroups) are
+    built by ``_trusted`` instead.
     Instances are immutable; derived data (center, subgroups, generators,
     and the hom and automorphism listings of ``maps``) is computed on first
     use and kept on the group by ``_memoised``.
@@ -212,6 +213,9 @@ class FiniteGroup:
     ):
         rows, identity = _validate_table(table)
         self._setup(rows, identity, name, labels)
+        if len(set(self.labels)) != self.order:
+            twice = next(s for s in self.labels if self.labels.count(s) > 1)
+            raise ValidationError(f"label {twice!r} is repeated")
 
     @classmethod
     def _trusted(cls, rows: tuple, identity: int, name: str, labels: Sequence[str]):

@@ -165,9 +165,12 @@ def test_malformed_matrix_file_is_a_one_line_error(tmp_path):
         "not a homomorphism": with_entry(0, 1, [other] * 6),
         "row images do not commute": with_entry(0, 0, list(identity_map(s3).values)),
     }
-    for label, payload in payloads.items():
+    raw = {label: json.dumps(payload).encode() for label, payload in payloads.items()}
+    raw["not UTF-8"] = b"\xff\xfe{}"
+    raw["nested too deeply"] = b"[" * 200_000
+    for label, data in raw.items():
         path = tmp_path / "matrix.json"
-        path.write_text(json.dumps(payload))
+        path.write_bytes(data)
         for cmd in ("det", "invert"):
             proc = subprocess.run(
                 [sys.executable, "-m", "groupdet.cli", cmd, "S3", "S3", str(path)],
@@ -175,7 +178,8 @@ def test_malformed_matrix_file_is_a_one_line_error(tmp_path):
                 text=True,
             )
             assert proc.returncode == 1, (label, cmd, proc.stderr)
-            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, (label, cmd)
+            assert proc.stderr.startswith(f"error: {path}: "), (label, cmd, proc.stderr)
+            assert proc.stderr.count("\n") == 1, (label, cmd)
             assert "Traceback" not in proc.stderr, (label, cmd)
 
 

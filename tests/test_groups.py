@@ -82,6 +82,8 @@ def test_bad_tables_rejected():
             [3, 4, 1, 2, 0],
             [4, 2, 0, 1, 3],
         ])
+    with pytest.raises(ValidationError, match="label 'a' is repeated"):
+        FiniteGroup([[0, 1], [1, 0]], labels=["a", "a"])
 
 
 def test_validation_error_names_its_row_or_column():
