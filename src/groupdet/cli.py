@@ -101,6 +101,8 @@ def _load_matrix(args) -> EndoMatrix:
     try:
         with open(path, "rb") as fh:
             m = matrix_from_dict(json.loads(fh.read().decode("utf-8")))
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise ParseError(f"{path}: matrix file is not UTF-8 text") from None
     except RecursionError:

@@ -50,9 +50,9 @@ def _memoised(fn):
     and unnamed, so each value is asked for one way and has one key.  It is
     generated to that arity rather than written with ``*args``: CPython 3.11
     runs a call to a fixed-arity Python function without a new C-level
-    frame, and ``matrix_multiply`` makes two of these calls per term (a
-    ``*args`` wrapper cost about 7% of ``matmul`` benchmark throughput on a
-    2-core x86-64 box with Python 3.11.7).
+    frame, and ``matrix_multiply`` makes 12 of these calls per 2 x 2
+    product (a ``*args`` wrapper cost about 15% of ``matmul`` benchmark
+    throughput on a 2-core x86-64 box with Python 3.11.7).
     """
     args = "".join(f", a{i}" for i in range(1, fn.__code__.co_argcount))
     namespace = {"fn": fn, "missing": object()}
@@ -674,6 +674,8 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
+    except OSError as exc:
+        raise ParseError(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError:
         raise ParseError(f"{path}: table file is not UTF-8 text") from None
 

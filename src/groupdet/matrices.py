@@ -10,6 +10,7 @@ addition, accumulated in ascending column order.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from collections.abc import Iterable, Sequence
@@ -64,6 +65,10 @@ __all__ = [
 DEFAULT_AUT_ENUM_LIMIT = 64
 # enumerate_m_matrices refuses a set of more matrices than this.
 _M_MATRIX_LIMIT = 2_000_000
+# matrix_multiply refuses matrices over more factors than this: its code has
+# n^3 terms (making it took 0.16 s and 36 MB at n = 16, 1.0 s and 270 MB at
+# n = 32, on a 2-core x86-64 box with Python 3.11.7).
+_MULTIPLY_FACTOR_LIMIT = 16
 
 class ProductGroup:
     """A direct product together with its canonical injections and projections.
@@ -291,23 +296,56 @@ def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
     and ``_entry_sum``), keyed by the entry's domain, its codomain and the two
     value tuples: a pair is computed, and for a sum its commutation checked,
     the first time it is seen.  The public ``compose`` and ``pointwise_sum``
-    keep no memo.
+    keep no memo.  The work runs as straight-line code made once per number
+    of factors (``_multiplier``), which is at most ``_MULTIPLY_FACTOR_LIMIT``.
     """
-    if a.factors != b.factors:
+    factors = a.factors
+    if factors != b.factors:
         raise StructuralError("matrix factors do not match")
-    n = a.n
-    rows = []
-    for i, a_row in enumerate(a.entries):
-        row = []
-        for j in range(n):
-            dom, cod = b.factors[j], a.factors[i]
-            acc = _entry_composite(dom, cod, a_row[0].values, b.entries[0][j].values)
-            for k in range(1, n):
-                t = _entry_composite(dom, cod, a_row[k].values, b.entries[k][j].values)
-                acc = _entry_sum(dom, cod, acc.values, t.values)
-            row.append(acc)
-        rows.append(tuple(row))
-    return _built_matrix(a.factors, tuple(rows))
+    return _multiplier(len(factors))(factors, a.entries, b.entries)
+
+
+@functools.cache
+def _multiplier(n: int):
+    """The n x n product as straight-line code: a function of (factors, a
+    rows, b rows), generated once per n.
+
+    Each cell is one expression over locals unpacked from the arguments; for
+    n = 2, cell (0, 1) is ``_entry_sum(f1, f0, _entry_composite(f1, f0,
+    a0_0.values, b0_1.values).values, _entry_composite(f1, f0, a0_1.values,
+    b1_1.values).values)``.  So cells are made row by row, terms summed in
+    ascending column order and each composite formed before the sum that
+    takes it, as a loop would; the loop's indexing and list building cost
+    about as much as the memo look-ups.  The memos are read as module globals
+    at each call.  The code depends on n alone, so it never goes stale.
+    """
+    if n > _MULTIPLY_FACTOR_LIMIT:
+        raise ResourceLimitError(
+            f"{n} factors exceed the matrix product's bound {_MULTIPLY_FACTOR_LIMIT}"
+        )
+    span = range(n)
+
+    def tup(items) -> str:
+        return "(" + "".join(f"{x}, " for x in items) + ")"
+
+    def cell(i: int, j: int) -> str:
+        dom_cod = f"f{j}, f{i}"
+        terms = [f"_entry_composite({dom_cod}, a{i}_{k}.values, b{k}_{j}.values)" for k in span]
+        acc = terms[0]
+        for term in terms[1:]:
+            acc = f"_entry_sum({dom_cod}, {acc}.values, {term}.values)"
+        return acc
+
+    source = (
+        "def multiply(factors, a, b):\n"
+        f"    {tup(f'f{i}' for i in span)} = factors\n"
+        f"    {tup(tup(f'a{i}_{k}' for k in span) for i in span)} = a\n"
+        f"    {tup(tup(f'b{i}_{k}' for k in span) for i in span)} = b\n"
+        f"    return _built_matrix(factors, {tup(tup(cell(i, j) for j in span) for i in span)})\n"
+    )
+    namespace: dict = {}
+    exec(source, globals(), namespace)
+    return namespace["multiply"]
 
 
 def in_A(m: EndoMatrix) -> bool:

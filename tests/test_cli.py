@@ -1,5 +1,7 @@
 """End-to-end command-line behavior and exit codes."""
+import errno
 import json
+import os
 import subprocess
 import sys
 
@@ -181,6 +183,18 @@ def test_malformed_matrix_file_is_a_one_line_error(tmp_path):
             assert proc.stderr.startswith(f"error: {path}: "), (label, cmd, proc.stderr)
             assert proc.stderr.count("\n") == 1, (label, cmd)
             assert "Traceback" not in proc.stderr, (label, cmd)
+
+
+@pytest.mark.parametrize("kind, code", [("missing", errno.ENOENT), ("directory", errno.EISDIR)])
+def test_unopenable_file_is_a_one_line_error_naming_it(tmp_path, capsys, kind, code):
+    path = tmp_path / "no such file" if kind == "missing" else tmp_path
+    for args in (
+        ["det", "C2", "C2", str(path)],
+        ["invert", "C2", "C2", str(path)],
+        ["classify", f"@{path}", "C2"],
+    ):
+        assert main(args) == 1, args
+        assert capsys.readouterr().err == f"error: {path}: {os.strerror(code)}\n", args
 
 
 def test_invert_round_trip(tmp_path, capsys):

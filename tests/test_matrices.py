@@ -321,6 +321,117 @@ def test_matrix_multiply_memo_keeps_groups_and_failures():
             matrix_multiply(a, b)
 
 
+def _row_by_column(a, b):
+    """The product's cells from the public compose and pointwise_sum alone,
+    each summed in ascending column order."""
+    n = len(a.factors)
+    cells = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = compose(a.entries[i][0], b.entries[0][j])
+            for k in range(1, n):
+                term = compose(a.entries[i][k], b.entries[k][j])
+                acc = pointwise_sum(acc, term, require_commuting=True)
+            row.append(acc)
+        cells.append(row)
+    return cells
+
+
+def _assert_matches_reference(a, b):
+    prod = matrix_multiply(a, b)
+    assert prod.factors is a.factors
+    for got_row, want_row in zip(prod.entries, _row_by_column(a, b), strict=True):
+        for got, want in zip(got_row, want_row, strict=True):
+            assert got.domain is want.domain and got.codomain is want.codomain
+            assert got.values == want.values
+
+
+def test_matrix_multiply_matches_a_row_by_column_reference():
+    from groupdet import FiniteGroup
+
+    c3 = build_group("C3")
+    copies = (FiniteGroup(c3.table, "left copy"), FiniteGroup(c3.table, "right copy"))
+    sets = [
+        enumerate_m_matrices((build_group("C2"),)),
+        enumerate_m_matrices((build_group("C2"), build_group("C4"))),
+        enumerate_m_matrices((build_group("S3"), build_group("C2"))),
+        enumerate_m_matrices(copies),
+        enumerate_m_matrices(tuple(build_group(s) for s in ("C2", "C2", "C3"))),
+    ]
+    assert [len(s) for s in sets] == [2, 32, 64, 81, 48]
+    for mats in sets:
+        for a in mats:
+            for b in mats:
+                _assert_matches_reference(a, b)
+
+
+def test_matrix_multiply_refuses_mismatched_factors():
+    c2, c3 = build_group("C2"), build_group("C3")
+    c3_copy = group_from_table(c3.table, "C3 copy")
+    for left, right in [
+        ((c2, c3), (c3, c2)),
+        ((c2, c3), (c2, c3_copy)),
+        ((c2,), (c2, c2)),
+        ((c2, c2, c3), (c2, c3)),
+    ]:
+        with pytest.raises(StructuralError, match="matrix factors do not match"):
+            matrix_multiply(identity_matrix(left), identity_matrix(right))
+
+
+def test_matrix_multiply_bounds_the_number_of_factors():
+    c2 = build_group("C2")
+    ident = identity_matrix((c2,) * 16)
+    assert matrix_multiply(ident, ident) == ident
+    big = identity_matrix((c2,) * 17)
+    with pytest.raises(ResourceLimitError, match="17 factors"):
+        matrix_multiply(big, big)
+
+
+def test_matrix_multiply_calls_the_memos_in_the_loop_order(monkeypatch):
+    # The calls a plain row-by-column loop makes: cells row-major, terms in
+    # ascending k, each composite before the sum that takes it.
+    def loop_calls(a, b):
+        facs, n = a.factors, len(a.factors)
+        calls = []
+        for i in range(n):
+            for j in range(n):
+                dom, cod = facs[j], facs[i]
+                acc = None
+                for k in range(n):
+                    fv, gv = a.entries[i][k].values, b.entries[k][j].values
+                    calls.append(("composite", dom, cod, fv, gv))
+                    term = tuple(fv[v] for v in gv)
+                    if acc is None:
+                        acc = term
+                    else:
+                        calls.append(("sum", dom, cod, acc, term))
+                        acc = tuple(cod.table[x][y] for x, y in zip(acc, term))
+        return calls
+
+    from groupdet import matrices
+
+    calls = []
+
+    def recording(name, memo):
+        def record(*args):
+            calls.append((name, *args))
+            return memo(*args)
+        return record
+
+    monkeypatch.setattr(matrices, "_entry_composite", recording("composite", matrices._entry_composite))
+    monkeypatch.setattr(matrices, "_entry_sum", recording("sum", matrices._entry_sum))
+    rng = random.Random(30)
+    for specs in [("S3", "C4"), ("C2", "C2", "C3")]:
+        mats = enumerate_m_matrices(tuple(build_group(s) for s in specs))
+        a, b = rng.choice(mats), rng.choice(mats)
+        del calls[:]
+        matrix_multiply(a, b)
+        n = len(specs)
+        assert len(calls) == n * n * (2 * n - 1)
+        assert calls == loop_calls(a, b)
+
+
 def test_library_builds_skip_the_validating_constructor(monkeypatch):
     from groupdet import compare_aut_vs_A, invert_via_det
 
