@@ -1,114 +1,16 @@
-"""Matrix calculus for endomorphisms and automorphisms of direct products of finite groups."""
+"""Matrix calculus for endomorphisms and automorphisms of direct products of finite groups.
+
+The package exports the names in each module's ``__all__``.
+"""
 from __future__ import annotations
 
-from .errors import (
-    DeterminantUndefinedError,
-    FactorizationError,
-    GroupdetError,
-    InversionError,
-    NoncommutingImagesError,
-    ParseError,
-    PreconditionError,
-    ResourceLimitError,
-    StructuralError,
-    ValidationError,
-)
-from .groups import (
-    CATALOG,
-    CommonFactorWitness,
-    DirectFactorization,
-    FiniteGroup,
-    Subgroup,
-    are_isomorphic,
-    build_group,
-    catalog_groups,
-    common_nontrivial_factor,
-    direct_product,
-    group_from_table,
-    load_table_file,
-)
-from .maps import (
-    GroupMap,
-    aut_order,
-    central_aut_group,
-    compose,
-    enumerate_autos,
-    enumerate_endos,
-    enumerate_homs,
-    fitting_decomposition,
-    identity_map,
-    invert,
-    is_bijective,
-    is_central_automorphism,
-    is_normal_endo,
-    negate,
-    pointwise_diff,
-    pointwise_sum,
-    power_map,
-    zero_map,
-)
-from .matrices import (
-    DEFAULT_AUT_ENUM_LIMIT,
-    EndoMatrix,
-    ProductGroup,
-    astruc_factorize,
-    decompose,
-    enumerate_A,
-    enumerate_Z,
-    enumerate_aut_matrices,
-    enumerate_m_matrices,
-    identity_matrix,
-    in_A,
-    in_Z,
-    map_from_dict,
-    map_to_dict,
-    matrix_from_dict,
-    matrix_multiply,
-    matrix_to_dict,
-    recompose,
-)
-from .determinant import (
-    DetIffReport,
-    FSequence,
-    PartialDet,
-    branch_determinant,
-    det_A,
-    det_h,
-    det_k,
-    determinant_step_bound,
-    detiff_check,
-    f_determinant,
-    invert_via_det,
-    invert_via_det_pleasant,
-    is_invertible_via_det,
-)
-from .pairs import (
-    PairReport,
-    PairWitness,
-    a_subgroup_check,
-    classify_pair,
-    is_centrally_incompatible,
-    is_centrally_totally_incompatible_of_length,
-    is_incompatible,
-    is_totally_incompatible,
-    nilpotency_index,
-)
-from .autcompare import (
-    AutComparison,
-    SemidirectReport,
-    compare_aut_vs_A,
-    compare_autc_vs_Z,
-    lemcomm_witness,
-    q8_noncommuting_witness,
-    verify_stem_semidirect,
-)
-from .bench import (
-    BenchRecord,
-    OpCounter,
-    naive_is_invertible,
-    naive_step_bound,
-    run_bench,
-    sample_a_member,
-)
+from .errors import *  # noqa: F403
+from .groups import *  # noqa: F403
+from .maps import *  # noqa: F403
+from .matrices import *  # noqa: F403
+from .determinant import *  # noqa: F403
+from .pairs import *  # noqa: F403
+from .autcompare import *  # noqa: F403
+from .bench import *  # noqa: F403
 
 __version__ = "0.1.0"

@@ -271,7 +271,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
-        print(f"resource bound exceeded: {exc}", file=sys.stderr)
+        print(f"error: resource bound exceeded: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except StructuralError as exc:
         print(f"equivalence check failed: {exc}", file=sys.stderr)

@@ -53,7 +53,6 @@ __all__ = [
     "f_determinant",
     "is_invertible_via_det",
     "invert_via_det",
-    "invert_via_det_pleasant",
     "detiff_check",
 ]
 
@@ -367,44 +366,6 @@ def invert_via_det(m: EndoMatrix, branch: str = "auto") -> EndoMatrix:
     return out
 
 
-def _branch_chains(m: EndoMatrix, what: str) -> tuple[list[tuple], list[tuple]]:
-    """The h and k chains of a 2 x 2 member of A, whose pivots are automorphisms."""
-    if m.n != 2:
-        raise PreconditionError(f"{what} is defined for 2 x 2 matrices")
-    if not in_A(m):
-        raise PreconditionError(f"{what} needs a member of A")
-    return _chain(m, _BRANCH_SEQUENCES["h"]), _chain(m, _BRANCH_SEQUENCES["k"])
-
-
-def invert_via_det_pleasant(m: EndoMatrix) -> EndoMatrix:
-    """The symmetric inverse formula available to members of A (2 x 2).
-
-        ( det_h^-1,                -alpha^-1 . beta . det_k^-1 )
-        ( -delta^-1 . gamma . det_h^-1,   det_k^-1             )
-
-    Asserted entrywise equal to the general inverse, read from the h chain
-    (InversionError when m is singular; else det_k is bijective too).  The
-    pivot inverses alpha^-1 and delta^-1 come from the k and h chains.
-    """
-    h_chain, k_chain = _branch_chains(m, "the pleasant form")
-    general = _inverse_from(m, h_chain)
-    if general is None:
-        raise InversionError("determinant is not bijective; matrix is not invertible")
-    h, k = m.factors
-    (_, beta), (gamma, _) = m.entries
-    dh_inv, dk_inv = general.entries[0][0].values, _pivot_inverse(k, _last(m, k_chain)[1])
-    alpha_inv, delta_inv = k_chain[1][3], h_chain[1][3]  # each chain's pivot inverse
-    upper = tuple([h.inverse[alpha_inv[beta.values[y]]] for y in dk_inv])
-    lower = tuple([k.inverse[delta_inv[gamma.values[x]]] for x in dh_inv])
-    out = EndoMatrix(m.factors, [
-        [_derived_map(h, h, dh_inv), _derived_map(k, h, upper)],
-        [_derived_map(h, k, lower), _derived_map(k, k, dk_inv)],
-    ])
-    if out != general:
-        raise StructuralError("pleasant inverse disagrees with the general formula")
-    return out
-
-
 @dataclass(frozen=True)
 class DetIffReport:
     """Invertibility flags of the two determinants of a member of A.
@@ -421,8 +382,12 @@ class DetIffReport:
 
 def detiff_check(m: EndoMatrix) -> DetIffReport:
     """Evaluate both determinants of a 2 x 2 member of A and their reciprocity."""
-    h_chain, k_chain = _branch_chains(m, "detiff_check")
-    via_h, via_k = _inverse_from(m, h_chain), _inverse_from(m, k_chain)
+    if m.n != 2:
+        raise PreconditionError("detiff_check is defined for 2 x 2 matrices")
+    if not in_A(m):
+        raise PreconditionError("detiff_check needs a member of A")
+    # the pivots of a member of A are automorphisms, so both chains are full
+    via_h, via_k = (_inverse_from(m, _chain(m, _BRANCH_SEQUENCES[b])) for b in "hk")
     h_ok, k_ok = via_h is not None, via_k is not None
     if not (h_ok and k_ok):
         return DetIffReport(h_ok, k_ok, None)

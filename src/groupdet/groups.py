@@ -18,10 +18,11 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
+from math import prod
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
-from .errors import ParseError, StructuralError, ValidationError
+from .errors import ParseError, ResourceLimitError, StructuralError, ValidationError
 
 __all__ = [
     "FiniteGroup",
@@ -50,9 +51,10 @@ def _memoised(fn):
     and unnamed, so each value is asked for one way and has one key.  It is
     generated to that arity rather than written with ``*args``: CPython 3.11
     runs a call to a fixed-arity Python function without a new C-level
-    frame, and ``matrix_multiply`` makes 12 of these calls per 2 x 2
-    product (a ``*args`` wrapper cost about 15% of ``matmul`` benchmark
-    throughput on a 2-core x86-64 box with Python 3.11.7).
+    frame, and ``determinant._pivot_inverse`` is looked up at every
+    elimination step (a ``*args`` wrapper cost about 15% of ``matmul``
+    benchmark throughput when the matrix product's memos were kept here, on
+    a 2-core x86-64 box with Python 3.11.7).
     """
     args = "".join(f", a{i}" for i in range(1, fn.__code__.co_argcount))
     namespace = {"fn": fn, "missing": object()}
@@ -186,6 +188,10 @@ def _validate_table(table: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ..
                 )
     return rows, e
 
+
+# direct_product refuses a product of larger order: its table has order^2
+# entries, and at order 7,200 (S5 x C60) `groupdet bench` peaked at 1.9 GB.
+_PRODUCT_ORDER_LIMIT = 8_192
 
 # Numbers the groups in the order they are built (FiniteGroup._built), so
 # that direct_product can keep a product on its factor built last.
@@ -552,11 +558,18 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
     so every caller asking for the same factors gets the same group, and the
     product goes when that factor does: a product with a table file's group
     is not kept alive by an older catalog atom after the file is rewritten.
+    A product of order over ``_PRODUCT_ORDER_LIMIT`` raises ResourceLimitError
+    before anything is built.
     """
     if not factors:
         raise ValidationError("direct product needs at least one factor")
     if len(factors) == 1:
         return factors[0]
+    order = prod(g.order for g in factors)
+    if order > _PRODUCT_ORDER_LIMIT:
+        raise ResourceLimitError(
+            f"direct product of order {order} exceeds the bound {_PRODUCT_ORDER_LIMIT}"
+        )
     return _product(max(factors, key=lambda g: g._built), factors)
 
 

@@ -9,6 +9,7 @@ so the assumption is checked rather than silently used.
 """
 from __future__ import annotations
 
+from itertools import count
 from math import prod
 from typing import Iterator, Optional, Sequence
 
@@ -46,6 +47,9 @@ __all__ = [
 # enumerate_autos and central_aut_group refuse to list more maps than this:
 # a million automorphisms of a group of order 64 take about 0.6 GB as maps.
 AUT_LIST_LIMIT = 1_000_000
+# GroupMap ids: one per map made, never reused, so a memo keyed by ids
+# cannot hit a map that has gone.
+_map_ids = count()
 
 
 class GroupMap:
@@ -54,10 +58,12 @@ class GroupMap:
     The homomorphism property is a tri-state cache: unknown until queried,
     then pinned.  A ``hom`` claim passed to the constructor is checked, and a
     false one raises StructuralError.  Instances are value-immutable and safe
-    to share.
+    to share.  ``_id`` is a small int unique to the map; ``_composites`` and
+    ``_sums`` are the memos ``matrix_multiply`` keeps on a left operand,
+    None until its first miss (``matrices._composite`` and ``_sum``).
     """
 
-    __slots__ = ("domain", "codomain", "values", "_hom", "_image")
+    __slots__ = ("domain", "codomain", "values", "_hom", "_image", "_id", "_composites", "_sums")
 
     def __init__(
         self,
@@ -78,6 +84,8 @@ class GroupMap:
         self.values = vals
         self._hom = None
         self._image: Optional[frozenset[int]] = None
+        self._id = next(_map_ids)
+        self._composites = self._sums = None
         if hom is not None and self.is_homomorphism() != hom:
             verdict = "is not" if hom else "is"
             raise StructuralError(f"map claims hom={hom}, but {verdict} a homomorphism")
@@ -151,6 +159,8 @@ def _derived_map(
     f.values = values
     f._hom = hom
     f._image = None
+    f._id = next(_map_ids)
+    f._composites = f._sums = None
     return f
 
 

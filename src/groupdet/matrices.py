@@ -69,6 +69,8 @@ _M_MATRIX_LIMIT = 2_000_000
 # n^3 terms (making it took 0.16 s and 36 MB at n = 16, 1.0 s and 270 MB at
 # n = 32, on a 2-core x86-64 box with Python 3.11.7).
 _MULTIPLY_FACTOR_LIMIT = 16
+# Read by the code of _multiplier in place of a memo not yet made; never written.
+_NO_MEMO: dict = {}
 
 class ProductGroup:
     """A direct product together with its canonical injections and projections.
@@ -269,19 +271,37 @@ def identity_matrix(factors: Sequence[FiniteGroup]) -> EndoMatrix:
 
 
 @_memoised
-def _entry_composite(dom, cod, fv, gv) -> GroupMap:
-    """The composite x -> fv[gv[x]], dom -> cod, of two matrix entries given by their
-    values; matrix entries are homomorphisms, and so is the composite."""
-    return _derived_map(dom, cod, tuple([fv[v] for v in gv]), hom=True)
+def _intern_table(dom: FiniteGroup, cod: FiniteGroup) -> dict:
+    """The one map per value tuple that ``matrix_multiply`` has formed dom -> cod."""
+    return {}
 
 
-@_memoised
-def _entry_sum(dom, cod, fv, gv) -> GroupMap:
-    """The pointwise sum x -> fv[x] * gv[x], dom -> cod, of two value tuples whose
-    images are checked to commute in cod."""
+def _interned(dom: FiniteGroup, cod: FiniteGroup, values: tuple, hom: Optional[bool]) -> GroupMap:
+    table = _intern_table(dom, cod)
+    f = table.get(values)
+    if f is None:
+        f = table[values] = _derived_map(dom, cod, values, hom)
+    return f
+
+
+def _composite(f: GroupMap, g: GroupMap) -> GroupMap:
+    """The composite x -> f(g(x)) of two matrix entries, kept on f under g's id;
+    matrix entries are homomorphisms, and so is the composite."""
+    fv = f.values
+    f._composites = memo = f._composites or {}
+    memo[g._id] = h = _interned(g.domain, f.codomain, tuple([fv[v] for v in g.values]), True)
+    return h
+
+
+def _sum(f: GroupMap, g: GroupMap) -> GroupMap:
+    """The pointwise sum x -> f(x) * g(x), kept on f under g's id once its
+    images are checked to commute; a sum that raises is not kept."""
+    cod, fv, gv = f.codomain, f.values, g.values
     _check_commuting(cod, fv, gv)
     t = cod.table
-    return _derived_map(dom, cod, tuple([t[a][b] for a, b in zip(fv, gv)]))
+    f._sums = memo = f._sums or {}
+    memo[g._id] = h = _interned(f.domain, cod, tuple([t[a][b] for a, b in zip(fv, gv)]), None)
+    return h
 
 
 def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
@@ -292,12 +312,15 @@ def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
     two valid matrices is again valid, so the result comes from
     ``_built_matrix`` unchecked.
 
-    Composites and sums are memoised on their domain group (``_entry_composite``
-    and ``_entry_sum``), keyed by the entry's domain, its codomain and the two
-    value tuples: a pair is computed, and for a sum its commutation checked,
-    the first time it is seen.  The public ``compose`` and ``pointwise_sum``
-    keep no memo.  The work runs as straight-line code made once per number
-    of factors (``_multiplier``), which is at most ``_MULTIPLY_FACTOR_LIMIT``.
+    Each composite and sum is kept on its left operand, keyed by the right
+    operand's id (``GroupMap._id``): it is computed, and for a sum its
+    commutation checked, the first time that pair is seen (``_composite``
+    and ``_sum``).  Every map they form goes through one intern table per
+    (domain, codomain), kept on the domain group, so value-equal results are
+    one object and the sums of different products share their memos.  The
+    public ``compose`` and ``pointwise_sum`` keep no memo.  The work runs as
+    straight-line code made once per number of factors (``_multiplier``),
+    which is at most ``_MULTIPLY_FACTOR_LIMIT``.
     """
     factors = a.factors
     if factors != b.factors:
@@ -310,14 +333,20 @@ def _multiplier(n: int):
     """The n x n product as straight-line code: a function of (factors, a
     rows, b rows), generated once per n.
 
-    Each cell is one expression over locals unpacked from the arguments; for
-    n = 2, cell (0, 1) is ``_entry_sum(f1, f0, _entry_composite(f1, f0,
-    a0_0.values, b0_1.values).values, _entry_composite(f1, f0, a0_1.values,
-    b1_1.values).values)``.  So cells are made row by row, terms summed in
-    ascending column order and each composite formed before the sum that
-    takes it, as a loop would; the loop's indexing and list building cost
-    about as much as the memo look-ups.  The memos are read as module globals
-    at each call.  The code depends on n alone, so it never goes stale.
+    Each term and each partial sum is one statement that reads the left
+    operand's memo and calls ``_composite`` or ``_sum`` only on a miss; for
+    n = 2, cell (0, 1) is
+
+        c0_1 = (a0_0._composites or _NO_MEMO).get(b0_1._id) or _composite(a0_0, b0_1)
+        t = (a0_1._composites or _NO_MEMO).get(b1_1._id) or _composite(a0_1, b1_1)
+        c0_1 = (c0_1._sums or _NO_MEMO).get(t._id) or _sum(c0_1, t)
+
+    with ``_NO_MEMO`` standing in for a memo not yet made.  So cells are made
+    row by row, terms summed in ascending column order and each composite
+    formed before the sum that takes it, as a loop would; the loop's
+    indexing and list building cost about as much as the memo look-ups.
+    ``_composite`` and ``_sum`` are read as module globals at each miss.
+    The code depends on n alone, so it never goes stale.
     """
     if n > _MULTIPLY_FACTOR_LIMIT:
         raise ResourceLimitError(
@@ -328,23 +357,24 @@ def _multiplier(n: int):
     def tup(items) -> str:
         return "(" + "".join(f"{x}, " for x in items) + ")"
 
-    def cell(i: int, j: int) -> str:
-        dom_cod = f"f{j}, f{i}"
-        terms = [f"_entry_composite({dom_cod}, a{i}_{k}.values, b{k}_{j}.values)" for k in span]
-        acc = terms[0]
-        for term in terms[1:]:
-            acc = f"_entry_sum({dom_cod}, {acc}.values, {term}.values)"
-        return acc
+    def memo(out: str, kind: str, f: str, g: str) -> str:
+        return f"    {out} = ({f}._{kind}s or _NO_MEMO).get({g}._id) or _{kind}({f}, {g})"
 
-    source = (
-        "def multiply(factors, a, b):\n"
-        f"    {tup(f'f{i}' for i in span)} = factors\n"
-        f"    {tup(tup(f'a{i}_{k}' for k in span) for i in span)} = a\n"
-        f"    {tup(tup(f'b{i}_{k}' for k in span) for i in span)} = b\n"
-        f"    return _built_matrix(factors, {tup(tup(cell(i, j) for j in span) for i in span)})\n"
-    )
+    lines = [
+        "def multiply(factors, a, b):",
+        f"    {tup(tup(f'a{i}_{k}' for k in span) for i in span)} = a",
+        f"    {tup(tup(f'b{i}_{k}' for k in span) for i in span)} = b",
+    ]
+    for i in span:
+        for j in span:
+            lines.append(memo(f"c{i}_{j}", "composite", f"a{i}_0", f"b0_{j}"))
+            for k in span[1:]:
+                lines.append(memo("t", "composite", f"a{i}_{k}", f"b{k}_{j}"))
+                lines.append(memo(f"c{i}_{j}", "sum", f"c{i}_{j}", "t"))
+    cells = tup(tup(f"c{i}_{j}" for j in span) for i in span)
+    lines.append(f"    return _built_matrix(factors, {cells})")
     namespace: dict = {}
-    exec(source, globals(), namespace)
+    exec("\n".join(lines) + "\n", globals(), namespace)
     return namespace["multiply"]
 
 

@@ -101,6 +101,15 @@ def test_automorphism_listing_bound_exit_2(capsys):
     assert "listing bound" in err
 
 
+def test_product_over_the_order_bound_exit_2(capsys):
+    # S5 x S5 has order 14,400: its table would hold 14,400^2 entries.
+    assert main(["bench", "S5", "S5", "--trials", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+    assert "14400" in out.err and "Traceback" not in out.err
+
+
 def test_parse_errors_exit_1(capsys):
     assert main(["classify", "C0", "C4"]) == 1
     assert main(["classify", "D3", "C4"]) == 1

@@ -36,10 +36,10 @@ from groupdet import (
     in_A,
     invert,
     invert_via_det,
-    invert_via_det_pleasant,
     is_bijective,
     is_invertible_via_det,
     matrix_multiply,
+    negate,
     pointwise_diff,
     recompose,
     zero_map,
@@ -319,19 +319,28 @@ def test_inverse_stays_in_A_with_reciprocal_det():
             assert det_h(w).values == invert(m.entries[0][0]).values
 
 
+def _pleasant_inverse(m):
+    """The paper's symmetric inverse of a 2 x 2 member of A with bijective
+    determinants, from the public API:
+
+        ( det_h^-1,                       -alpha^-1 . beta . det_k^-1 )
+        ( -delta^-1 . gamma . det_h^-1,   det_k^-1                    )
+    """
+    (alpha, beta), (gamma, delta) = m.entries
+    dh_inv, dk_inv = invert(det_h(m)), invert(det_k(m))
+    return (
+        (dh_inv, negate(compose(invert(alpha), compose(beta, dk_inv)))),
+        (negate(compose(invert(delta), compose(gamma, dh_inv))), dk_inv),
+    )
+
+
 def test_pleasant_form_agrees():
     pg = _pg("S3", "C4")
     for m in enumerate_aut_matrices(pg):
-        got = invert_via_det_pleasant(m)
-        assert got.entries == invert_via_det(m, branch="h").entries
+        assert _pleasant_inverse(m) == invert_via_det(m, branch="h").entries
     for m in enumerate_A(_pg("C2", "C4").factors):
         if is_bijective(det_h(m)):
-            got = invert_via_det_pleasant(m)
-            assert got.entries == invert_via_det(m, branch="h").entries
-    with pytest.raises(PreconditionError):
-        invert_via_det_pleasant(_swap_matrix(build_group("S3")))
-    with pytest.raises(InversionError):
-        invert_via_det_pleasant(_singular_c2c2())
+            assert _pleasant_inverse(m) == invert_via_det(m, branch="h").entries
 
 
 def test_detiff_reports():
@@ -649,10 +658,10 @@ def _corrects_both_pivots(m):
 
 
 def test_both_branch_views_read_one_chain_per_branch(monkeypatch):
-    """detiff_check and invert_via_det_pleasant eliminate each branch's pivot
-    once and make four look-ups each, of exactly alpha, delta, det_h and
-    det_k; on fresh factors the first call inverts each distinct one of those
-    once and the second none."""
+    """detiff_check eliminates each branch's pivot once and makes four
+    look-ups, of exactly alpha, delta, det_h and det_k; on fresh factors it
+    inverts each distinct one of those once.  The inverse it reads agrees
+    with the paper's symmetric form."""
     _, steps, lookups, inversions = _counted_det_mod(monkeypatch)
     cases = [
         # Z(S3) = 1, so beta is zero (det_h = alpha, det_k = delta); take
@@ -664,19 +673,17 @@ def test_both_branch_views_read_one_chain_per_branch(monkeypatch):
         h, k = _fresh(*specs)
         m = next(m for m in enumerate_A((h, k)) if pick(m))
         inversions.clear()
-        looked = {}
-        for fn in (detiff_check, invert_via_det_pleasant):
-            steps.clear()
-            lookups.clear()
-            fn(m)
-            assert sorted(p for (p,), _ in steps) == [0, 1], fn.__name__
-            assert len(lookups) == 4, fn.__name__  # two pivots, two determinants
-            looked[fn.__name__] = set(lookups)
+        steps.clear()
+        lookups.clear()
+        detiff_check(m)
+        assert sorted(p for (p,), _ in steps) == [0, 1]
+        assert len(lookups) == 4  # two pivots, two determinants
         (alpha, _), (_, delta) = m.entries
         four = {(h, alpha.values), (k, delta.values), (h, det_h(m).values), (k, det_k(m).values)}
         assert len(four) == distinct, specs
-        assert looked == dict.fromkeys(looked, four), specs
+        assert set(lookups) == four, specs
         assert sorted(inversions) == sorted(v for _, v in four), specs
+        assert _pleasant_inverse(m) == invert_via_det(m, branch="h").entries
         assert detiff_check(m).reciprocal_identities_hold
 
 

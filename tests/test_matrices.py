@@ -388,24 +388,41 @@ def test_matrix_multiply_bounds_the_number_of_factors():
         matrix_multiply(big, big)
 
 
+def _fresh_m_matrices(*specs):
+    """M over new groups for the specs, so no entry carries memos from
+    earlier tests (build_group keeps one group per spec)."""
+    from groupdet import FiniteGroup
+
+    return enumerate_m_matrices(tuple(FiniteGroup(build_group(s).table, name=s) for s in specs))
+
+
 def test_matrix_multiply_calls_the_memos_in_the_loop_order(monkeypatch):
-    # The calls a plain row-by-column loop makes: cells row-major, terms in
-    # ascending k, each composite before the sum that takes it.
-    def loop_calls(a, b):
+    # The misses of a stream of products are the composites and sums a
+    # plain row-by-column loop forms, first sight only, in its order: cells
+    # row-major, terms in ascending k, each composite before the sum that
+    # takes it.  The misses take maps; each is read back as (domain,
+    # codomain, value tuple).
+    def loop_calls(a, b, seen):
         facs, n = a.factors, len(a.factors)
         calls = []
+
+        def form(call):
+            if call not in seen:
+                seen.add(call)
+                calls.append(call)
+
         for i in range(n):
             for j in range(n):
                 dom, cod = facs[j], facs[i]
                 acc = None
                 for k in range(n):
                     fv, gv = a.entries[i][k].values, b.entries[k][j].values
-                    calls.append(("composite", dom, cod, fv, gv))
+                    form(("composite", (facs[k], cod, fv), (dom, facs[k], gv)))
                     term = tuple(fv[v] for v in gv)
                     if acc is None:
                         acc = term
                     else:
-                        calls.append(("sum", dom, cod, acc, term))
+                        form(("sum", (dom, cod, acc), (dom, cod, term)))
                         acc = tuple(cod.table[x][y] for x, y in zip(acc, term))
         return calls
 
@@ -413,23 +430,65 @@ def test_matrix_multiply_calls_the_memos_in_the_loop_order(monkeypatch):
 
     calls = []
 
-    def recording(name, memo):
-        def record(*args):
-            calls.append((name, *args))
-            return memo(*args)
+    def recording(kind, miss):
+        def record(f, g):
+            calls.append((kind, *((h.domain, h.codomain, h.values) for h in (f, g))))
+            return miss(f, g)
         return record
 
-    monkeypatch.setattr(matrices, "_entry_composite", recording("composite", matrices._entry_composite))
-    monkeypatch.setattr(matrices, "_entry_sum", recording("sum", matrices._entry_sum))
+    monkeypatch.setattr(matrices, "_composite", recording("composite", matrices._composite))
+    monkeypatch.setattr(matrices, "_sum", recording("sum", matrices._sum))
     rng = random.Random(30)
     for specs in [("S3", "C4"), ("C2", "C2", "C3")]:
-        mats = enumerate_m_matrices(tuple(build_group(s) for s in specs))
-        a, b = rng.choice(mats), rng.choice(mats)
+        mats = _fresh_m_matrices(*specs)
+        seen = set()
+        for _ in range(20):
+            a, b = rng.choice(mats), rng.choice(mats)
+            del calls[:]
+            matrix_multiply(a, b)
+            assert calls == loop_calls(a, b, seen)
         del calls[:]
         matrix_multiply(a, b)
-        n = len(specs)
-        assert len(calls) == n * n * (2 * n - 1)
-        assert calls == loop_calls(a, b)
+        assert calls == [] and seen  # a product seen before only hits
+
+
+def test_matrix_multiply_interns_every_map_it_forms():
+    from groupdet import matrices
+
+    # composites of different operand pairs that are equal by value are one map
+    mats = _fresh_m_matrices("S3", "C2")
+    s3, c2 = mats[0].factors
+    zero = next(e for e in enumerate_homs(s3, s3) if e.image() == {s3.identity})
+    homs = enumerate_homs(c2, s3)
+    assert len(homs) > 1
+    assert len({id(matrices._composite(zero, g)) for g in homs}) == 1
+    # so are the cells of every product over M(S3 x C2)
+    cells = {}
+    for a in mats:
+        for b in mats:
+            for e in (e for row in matrix_multiply(a, b).entries for e in row):
+                assert cells.setdefault((e.domain, e.codomain, e.values), e) is e
+    # a product of products agrees with the reference
+    rng = random.Random(31)
+    for m_set in (mats, _fresh_m_matrices("C2", "C2", "C3")):
+        for _ in range(200):
+            a, b, c = (rng.choice(m_set) for _ in range(3))
+            ab = matrix_multiply(a, b)
+            _assert_matches_reference(ab, c)
+            _assert_matches_reference(c, ab)
+    # operands made by the public constructor give the same products
+    mats = _fresh_m_matrices("S3", "C4")
+
+    def rebuilt(m):
+        rows = [[GroupMap(e.domain, e.codomain, list(e.values)) for e in row] for row in m.entries]
+        return EndoMatrix(m.factors, rows)
+
+    for _ in range(50):
+        a, b = rng.choice(mats), rng.choice(mats)
+        want = matrix_multiply(a, b)
+        got = matrix_multiply(rebuilt(a), rebuilt(b))
+        assert got == want
+        assert all(x is y for x, y in zip(itertools.chain(*got.entries), itertools.chain(*want.entries)))
 
 
 def test_library_builds_skip_the_validating_constructor(monkeypatch):
