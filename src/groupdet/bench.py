@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 from .errors import StructuralError
 from .groups import FiniteGroup
 from .matrices import EndoMatrix, ProductGroup, _matrix_pools, recompose
-from .determinant import branch_determinant, determinant_step_bound
+from .determinant import branch_determinant
 
 __all__ = [
     "OpCounter",
@@ -32,7 +32,6 @@ __all__ = [
     "naive_is_invertible",
     "run_bench",
     "naive_step_bound",
-    "determinant_step_bound",
 ]
 
 

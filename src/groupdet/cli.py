@@ -21,11 +21,11 @@ from .errors import (
     ResourceLimitError,
     StructuralError,
 )
-from .groups import CATALOG, build_group, catalog_groups
+from .groups import build_group, catalog_groups
 from .matrices import DEFAULT_AUT_ENUM_LIMIT, EndoMatrix, map_to_dict, matrix_from_dict, matrix_to_dict
 from .pairs import PairReport, classify_pair
 
-__all__ = ["CATALOG", "catalog_groups", "main"]
+__all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -33,6 +33,7 @@ and callers fall back to a direct bijectivity check.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -42,8 +43,6 @@ from .maps import GroupMap, _check_commuting, _derived_map, _inverse
 from .matrices import EndoMatrix, _built_matrix, _product_of_composites, in_A
 
 __all__ = [
-    "FSequence",
-    "PartialDet",
     "DetIffReport",
     "det_h",
     "det_k",
@@ -55,57 +54,6 @@ __all__ = [
     "invert_via_det",
     "detiff_check",
 ]
-
-
-@dataclass(frozen=True)
-class FSequence:
-    """An ordered choice of factor indices to eliminate (0-based, distinct).
-
-    A full sequence for n factors eliminates n - 1 indices; the survivor is
-    the one index not listed.  The canonical sequence eliminates the last
-    factor first and works downward, surviving factor 0.
-    """
-
-    n: int
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.images)) != len(self.images):
-            raise PreconditionError("elimination indices must be distinct")
-        if any(i < 0 or i >= self.n for i in self.images):
-            raise PreconditionError(f"elimination indices must lie in 0..{self.n - 1}")
-
-    @classmethod
-    def canonical(cls, n: int) -> "FSequence":
-        return cls(n, _canonical_images(n))
-
-    @property
-    def survivors(self) -> tuple[int, ...]:
-        gone = set(self.images)
-        return tuple(i for i in range(self.n) if i not in gone)
-
-
-@dataclass
-class PartialDet:
-    """The matrix left after eliminating a prefix of an FSequence.
-
-    ``maps[(i, j)]`` is indexed by surviving global factor indices.  When one
-    survivor remains, ``final_map`` is the fully eliminated determinant.
-    """
-
-    factors: tuple[FiniteGroup, ...]
-    survivors: tuple[int, ...]
-    eliminated: tuple[int, ...]
-    maps: dict[tuple[int, int], GroupMap]
-
-    @property
-    def final_map(self) -> GroupMap:
-        if len(self.survivors) != 1:
-            raise PreconditionError(
-                f"{len(self.survivors)} factors remain; the determinant is not fully eliminated"
-            )
-        s = self.survivors[0]
-        return self.maps[(s, s)]
 
 
 def _canonical_images(n: int) -> tuple[int, ...]:
@@ -194,21 +142,24 @@ def _last(m: EndoMatrix, chain: list[tuple]) -> tuple[int, tuple[int, ...]]:
     return s, e[s * len(m.factors) + s]
 
 
-def f_determinant(m: EndoMatrix, fseq: Optional[FSequence] = None) -> list[PartialDet]:
-    """The chain of partial determinants along an elimination sequence.
+def f_determinant(m: EndoMatrix, images: Optional[Sequence[int]] = None) -> list[tuple]:
+    """The chain of partial determinants along the elimination sequence ``images``.
 
-    The chain starts with the matrix itself (nothing eliminated) and ends,
-    for a full sequence, with a single self-map of the surviving factor.
+    ``images`` lists the distinct factor indices to eliminate, in order, at
+    most n - 1 of them; the default is n - 1 down to 1, surviving factor 0,
+    and a partial sequence is accepted.  Each node is (eliminated, survivors, maps), with ``maps[i, j]``
+    the entry over survivors i and j.  The chain starts with the matrix itself
+    and ends, for a full sequence, with the determinant ``maps[s, s]`` on the
+    one survivor s.
     """
     f, n = m.factors, m.n
-    fseq = FSequence.canonical(n) if fseq is None else fseq
-    if fseq.n != n:
-        raise PreconditionError(f"sequence is over {fseq.n} factors, matrix has {n}")
+    images = _canonical_images(n) if images is None else tuple(images)
+    ints = all(type(i) is int and 0 <= i < n for i in images)
+    if not ints or len(set(images)) != len(images) or len(images) >= n:
+        raise PreconditionError(f"eliminate at most {n - 1} distinct ints in 0..{n - 1}")
     return [
-        PartialDet(f, rest, gone, {
-            (i, j): _derived_map(f[j], f[i], e[i * n + j]) for i in rest for j in rest
-        })
-        for gone, rest, e, _ in _chain(m, [fseq.images])
+        (gone, rest, {(i, j): _derived_map(f[j], f[i], e[i * n + j]) for i in rest for j in rest})
+        for gone, rest, e, _ in _chain(m, [images])
     ]
 
 

@@ -166,6 +166,8 @@ class EndoMatrix:
     ):
         facs = tuple(factors)
         n = len(facs)
+        if not n:
+            raise StructuralError("a matrix needs at least one factor")
         rows = tuple(tuple(row) for row in entries)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise StructuralError(f"expected a {n} x {n} matrix of maps")
@@ -263,6 +265,8 @@ def recompose(m: EndoMatrix, pg: Optional[ProductGroup] = None) -> GroupMap:
 
 def identity_matrix(factors: Sequence[FiniteGroup]) -> EndoMatrix:
     facs = tuple(factors)
+    if not facs:
+        raise StructuralError("a matrix needs at least one factor")
     rows = tuple(
         tuple([identity_map(f) if i == j else zero_map(facs[j], f) for j in range(len(facs))])
         for i, f in enumerate(facs)
@@ -446,6 +450,8 @@ class _MatrixSet(Sequence):
     __slots__ = ("_factors", "_rows", "_len")
 
     def __init__(self, factors: tuple, rows: Iterable[Iterable[tuple]]):
+        if not factors:
+            raise StructuralError("a matrix needs at least one factor")
         self._factors = factors
         self._rows = tuple(tuple(r) for r in rows)
         self._len = prod(len(r) for r in self._rows)

@@ -10,6 +10,7 @@ import random
 import time
 
 from groupdet import (
+    CATALOG,
     DeterminantUndefinedError,
     EndoMatrix,
     GroupMap,
@@ -22,6 +23,7 @@ from groupdet import (
     classify_pair,
     decompose,
     det_A,
+    determinant_step_bound,
     detiff_check,
     enumerate_A,
     enumerate_autos,
@@ -37,13 +39,12 @@ from groupdet import (
     is_invertible_via_det,
     is_normal_endo,
     matrix_multiply,
+    naive_step_bound,
     q8_noncommuting_witness,
     recompose,
     run_bench,
     verify_stem_semidirect,
 )
-from groupdet.bench import determinant_step_bound, naive_step_bound
-from groupdet.cli import CATALOG
 
 SEED = 20240815
 

@@ -8,9 +8,11 @@ import sys
 import pytest
 
 from groupdet import (
+    CATALOG,
     EndoMatrix,
     ProductGroup,
     build_group,
+    catalog_groups,
     enumerate_homs,
     identity_map,
     identity_matrix,
@@ -19,7 +21,7 @@ from groupdet import (
     matrix_to_dict,
     zero_map,
 )
-from groupdet.cli import CATALOG, catalog_groups, main
+from groupdet.cli import main
 
 
 def _write_matrix(tmp_path, m, name="matrix.json"):

@@ -16,13 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 import groupdet.groups as groups_module
 from groupdet import (
+    CATALOG,
     FiniteGroup,
     ValidationError,
     build_group,
     direct_product,
     group_from_table,
 )
-from groupdet.cli import CATALOG
 from groupdet.groups import _validate_table
 
 CATALOG_PAIRS = list(itertools.combinations_with_replacement(CATALOG, 2))

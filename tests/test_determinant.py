@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupdet import (
+    CATALOG,
     DeterminantUndefinedError,
     EndoMatrix,
-    FSequence,
     FiniteGroup,
     GroupMap,
     InversionError,
@@ -80,14 +80,31 @@ def test_matrices_over_a_trivial_factor():
     assert matrix_multiply(invert_via_det(m), m) == identity_matrix((c1, c2))
 
 
-def test_fsequence_validation():
-    assert FSequence.canonical(3).images == (2, 1)
-    assert FSequence.canonical(3).survivors == (0,)
-    assert FSequence(3, (0, 2)).survivors == (1,)
-    with pytest.raises(PreconditionError):
-        FSequence(3, (1, 1))
-    with pytest.raises(PreconditionError):
-        FSequence(2, (2,))
+def test_one_factor_matrices_are_their_own_determinant():
+    s3 = build_group("S3")
+    for m in enumerate_m_matrices((s3,)):
+        (entry,), = m.entries
+        assert f_determinant(m) == [((), (0,), {(0, 0): entry})]
+        assert is_invertible_via_det(m) == is_bijective(entry)
+        if is_bijective(entry):
+            assert invert_via_det(m).entries == ((invert(entry),),)
+            assert det_A(m) == entry
+        else:
+            with pytest.raises(InversionError):
+                invert_via_det(m)
+        with pytest.raises(PreconditionError):
+            branch_determinant(m)
+
+
+def test_f_determinant_sequence_validation():
+    facs = tuple(build_group(s) for s in ("C2", "C2", "C3"))
+    ident = identity_matrix(facs)
+    assert f_determinant(ident)[-1][:2] == ((2, 1), (0,))
+    assert f_determinant(ident, (0, 2))[-1][1] == (1,)
+    assert f_determinant(ident, [2])[-1][1] == (0, 1)
+    for bad in ((1, 1), (3,), (-1,), ("a",), (2, 1, 0)):
+        with pytest.raises(PreconditionError):
+            f_determinant(ident, bad)
 
 
 def test_det_examples():
@@ -117,25 +134,49 @@ def test_f_determinant_two_factor_consistency():
     h, k = build_group("C2"), build_group("C4")
     for m in enumerate_m_matrices((h, k)):
         if is_bijective(m.entries[1][1]):
-            chain = f_determinant(m, FSequence(2, (1,)))
-            assert chain[-1].final_map.values == det_h(m).values
+            (_, _, maps), = f_determinant(m, (1,))[1:]
+            assert maps[0, 0].values == det_h(m).values
         if is_bijective(m.entries[0][0]):
-            chain = f_determinant(m, FSequence(2, (0,)))
-            assert chain[-1].final_map.values == det_k(m).values
+            (_, _, maps), = f_determinant(m, (0,))[1:]
+            assert maps[1, 1].values == det_k(m).values
 
 
 def test_f_determinant_chain_shape():
     facs = tuple(build_group(s) for s in ("C2", "C2", "C3"))
     chain = f_determinant(identity_matrix(facs))
-    assert [len(state.survivors) for state in chain] == [3, 2, 1]
-    assert chain[0].eliminated == ()
-    assert chain[-1].eliminated == (2, 1)
-    assert chain[-1].final_map.values == identity_map(facs[0]).values
-    with pytest.raises(PreconditionError):
-        chain[1].final_map
+    assert [survivors for _, survivors, _ in chain] == [(0, 1, 2), (0, 1), (0,)]
+    assert [gone for gone, _, _ in chain] == [(), (2,), (2, 1)]
+    for _, survivors, maps in chain:
+        assert sorted(maps) == [(i, j) for i in survivors for j in survivors]
+        assert all(f.domain is facs[j] and f.codomain is facs[i] for (i, j), f in maps.items())
+    assert chain[-1][2][0, 0].values == identity_map(facs[0]).values
     # any other full sequence on the identity also ends in an identity map
-    other = f_determinant(identity_matrix(facs), FSequence(3, (0, 1)))
-    assert other[-1].final_map.values == identity_map(facs[2]).values
+    other = f_determinant(identity_matrix(facs), (0, 1))
+    assert other[-1][2][2, 2].values == identity_map(facs[2]).values
+
+
+def test_every_live_sequence_decides_invertibility():
+    # The paper: any elimination sequence with bijective pivots decides
+    # invertibility.  So on every M-set member of the small catalog triples,
+    # every full sequence whose chain is live ends in a determinant that is
+    # bijective exactly when the recomposed endomorphism is.
+    triples = [t for t in itertools.combinations_with_replacement(CATALOG, 3)
+               if math.prod(build_group(s).order for s in t) <= 24]
+    members = live = 0
+    for specs in triples:
+        facs = tuple(build_group(s) for s in specs)
+        pg = ProductGroup.of(*facs)
+        for m in enumerate_m_matrices(facs):
+            members += 1
+            expected = is_bijective(recompose(m, pg))
+            for images in itertools.permutations(range(3), 2):
+                try:
+                    _, (s,), maps = f_determinant(m, images)[-1]
+                except DeterminantUndefinedError:
+                    continue
+                live += 1
+                assert is_bijective(maps[s, s]) == expected, (specs, m, images)
+    assert (len(triples), members, live) == (8, 5250, 6552)
 
 
 def test_det_A_examples():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from groupdet import (
+    CATALOG,
     DirectFactorization,
     FiniteGroup,
     GroupMap,
@@ -24,7 +25,6 @@ from groupdet import (
     load_table_file,
 )
 from groupdet import groups
-from groupdet.cli import CATALOG
 
 EXPECTED_ORDERS = {
     "C2": 2, "C3": 3, "C4": 4, "C5": 5, "C6": 6,

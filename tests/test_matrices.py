@@ -271,6 +271,20 @@ def test_entry_validation():
         ))
 
 
+def test_every_matrix_constructor_refuses_zero_factors():
+    # a 0 x 0 matrix has no entry to read a determinant from
+    for make in (
+        lambda: EndoMatrix((), ()),
+        lambda: identity_matrix(()),
+        lambda: enumerate_m_matrices(()),
+        lambda: enumerate_A(()),
+        lambda: enumerate_Z(()),
+        lambda: matrix_from_dict({"factors": [], "entries": []}),
+    ):
+        with pytest.raises(StructuralError, match="at least one factor"):
+            make()
+
+
 def test_matrix_multiply_identity_and_oracle():
     pg = _pg("C2", "C4")
     from groupdet import enumerate_m_matrices
