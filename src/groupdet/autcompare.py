@@ -278,7 +278,7 @@ def verify_stem_semidirect(
     n_is_normal = all(
         matrix_multiply(matrix_multiply(a, x), a_inv).key() in n_keys
         for a in members
-        for a_inv in (invert_via_det(a, branch="auto"),)
+        for a_inv in (invert_via_det(a),)
         for x in nset
     )
     u_l_commute = all(

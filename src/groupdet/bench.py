@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 from .errors import StructuralError
 from .groups import FiniteGroup
-from .matrices import EndoMatrix, ProductGroup, _matrix_pools, recompose
+from .matrices import EndoMatrix, _matrix_pools, recompose
 from .determinant import branch_determinant
 
 __all__ = [
@@ -99,13 +99,9 @@ def sample_a_member(
     return EndoMatrix((h, k), ((alpha, beta), (gamma, delta)))
 
 
-def naive_is_invertible(
-    m: EndoMatrix,
-    counter: Optional[OpCounter] = None,
-    pg: Optional[ProductGroup] = None,
-) -> bool:
+def naive_is_invertible(m: EndoMatrix, counter: Optional[OpCounter] = None) -> bool:
     """Decide invertibility on the recomposed product map, counting comparisons."""
-    return _is_injective_counted(recompose(m, pg).values, counter or OpCounter())
+    return _is_injective_counted(recompose(m).values, counter or OpCounter())
 
 
 def run_bench(
@@ -121,7 +117,6 @@ def run_bench(
     they never should, and a disagreement is a bug worth halting for.
     """
     rng = random.Random(seed)
-    pg = ProductGroup.of(h, k)
     pair = (h.name, k.name)
     records: list[BenchRecord] = []
 
@@ -139,7 +134,7 @@ def run_bench(
 
         naive_counter = OpCounter()
         start = time.perf_counter()
-        naive_verdict = naive_is_invertible(m, naive_counter, pg)
+        naive_verdict = naive_is_invertible(m, naive_counter)
         naive_time = time.perf_counter() - start
 
         det_counter = OpCounter()

@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("h_spec", metavar="H")
     p.add_argument("k_spec", metavar="K")
 
-    p = sub.add_parser("invert", parents=[branch], help="closed-form matrix inverse (JSON)")
+    p = sub.add_parser("invert", help="closed-form matrix inverse (JSON)")
     p.add_argument("h_spec", metavar="H")
     p.add_argument("k_spec", metavar="K")
     p.add_argument("matrix_file", metavar="MATRIX_JSON")
@@ -159,7 +159,7 @@ def cmd_classify(args) -> int:
 def cmd_invert(args) -> int:
     m = _load_matrix(args)
     try:
-        inverse = invert_via_det(m, branch=args.branch)
+        inverse = invert_via_det(m)
     except DeterminantUndefinedError as exc:
         _print_undefined(exc)
         return EXIT_OK

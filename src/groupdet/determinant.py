@@ -113,7 +113,8 @@ def _chain(m: EndoMatrix, sequences) -> list[tuple]:
     pivot; a repeated dead pivot costs one ``_pivot_inverse`` lookup.  A
     2 x 2 top node takes the four entries unpacked.  Raises
     DeterminantUndefinedError with the dead pivot of the last sequence
-    tried, the one after its live prefix.
+    tried, the one after its live prefix; a 2 x 2 matrix given one sequence
+    names that pivot in the message.
     """
     factors = m.factors
     n = len(factors)
@@ -131,9 +132,13 @@ def _chain(m: EndoMatrix, sequences) -> list[tuple]:
             chain.append(node)
         else:
             return chain
-    why = ("no bijective diagonal entry; determinant route undecidable" if n == 2
-           else "no elimination sequence has bijective pivots")
-    raise DeterminantUndefinedError(why, pivot_index=seq[len(chain) - 1])
+    if n != 2:
+        why = "no elimination sequence has bijective pivots"
+    elif len(sequences) == 1:
+        why = f"{('alpha', 'delta')[p]} is not bijective, so det_{'kh'[p]} is undefined"
+    else:
+        why = "no bijective diagonal entry; determinant route undecidable"
+    raise DeterminantUndefinedError(why, pivot_index=p)
 
 
 def _last(m: EndoMatrix, chain: list[tuple]) -> tuple[int, tuple[int, ...]]:
@@ -215,8 +220,6 @@ def _sequences(factors: tuple[FiniteGroup, ...], branch: str = "auto"):
     Larger matrices take every full sequence, canonical first.
     """
     if len(factors) != 2:
-        if branch != "auto":
-            raise PreconditionError("explicit branches exist only for 2 x 2 matrices")
         return _full_sequences(len(factors))
     if branch == "auto":
         h, k = factors[0].order, factors[1].order
@@ -303,15 +306,16 @@ def _inverse_from(m: EndoMatrix, chain: list[tuple]) -> Optional[EndoMatrix]:
     return _built_matrix(f, tuple(rows))
 
 
-def invert_via_det(m: EndoMatrix, branch: str = "auto") -> EndoMatrix:
+def invert_via_det(m: EndoMatrix) -> EndoMatrix:
     """The closed-form inverse of an invertible matrix with a usable pivot.
 
-    Read from the chain of ``_sequences`` by ``_inverse_from``.  Raises
+    Read by ``_inverse_from`` from the chain ``is_invertible_via_det`` reads;
+    the inverse is unique, so no other pivot order could change it.  Raises
     DeterminantUndefinedError when no pivot route exists and InversionError
     when the determinant is not bijective.  The result is the matrix of the
     inverse endomorphism, so it comes from ``_built_matrix`` unchecked.
     """
-    out = _inverse_from(m, _chain(m, _sequences(m.factors, branch)))
+    out = _inverse_from(m, _chain(m, _sequences(m.factors)))
     if out is None:
         raise InversionError("determinant is not bijective; matrix is not invertible")
     return out

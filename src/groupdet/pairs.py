@@ -137,58 +137,9 @@ def _composite_facts(g: FiniteGroup) -> _CompositeFacts:
     return _CompositeFacts(g)
 
 
-class _Verdicts:
-    """The predicates over one family of qualifying pairs: all, or center-valued.
-
-    ``compatible`` is the first pair whose sigma.tau fixes a nontrivial
-    element, ``not_totally`` the first pair with neither composition
-    nilpotent; ``length`` is the largest smaller nilpotency index seen before
-    ``not_totally``.  Both witnesses found means the family is settled.
-    """
-
-    def __init__(self, central: bool):
-        self.central = central
-        self.compatible: Optional[PairWitness] = None
-        self.not_totally: Optional[PairWitness] = None
-        self.length = 0
-
-    @property
-    def settled(self) -> bool:
-        return self.compatible is not None and self.not_totally is not None
-
-    @property
-    def incompatible(self) -> bool:
-        return self.compatible is None
-
-    @property
-    def totally(self) -> bool:
-        return self.not_totally is None
-
-    @property
-    def total_length(self) -> Optional[int]:
-        return max(self.length, 1) if self.totally else None
-
-    def visit(self, sigma, tau, st, st_facts, ts_facts) -> None:
-        fixed, n_st = st_facts
-        n_ts = ts_facts[1]
-        if self.compatible is None and fixed is not None:
-            kind = "centrally_compatible" if self.central else "compatible"
-            self.compatible = PairWitness(kind, sigma, tau, fixed)
-        if self.not_totally is not None:
-            return
-        if n_st is None and n_ts is None:
-            kind = "centrally_not_totally" if self.central else "not_totally"
-            survivor = _survivor(st, tau.domain.identity)
-            self.not_totally = PairWitness(kind, sigma, tau, survivor)
-        elif n_st is None or n_ts is None:
-            raise StructuralError(
-                "one composition nilpotent and the other not; these rise and fall together"
-            )
-        else:
-            self.length = max(self.length, min(n_st, n_ts))
-
-
-def _pair_pass(h: FiniteGroup, k: FiniteGroup, central: bool) -> _Verdicts:
+def _pair_pass(
+    h: FiniteGroup, k: FiniteGroup, central: bool
+) -> tuple[Optional[PairWitness], Optional[PairWitness], Optional[int]]:
     """Every pair predicate of one family: all pairs, or the center-valued ones.
 
     A pair (sigma, tau) in Hom(h, k) x Hom(k, h) qualifies when sigma.tau and
@@ -196,13 +147,20 @@ def _pair_pass(h: FiniteGroup, k: FiniteGroup, central: bool) -> _Verdicts:
     not shortcut through image centrality, because compositions with
     noncentral image can still be normal.  The central family takes sigma
     into Z(k) and tau into Z(h).  The walk runs sigma outermost, both in
-    sorted order, and stops once the family is settled.  The composites are
-    value tuples, and their facts are worked out once per group and tuple
+    sorted order, and stops once both witnesses are found.  The composites
+    are value tuples, and their facts are worked out once per group and tuple
     (``_composite_facts``), so the two families share them.
+
+    Returns (compatible, not_totally, total_length): the first pair whose
+    sigma.tau fixes a nontrivial element, the first pair with neither
+    composition nilpotent, and, when there is no such pair, the largest
+    smaller nilpotency index over the qualifying pairs (at least 1).
     """
     zk, zh = (k.center(), h.center()) if central else (None, None)
     k_facts, h_facts = _composite_facts(k), _composite_facts(h)
-    verdicts = _Verdicts(central)
+    prefix = "centrally_" if central else ""
+    compatible = not_totally = None
+    length = 0
     taus = [(tau, _composer(tau.values)) for tau in enumerate_homs(k, h, restrict_codomain=zh)]
     for sigma in enumerate_homs(h, k, restrict_codomain=zk):
         sv = sigma.values
@@ -215,10 +173,23 @@ def _pair_pass(h: FiniteGroup, k: FiniteGroup, central: bool) -> _Verdicts:
             ts_facts = h_facts[after_sigma(tau.values)]  # tau.sigma, on h
             if ts_facts is None:
                 continue
-            verdicts.visit(sigma, tau, st, st_facts, ts_facts)
-        if verdicts.settled:
+            (fixed, n_st), n_ts = st_facts, ts_facts[1]
+            if compatible is None and fixed is not None:
+                compatible = PairWitness(prefix + "compatible", sigma, tau, fixed)
+            if not_totally is not None:
+                continue
+            if n_st is None and n_ts is None:
+                survivor = _survivor(st, k.identity)
+                not_totally = PairWitness(prefix + "not_totally", sigma, tau, survivor)
+            elif n_st is None or n_ts is None:
+                raise StructuralError(
+                    "one composition nilpotent and the other not; these rise and fall together"
+                )
+            else:
+                length = max(length, min(n_st, n_ts))
+        if compatible is not None and not_totally is not None:
             break
-    return verdicts
+    return compatible, not_totally, None if not_totally is not None else max(length, 1)
 
 
 def is_incompatible(
@@ -231,8 +202,8 @@ def is_incompatible(
     of the other.  Returns the first counterexample in enumeration order.
     With ``central`` the homomorphisms are restricted to the center-valued ones.
     """
-    verdicts = _pair_pass(h, k, central)
-    return verdicts.incompatible, verdicts.compatible
+    compatible = _pair_pass(h, k, central)[0]
+    return compatible is None, compatible
 
 
 def is_centrally_incompatible(
@@ -258,8 +229,8 @@ def is_totally_incompatible(
     qualifying (sigma, tau) of the smaller of the two nilpotency indices, so
     that for every pair one composition to that power is already trivial.
     """
-    verdicts = _pair_pass(h, k, central)
-    return verdicts.totally, verdicts.total_length, verdicts.not_totally
+    _, not_totally, length = _pair_pass(h, k, central)
+    return not_totally is None, length, not_totally
 
 
 def is_centrally_totally_incompatible_of_length(
@@ -271,8 +242,8 @@ def is_centrally_totally_incompatible_of_length(
     """
     if n < 1:
         raise StructuralError("length must be a positive integer")
-    central = _pair_pass(h, k, True)
-    return central.totally and central.total_length <= n
+    length = _pair_pass(h, k, True)[2]
+    return length is not None and length <= n
 
 
 def a_subgroup_check(
@@ -377,11 +348,11 @@ def classify_pair(
     """
     hg = build_group(h) if isinstance(h, str) else h
     kg = build_group(k) if isinstance(k, str) else k
-    plain, central = _pair_pass(hg, kg, False), _pair_pass(hg, kg, True)
-    incompatible, centrally, totally = plain.incompatible, central.incompatible, plain.totally
-    witnesses = [
-        w for w in (plain.compatible, central.compatible, plain.not_totally) if w is not None
-    ]
+    compatible, not_totally, total_length = _pair_pass(hg, kg, False)
+    central_compatible = _pair_pass(hg, kg, True)[0]
+    incompatible, centrally = compatible is None, central_compatible is None
+    totally = not_totally is None
+    witnesses = [w for w in (compatible, central_compatible, not_totally) if w is not None]
     common = common_nontrivial_factor(hg, kg)
     central_common = common_nontrivial_factor(hg, kg, central_only=True)
 
@@ -420,7 +391,7 @@ def classify_pair(
         incompatible=incompatible,
         centrally_incompatible=centrally,
         totally_incompatible=totally,
-        total_length=plain.total_length,
+        total_length=total_length,
         common_factor=common,
         a_is_subgroup=a_subgroup,
         a_equals_aut=a_equals_aut,

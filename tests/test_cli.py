@@ -224,11 +224,23 @@ def test_invert_rejects_mismatched_specs(tmp_path, capsys):
 
 def test_invert_swap_reports_fallback(tmp_path, capsys):
     path = _write_matrix(tmp_path, _swap_s3())
-    for branch in ("h", "k", "auto"):
-        assert main(["invert", "S3", "S3", path, "--branch", branch]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["error"] == "determinant-undefined"
-        assert payload["fallback"] == "naive"
+    assert main(["invert", "S3", "S3", path]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "determinant-undefined"
+    assert payload["fallback"] == "naive"
+
+
+def test_invert_takes_the_live_branch(tmp_path, capsys):
+    """[[1, 1], [1, 0]] over C2 x C2: delta is zero but alpha is bijective,
+    so invert prints the inverse [[0, 1], [1, 1]]; it reads no --branch."""
+    c2 = build_group("C2")
+    one, zero = identity_map(c2), zero_map(c2, c2)
+    m = EndoMatrix((c2, c2), ((one, one), (one, zero)))
+    path = _write_matrix(tmp_path, m)
+    assert main(["invert", "C2", "C2", path]) == 0
+    inverse = matrix_from_dict(json.loads(capsys.readouterr().out))
+    assert inverse.entries == ((zero, one), (one, one))
+    assert main(["invert", "C2", "C2", path, "--branch", "h"]) == 1
 
 
 def test_invert_singular_verdict(tmp_path, capsys):

@@ -44,11 +44,19 @@ from groupdet import (
     recompose,
     zero_map,
 )
+from groupdet import determinant
 from groupdet.matrices import _built_matrix
 
 
 def _pg(*specs):
     return ProductGroup.of(*(build_group(s) for s in specs))
+
+
+def _route_inverse(m, branch):
+    """The inverse read off one 2 x 2 branch's chain ('h' eliminates delta,
+    'k' alpha); None when that branch's determinant is not bijective."""
+    chain = determinant._chain(m, determinant._BRANCH_SEQUENCES[branch])
+    return determinant._inverse_from(m, chain)
 
 
 def _swap_matrix(g):
@@ -278,7 +286,7 @@ def test_singular_A_member():
     pg = _pg("C2", "C2")
     assert not is_bijective(recompose(m, pg))
     with pytest.raises(InversionError):
-        invert_via_det(m, branch="h")
+        invert_via_det(m)
     report = detiff_check(m)
     assert (report.deth_invertible, report.detk_invertible) == (False, False)
     assert report.reciprocal_identities_hold is None
@@ -294,7 +302,7 @@ def test_invert_identity_and_diagonal():
         (alpha, zero_map(c4, s3)),
         (zero_map(s3, c4), delta),
     ))
-    got = invert_via_det(diag, branch="h")
+    got = invert_via_det(diag)
     assert got.entries[0][0].values == invert(alpha).values
     assert got.entries[1][1].values == invert(delta).values
     assert got.entries[0][1].values == zero_map(c4, s3).values
@@ -308,20 +316,40 @@ def test_invert_matches_functional_inverse_on_autos():
     for m in enumerate_aut_matrices(pg):
         phi = recompose(m, pg)
         expected = by_values[tuple(phi.values.index(x) for x in range(24))]
-        for branch in ("h", "k", "auto"):
-            w = invert_via_det(m, branch=branch)
+        for w in (invert_via_det(m), _route_inverse(m, "h"), _route_inverse(m, "k")):
             assert recompose(w, pg).values == expected.values
 
 
 def test_swap_has_no_determinant_route():
     swap = _swap_matrix(build_group("S3"))
+    with pytest.raises(DeterminantUndefinedError):
+        invert_via_det(swap)
     for branch in ("h", "k", "auto"):
-        with pytest.raises(DeterminantUndefinedError):
-            invert_via_det(swap, branch=branch)
         with pytest.raises(DeterminantUndefinedError):
             branch_determinant(swap, branch)
     with pytest.raises(DeterminantUndefinedError):
         is_invertible_via_det(swap)
+
+
+def test_undefined_route_names_its_dead_pivot():
+    """A single branch tried names its pivot; only when both 2 x 2 branches
+    were tried is no diagonal entry bijective.  [[1, 1], [1, 0]] over
+    C2 x C2 has delta zero but alpha bijective, so its k route is live."""
+    c2 = build_group("C2")
+    one, zero = identity_map(c2), zero_map(c2, c2)
+    m = EndoMatrix((c2, c2), ((one, one), (one, zero)))
+    with pytest.raises(DeterminantUndefinedError) as err:
+        branch_determinant(m, "h")
+    assert str(err.value) == "delta is not bijective, so det_h is undefined"
+    assert err.value.pivot_index == 1
+    assert branch_determinant(m, "k")[0] == branch_determinant(m)[0] == "k"
+    swap = _swap_matrix(c2)
+    with pytest.raises(DeterminantUndefinedError) as err:
+        branch_determinant(swap, "k")
+    assert str(err.value) == "alpha is not bijective, so det_k is undefined"
+    with pytest.raises(DeterminantUndefinedError) as err:
+        branch_determinant(swap)
+    assert str(err.value).startswith("no bijective diagonal entry")
 
 
 def test_inverse_determinant_identities():
@@ -337,13 +365,13 @@ def test_inverse_determinant_identities():
                 except DeterminantUndefinedError:  # pragma: no cover
                     continue
                 if is_bijective(dh):
-                    w = invert_via_det(m, branch="h")
+                    w = _route_inverse(m, "h")
                     assert det_k(w).values == invert(delta).values
                     assert dh.is_homomorphism()
             if is_bijective(alpha):
                 dk = det_k(m)
                 if is_bijective(dk):
-                    w = invert_via_det(m, branch="k")
+                    w = _route_inverse(m, "k")
                     assert det_h(w).values == invert(alpha).values
                     assert dk.is_homomorphism()
 
@@ -355,7 +383,7 @@ def test_inverse_stays_in_A_with_reciprocal_det():
             dh = det_h(m)
             if not is_bijective(dh):
                 continue
-            w = invert_via_det(m, branch="h")
+            w = invert_via_det(m)
             assert in_A(w)
             assert det_h(w).values == invert(m.entries[0][0]).values
 
@@ -378,10 +406,10 @@ def _pleasant_inverse(m):
 def test_pleasant_form_agrees():
     pg = _pg("S3", "C4")
     for m in enumerate_aut_matrices(pg):
-        assert _pleasant_inverse(m) == invert_via_det(m, branch="h").entries
+        assert _pleasant_inverse(m) == invert_via_det(m).entries
     for m in enumerate_A(_pg("C2", "C4").factors):
         if is_bijective(det_h(m)):
-            assert _pleasant_inverse(m) == invert_via_det(m, branch="h").entries
+            assert _pleasant_inverse(m) == invert_via_det(m).entries
 
 
 def test_detiff_reports():
@@ -418,8 +446,6 @@ def test_three_factor_inverses():
         assert in_A(w)
         assert det_A(w).values == invert(m.entries[0][0]).values
     assert invertible == 6
-    with pytest.raises(PreconditionError):
-        invert_via_det(identity_matrix(facs), branch="h")
 
 
 def test_inverses_pass_full_validation():
@@ -724,7 +750,7 @@ def test_both_branch_views_read_one_chain_per_branch(monkeypatch):
         assert len(four) == distinct, specs
         assert set(lookups) == four, specs
         assert sorted(inversions) == sorted(v for _, v in four), specs
-        assert _pleasant_inverse(m) == invert_via_det(m, branch="h").entries
+        assert _pleasant_inverse(m) == invert_via_det(m).entries
         assert detiff_check(m).reciprocal_identities_hold
 
 
