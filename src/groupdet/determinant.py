@@ -12,19 +12,21 @@ form.  Both are the n = 2 case of pivot elimination: each step removes a
 factor p with bijective entry (p, p), replacing entry (i, j) by
 entry(i,j) - entry(i,p) . pivot^-1 . entry(p,j).
 
-One private routine, ``_chain``, does every elimination, on value tuples,
+One private routine, ``_chain``, does every elimination, on interned maps,
 trying candidate sequences in a fixed order and walking each from the
 matrix until a pivot is not bijective.  Each step (``_step``) forms its new
-entries in one pass that also checks their images commute.  A step keeps
-its pivot's inverse, so the inverse runs back along the chain without
+entries through the matrix product's memos, kept on a left operand under
+the right one's id: composites by ``matrices._composite``, differences,
+their images checked to commute, by ``matrices._diff``.  A step keeps its
+pivot's inverse, so the inverse runs back along the chain without
 inverting a pivot again: the final 1 x 1 determinant is inverted, then
 each earlier state from the inverse of the state its pivot left, by the
-2 x 2 block formulas.  The public functions are views of that chain.
+2 x 2 block formulas.  The public functions are views of that chain; the
+determinants they return and the entries of an inverse are interned maps.
 
 Every bijectivity test and every inverse, of a pivot or of a determinant,
-is one lookup in ``_pivot_inverse``, which each factor memoises: a factor
-has at most |End| pivots and determinants, so across calls each is tested
-and inverted once.
+is one lookup in ``_pivot_inverse``, which keeps the answer on the map:
+across calls each distinct (factor, values) is tested and inverted once.
 
 A determinant can be *undefined* (no bijective pivot at some step) without
 the matrix being singular; that situation raises DeterminantUndefinedError
@@ -38,9 +40,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DeterminantUndefinedError, InversionError, PreconditionError, StructuralError
-from .groups import FiniteGroup, _memoised
-from .maps import GroupMap, _check_commuting, _derived_map, _inverse
-from .matrices import EndoMatrix, _built_matrix, _product_of_composites, in_A
+from .groups import FiniteGroup
+from .maps import GroupMap, _check_commuting
+from .matrices import _NO_MEMO, EndoMatrix, _built_matrix, _composite, _diff, _interned, in_A
+from .matrices import _pivot_inverse, _product_of_composites
 
 __all__ = [
     "DetIffReport",
@@ -61,69 +64,54 @@ def _canonical_images(n: int) -> tuple[int, ...]:
     return tuple(range(n - 1, 0, -1))
 
 
-@_memoised
-def _pivot_inverse(g: FiniteGroup, values: tuple[int, ...]) -> Optional[tuple[int, ...]]:
-    """The inverse of the self-map ``values`` of g; None when it is not a bijection.
-
-    The answer depends on ``values`` alone, so the memo on g never goes stale.
-    """
-    if len(set(values)) != len(values):
-        return None
-    return _inverse(values)
-
-
 def _step(factors: tuple[FiniteGroup, ...], node: tuple, p: int) -> Optional[tuple]:
     """Eliminate pivot p from a chain node; None when entry (p, p) is not bijective.
 
     A node is (eliminated, survivors, entries, w): ``entries[i * n + j]`` is
-    the value tuple of entry (i, j), and w the last pivot's inverse (None at
-    the top).  The pivot is tested, and inverted, by ``_pivot_inverse`` before
-    any new entry (i, j) - (i, p) . w . (p, j) is built.  Each entry is
-    formed in one pass that composes -(i, p) . w . (p, j) pointwise and
-    checks its images commute; ``_check_commuting`` runs only to raise.
+    the map of entry (i, j), and w the last pivot's inverse (None at the
+    top).  The pivot is tested, and inverted, by ``_pivot_inverse`` before
+    any new entry (i, j) - (i, p) . w . (p, j) is formed.  Each composite and
+    difference is read from its left operand's memo, formed by ``_composite``
+    or ``_diff`` only on a miss; ``_diff`` checks the images commute.
     """
     eliminated, survivors, e, _ = node
     n = len(factors)
-    w = _pivot_inverse(factors[p], e[p * n + p])
-    if w is None:
+    w = _pivot_inverse(e[p * n + p])
+    if w is False:
         return None
     k = survivors.index(p)
     rest = survivors[:k] + survivors[k + 1:]
     out = [None] * (n * n)
     for i in rest:
-        g = factors[i]
-        t, neg = g.table, g.inverse
         b = e[i * n + p]
+        bw = (b._composites or _NO_MEMO).get(w._id) or _composite(b, w)
         for j in rest:
             a, c = e[i * n + j], e[p * n + j]
-            # u commutes with b(w(c(x))) exactly when it commutes with its
-            # inverse v, so a pair that does not commute drops its product
-            entry = [r for u, x in zip(a, c) if (r := t[u][(v := neg[b[w[x]]])]) == t[v][u]]
-            if len(entry) != len(a):
-                _check_commuting(g, a, [b[w[x]] for x in c])
-            out[i * n + j] = tuple(entry)
+            x = (bw._composites or _NO_MEMO).get(c._id) or _composite(bw, c)
+            out[i * n + j] = (a._diffs or _NO_MEMO).get(x._id) or _diff(a, x)
     return eliminated + (p,), rest, out, w
 
 
-def _chain(m: EndoMatrix, sequences) -> list[tuple]:
+def _chain(m: EndoMatrix, sequences: Optional[Sequence[tuple[int, ...]]] = None) -> list[tuple]:
     """The nodes of the first of ``sequences`` whose pivots are all bijective.
 
+    ``sequences`` defaults to every candidate, in the order of ``_sequences``.
     The chain runs from the matrix itself to the state its last pivot leaves.
     Each sequence is walked afresh from the top and stops at its first dead
     pivot; a repeated dead pivot costs one ``_pivot_inverse`` lookup.  A
     2 x 2 top node takes the four entries unpacked.  Raises
     DeterminantUndefinedError with the dead pivot of the last sequence
-    tried, the one after its live prefix; a 2 x 2 matrix given one sequence
-    names that pivot in the message.
+    tried, the one after its live prefix; given one sequence, the message
+    names that pivot.
     """
     factors = m.factors
     n = len(factors)
     if n == 2:
         (a, b), (c, d) = m.entries
-        top = ((), (0, 1), [a.values, b.values, c.values, d.values], None)
+        top = ((), (0, 1), [a, b, c, d], None)
     else:
-        top = ((), tuple(range(n)), [f.values for row in m.entries for f in row], None)
-    for seq in sequences:
+        top = ((), tuple(range(n)), [f for row in m.entries for f in row], None)
+    for seq in _sequences(factors) if sequences is None else sequences:
         chain = [top]
         for p in seq:
             node = _step(factors, chain[-1], p)
@@ -132,17 +120,18 @@ def _chain(m: EndoMatrix, sequences) -> list[tuple]:
             chain.append(node)
         else:
             return chain
-    if n != 2:
-        why = "no elimination sequence has bijective pivots"
-    elif len(sequences) == 1:
+    if sequences is None or len(sequences) > 1:
+        why = ("no bijective diagonal entry; determinant route undecidable" if n == 2
+               else "no elimination sequence has bijective pivots")
+    elif n == 2:
         why = f"{('alpha', 'delta')[p]} is not bijective, so det_{'kh'[p]} is undefined"
     else:
-        why = "no bijective diagonal entry; determinant route undecidable"
+        why = f"elimination sequence {seq} is undefined: its pivot {p} is not bijective"
     raise DeterminantUndefinedError(why, pivot_index=p)
 
 
-def _last(m: EndoMatrix, chain: list[tuple]) -> tuple[int, tuple[int, ...]]:
-    """The survivor of a full chain of m and the value tuple of its determinant."""
+def _last(m: EndoMatrix, chain: list[tuple]) -> tuple[int, GroupMap]:
+    """The survivor of a full chain of m and its determinant."""
     _, (s,), e, _ = chain[-1]
     return s, e[s * len(m.factors) + s]
 
@@ -155,16 +144,17 @@ def f_determinant(m: EndoMatrix, images: Optional[Sequence[int]] = None) -> list
     and a partial sequence is accepted.  Each node is (eliminated, survivors, maps), with ``maps[i, j]``
     the entry over survivors i and j.  The chain starts with the matrix itself
     and ends, for a full sequence, with the determinant ``maps[s, s]`` on the
-    one survivor s.
+    one survivor s.  The maps are the chain's own: m's entries, then interned
+    maps shared with other chains and products.
     """
-    f, n = m.factors, m.n
+    n = m.n
     images = _canonical_images(n) if images is None else tuple(images)
     ints = all(type(i) is int and 0 <= i < n for i in images)
     if not ints or len(set(images)) != len(images) or len(images) >= n:
         raise PreconditionError(f"eliminate at most {n - 1} distinct ints in 0..{n - 1}")
     return [
-        (gone, rest, {(i, j): _derived_map(f[j], f[i], e[i * n + j]) for i in rest for j in rest})
-        for gone, rest, e, _ in _chain(m, [images])
+        (gone, rest, {(i, j): e[i * n + j] for i in rest for j in rest})
+        for gone, rest, e, _ in _chain(m, (images,))
     ]
 
 
@@ -182,8 +172,7 @@ def det_A(m: EndoMatrix) -> GroupMap:
     """The canonical determinant of a member of A (all pivots automorphisms)."""
     if not in_A(m):
         raise PreconditionError("det_A needs diagonal automorphisms and central off-diagonal images")
-    s, det = _last(m, _chain(m, [_canonical_images(m.n)]))
-    return _derived_map(m.factors[s], m.factors[s], det)
+    return _last(m, _chain(m, (_canonical_images(m.n),)))[1]
 
 
 def determinant_step_bound(h: FiniteGroup, k: FiniteGroup, branch: str = "h") -> int:
@@ -200,7 +189,8 @@ def _step_bound(pivot: int, tested: int) -> int:
 
 
 def _full_sequences(n: int):
-    """Candidate elimination sequences: canonical first, then lexicographic rest."""
+    """Candidate elimination sequences: canonical first, then lexicographic rest;
+    made lazily, so a search the canonical sequence decides runs on any n."""
     canonical = _canonical_images(n)
     yield canonical
     for survivor in range(n):
@@ -217,7 +207,8 @@ def _sequences(factors: tuple[FiniteGroup, ...], branch: str = "auto"):
 
     For 2 x 2, 'h' eliminates delta (index 1), 'k' alpha (index 0), and 'auto'
     the branch with the smaller ``determinant_step_bound`` first (h on a tie).
-    Larger matrices take every full sequence, canonical first.
+    Other matrices take every full sequence, canonical first
+    (``_full_sequences``).
     """
     if len(factors) != 2:
         return _full_sequences(len(factors))
@@ -240,7 +231,7 @@ def branch_determinant(m: EndoMatrix, branch: str = "auto") -> tuple[str, GroupM
     if len(m.factors) != 2:
         raise PreconditionError("branch determinants exist only for 2 x 2 matrices")
     s, det = _last(m, _chain(m, _sequences(m.factors, branch)))
-    return "hk"[s], _derived_map(m.factors[s], m.factors[s], det)
+    return "hk"[s], det
 
 
 def is_invertible_via_det(m: EndoMatrix) -> bool:
@@ -250,8 +241,8 @@ def is_invertible_via_det(m: EndoMatrix) -> bool:
     DeterminantUndefinedError when no admissible pivot choice exists; the
     caller should then fall back to a direct check.
     """
-    _, (s,), e, _ = _chain(m, _sequences(m.factors))[-1]
-    return _pivot_inverse(m.factors[s], e[s * len(m.factors) + s]) is not None
+    _, (s,), e, _ = _chain(m)[-1]
+    return _pivot_inverse(e[s * len(m.factors) + s]) is not False
 
 
 def _unwind(factors: tuple[FiniteGroup, ...], state: tuple, left: tuple, inv: dict) -> None:
@@ -259,8 +250,8 @@ def _unwind(factors: tuple[FiniteGroup, ...], state: tuple, left: tuple, inv: di
 
     ``left`` is the node D over ``rest`` that eliminating the pivot p from
     ``state`` leaves, with w = entry(p, p)^-1, and ``inv`` holds the value
-    tuples of D^-1.  With b the column of p over ``rest`` and c its row, the
-    inverse of ``state`` is
+    tuples of D^-1 (the chain's maps are read by value).  With b the column
+    of p over ``rest`` and c its row, the inverse of ``state`` is
 
         ( D^-1,             -D^-1 . b . w               )
         ( -w . c . D^-1,    (1 + w . c . D^-1 . b) . w  )
@@ -270,10 +261,14 @@ def _unwind(factors: tuple[FiniteGroup, ...], state: tuple, left: tuple, inv: di
     commute; the 1 + theta sum keeps its check.
     """
     e, n = state[2], len(factors)
-    p, rest, w = left[0][-1], left[1], left[3]
-    fp = factors[p]
-    bw = {j: tuple([e[j * n + p][x] for x in w]) for j in rest}
-    c = [e[p * n + k] for k in rest]
+    p, rest, wmap = left[0][-1], left[1], left[3]
+    fp, w = factors[p], wmap.values
+    # each b . w is in b's memo: the step that left D formed it
+    bw = {}
+    for j in rest:
+        b = e[j * n + p]
+        bw[j] = ((b._composites or _NO_MEMO).get(wmap._id) or _composite(b, wmap)).values
+    c = [e[p * n + k].values for k in rest]
     # (D^-1 . b . w)_i for i in rest
     col = [_product_of_composites(factors[i], [(inv[i, j], bw[j]) for j in rest]) for i in rest]
     for i, u in zip(rest, col):
@@ -295,14 +290,14 @@ def _inverse_from(m: EndoMatrix, chain: list[tuple]) -> Optional[EndoMatrix]:
     chain walked back by ``_unwind``.  None when that determinant is not
     bijective, so m is singular."""
     s, det = _last(m, chain)
-    det_inv = _pivot_inverse(m.factors[s], det)
-    if det_inv is None:
+    det_inv = _pivot_inverse(det)
+    if det_inv is False:
         return None
-    inv = {(s, s): det_inv}
+    inv = {(s, s): det_inv.values}
     f, n = m.factors, len(m.factors)
     for k in range(len(chain) - 1, 0, -1):
         _unwind(f, chain[k - 1], chain[k], inv)
-    rows = [tuple([_derived_map(f[j], f[i], inv[i, j]) for j in range(n)]) for i in range(n)]
+    rows = [tuple([_interned(f[j], f[i], inv[i, j], None) for j in range(n)]) for i in range(n)]
     return _built_matrix(f, tuple(rows))
 
 
@@ -315,7 +310,7 @@ def invert_via_det(m: EndoMatrix) -> EndoMatrix:
     when the determinant is not bijective.  The result is the matrix of the
     inverse endomorphism, so it comes from ``_built_matrix`` unchecked.
     """
-    out = _inverse_from(m, _chain(m, _sequences(m.factors)))
+    out = _inverse_from(m, _chain(m))
     if out is None:
         raise InversionError("determinant is not bijective; matrix is not invertible")
     return out

@@ -51,8 +51,9 @@ def _memoised(fn):
     and unnamed, so each value is asked for one way and has one key.  It is
     generated to that arity rather than written with ``*args``: CPython 3.11
     runs a call to a fixed-arity Python function without a new C-level
-    frame, and ``determinant._pivot_inverse`` is looked up at every
-    elimination step (a ``*args`` wrapper cost about 15% of ``matmul``
+    frame, and ``matrices._intern_table`` is read for each map that the
+    matrix product, ``decompose`` or the determinant's elimination forms or
+    looks up (a ``*args`` wrapper cost about 15% of ``matmul``
     benchmark throughput when the matrix product's memos were kept here, on
     a 2-core x86-64 box with Python 3.11.7).
     """

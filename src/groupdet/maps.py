@@ -58,12 +58,16 @@ class GroupMap:
     The homomorphism property is a tri-state cache: unknown until queried,
     then pinned.  A ``hom`` claim passed to the constructor is checked, and a
     false one raises StructuralError.  Instances are value-immutable and safe
-    to share.  ``_id`` is a small int unique to the map; ``_composites`` and
-    ``_sums`` are the memos ``matrix_multiply`` keeps on a left operand,
-    None until its first miss (``matrices._composite`` and ``_sum``).
+    to share.  ``_id`` is a small int unique to the map; ``_composites``,
+    ``_sums`` and ``_diffs`` are the memos the matrix product and the
+    determinant's elimination keep on a left operand, None until its first
+    miss (``matrices._composite``, ``_sum`` and ``_diff``).  ``_inv`` is the
+    inverse ``matrices._pivot_inverse`` found, an interned map, or False
+    when the map is not bijective; None until asked.
     """
 
-    __slots__ = ("domain", "codomain", "values", "_hom", "_image", "_id", "_composites", "_sums")
+    __slots__ = ("domain", "codomain", "values", "_hom", "_image", "_id",
+                 "_composites", "_sums", "_diffs", "_inv")
 
     def __init__(
         self,
@@ -85,7 +89,7 @@ class GroupMap:
         self._hom = None
         self._image: Optional[frozenset[int]] = None
         self._id = next(_map_ids)
-        self._composites = self._sums = None
+        self._composites = self._sums = self._diffs = self._inv = None
         if hom is not None and self.is_homomorphism() != hom:
             verdict = "is not" if hom else "is"
             raise StructuralError(f"map claims hom={hom}, but {verdict} a homomorphism")
@@ -149,9 +153,8 @@ def _derived_map(
     is stored as given, without the public constructor's coercion, range and
     ``hom`` checks.  Callers are the identity and zero maps, the map algebra
     and the hom/auto search below, the product code (``ProductGroup``,
-    ``recompose``, ``decompose``), the maps ``determinant`` returns from its
-    value-tuple elimination chain (determinants and inverse entries), and the
-    chain walk of ``autcompare``.
+    ``recompose``, the intern tables of ``matrices``), and the chain walk of
+    ``autcompare``.
     """
     f = object.__new__(GroupMap)
     f.domain = domain
@@ -160,7 +163,7 @@ def _derived_map(
     f._hom = hom
     f._image = None
     f._id = next(_map_ids)
-    f._composites = f._sums = None
+    f._composites = f._sums = f._diffs = f._inv = None
     return f
 
 

@@ -30,6 +30,7 @@ from .maps import (
     _chain_listing,
     _check_commuting,
     _derived_map,
+    _inverse,
     compose,
     enumerate_autos,
     enumerate_homs,
@@ -236,13 +237,14 @@ def decompose(phi: GroupMap, pg: Optional[ProductGroup] = None) -> EndoMatrix:
     facs = pg.factors
     rows = tuple(
         tuple([
-            _derived_map(facs[j], facs[i], tuple(proj.values[v[x]] for x in inj.values), hom=True)
+            _interned(facs[j], facs[i], tuple([proj.values[v[x]] for x in inj.values]), True)
             for j, inj in enumerate(pg.injections)
         ])
         for i, proj in enumerate(pg.projections)
     )
     # entry (i, j) is pi_i . phi . iota_j, a homomorphism; a row commutes because
-    # elements of different factors commute in the product and phi keeps them so
+    # elements of different factors commute in the product and phi keeps them so.
+    # Interned, so value-equal entries of two decompositions share their memos.
     return _built_matrix(facs, rows)
 
 
@@ -276,11 +278,13 @@ def identity_matrix(factors: Sequence[FiniteGroup]) -> EndoMatrix:
 
 @_memoised
 def _intern_table(dom: FiniteGroup, cod: FiniteGroup) -> dict:
-    """The one map per value tuple that ``matrix_multiply`` has formed dom -> cod."""
+    """The one map per value tuple dom -> cod that the matrix product, ``decompose``
+    or the determinant's elimination has formed or looked up."""
     return {}
 
 
 def _interned(dom: FiniteGroup, cod: FiniteGroup, values: tuple, hom: Optional[bool]) -> GroupMap:
+    """The interned map dom -> cod with these values, made on first sight."""
     table = _intern_table(dom, cod)
     f = table.get(values)
     if f is None:
@@ -289,11 +293,11 @@ def _interned(dom: FiniteGroup, cod: FiniteGroup, values: tuple, hom: Optional[b
 
 
 def _composite(f: GroupMap, g: GroupMap) -> GroupMap:
-    """The composite x -> f(g(x)) of two matrix entries, kept on f under g's id;
-    matrix entries are homomorphisms, and so is the composite."""
-    fv = f.values
+    """The composite x -> f(g(x)), kept on f under g's id; a homomorphism when
+    f and g are known to be (an elimination's differences may not be)."""
+    fv, hom = f.values, True if f._hom and g._hom else None
     f._composites = memo = f._composites or {}
-    memo[g._id] = h = _interned(g.domain, f.codomain, tuple([fv[v] for v in g.values]), True)
+    memo[g._id] = h = _interned(g.domain, f.codomain, tuple([fv[v] for v in g.values]), hom)
     return h
 
 
@@ -306,6 +310,35 @@ def _sum(f: GroupMap, g: GroupMap) -> GroupMap:
     f._sums = memo = f._sums or {}
     memo[g._id] = h = _interned(f.domain, cod, tuple([t[a][b] for a, b in zip(fv, gv)]), None)
     return h
+
+
+def _diff(f: GroupMap, g: GroupMap) -> GroupMap:
+    """The pointwise difference x -> f(x) * g(x)^-1, kept on f under g's id once
+    its images are checked to commute; a difference that raises is not kept."""
+    cod, fv, gv = f.codomain, f.values, g.values
+    _check_commuting(cod, fv, gv)
+    t, neg = cod.table, cod.inverse
+    f._diffs = memo = f._diffs or {}
+    memo[g._id] = h = _interned(f.domain, cod, tuple([t[a][neg[b]] for a, b in zip(fv, gv)]), None)
+    return h
+
+
+def _pivot_inverse(f: GroupMap) -> GroupMap | bool:
+    """The inverse of the self-map f, an interned map; False when f is not a bijection.
+
+    Kept on f (``GroupMap._inv``).  A map asked first is resolved through its
+    factor's intern table, so each distinct (factor, values) is tested and
+    inverted once; the answer depends on the values alone, so it never goes
+    stale.
+    """
+    w = f._inv
+    if w is None:
+        g, v = f.domain, f.values
+        e = _interned(g, g, v, f._hom)
+        if e._inv is None:
+            e._inv = len(set(v)) == len(v) and _interned(g, g, _inverse(v), f._hom)
+        w = f._inv = e._inv
+    return w
 
 
 def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:

@@ -45,7 +45,7 @@ from groupdet import (
     zero_map,
 )
 from groupdet import determinant
-from groupdet.matrices import _built_matrix
+from groupdet.matrices import _built_matrix, _intern_table
 
 
 def _pg(*specs):
@@ -486,6 +486,50 @@ def test_three_factor_dead_pivots():
     assert undecidable == 2
 
 
+def test_one_sequence_names_its_dead_pivot_on_three_factors():
+    """f_determinant tries only the sequence it is given, so its error names
+    that sequence and its dead pivot on three factors too.  The 16 members of
+    M(C2 x C2 x C3) whose entry (2, 2) is not bijective die at the first
+    canonical pivot; the full search decides 5 of them by another sequence."""
+    facs = tuple(build_group(s) for s in ("C2", "C2", "C3"))
+    pg = ProductGroup.of(*facs)
+    dead = [m for m in enumerate_m_matrices(facs) if not is_bijective(m.entries[2][2])]
+    decided = 0
+    for m in dead:
+        with pytest.raises(DeterminantUndefinedError) as err:
+            f_determinant(m)
+        assert str(err.value) == "elimination sequence (2, 1) is undefined: its pivot 2 is not bijective"
+        assert err.value.pivot_index == 2
+        try:
+            verdict = is_invertible_via_det(m)
+        except DeterminantUndefinedError as exc:
+            assert str(exc) == "no elimination sequence has bijective pivots"
+            continue
+        decided += 1
+        assert verdict == is_bijective(recompose(m, pg))
+    assert (len(dead), decided) == (16, 5)
+
+
+def test_full_search_runs_on_nine_factors():
+    """The full search lists its sequences lazily, so nine factors (9! - 1
+    sequences after the canonical one) decide and invert at once: the 9 x C2
+    identity by the canonical sequence, and a matrix whose canonical first
+    pivot (8, 8) is zero by the next sequence, (1, 2, ..., 8)."""
+    c2 = build_group("C2")
+    one, zero = identity_map(c2), zero_map(c2, c2)
+    ident = identity_matrix((c2,) * 9)
+    assert is_invertible_via_det(ident) and invert_via_det(ident) == ident
+    # rows 7 and 8 hold the block [[1, 1], [1, 0]], its own inverse's transpose
+    rows = [[one if i == j else zero for j in range(9)] for i in range(9)]
+    rows[7][8] = rows[8][7] = one
+    rows[8][8] = zero
+    m = EndoMatrix((c2,) * 9, rows)
+    with pytest.raises(DeterminantUndefinedError, match=r"sequence \(8, 7, 6, 5, 4, 3, 2, 1\)"):
+        f_determinant(m)
+    assert is_invertible_via_det(m) and is_bijective(recompose(m))
+    assert matrix_multiply(m, invert_via_det(m)) == ident
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_inversion_round_trip_property(data):
@@ -586,33 +630,57 @@ def test_elimination_checks_that_schur_images_commute():
         (zero_map(s3, c2), identity_map(c2), zero_map(s3, c2)),
         (c_g, zero_map(c2, s3), one),
     ))
-    for m in (two, three):
+    # twice over: a difference that raised is not kept in any memo
+    for _ in range(2):
+        for m in (two, three):
+            with pytest.raises(NoncommutingImagesError):
+                is_invertible_via_det(m)
+            with pytest.raises(NoncommutingImagesError):
+                invert_via_det(m)
         with pytest.raises(NoncommutingImagesError):
-            is_invertible_via_det(m)
+            det_h(two)
         with pytest.raises(NoncommutingImagesError):
-            invert_via_det(m)
+            f_determinant(three)
+
+
+def test_elimination_claims_no_homomorphism_it_has_not_checked():
+    """On an unchecked matrix a Schur difference need not be a homomorphism,
+    nor is a composite the next step forms from it; so no map the elimination
+    interns may claim to be one (``hom_flag``) unless it is."""
+    (s3,) = _fresh("S3")
+    rows = (
+        ((0, 1, 5, 4, 3, 2), (0,) * 6, (0, 2, 1, 4, 3, 5)),
+        ((0, 1, 2, 3, 4, 5), (0, 5, 1, 3, 4, 2), (0,) * 6),
+        ((0,) * 6, (0, 1, 5, 4, 3, 2), (0, 5, 2, 4, 3, 1)),
+    )
+    m = _built_matrix((s3,) * 3, tuple(tuple(GroupMap(s3, s3, v) for v in r) for r in rows))
     with pytest.raises(NoncommutingImagesError):
-        det_h(two)
-    with pytest.raises(NoncommutingImagesError):
-        f_determinant(three)
+        f_determinant(m)
+    interned = list(_intern_table(s3, s3).values())
+    homs = [GroupMap(s3, s3, f.values).is_homomorphism() for f in interned]
+    assert not all(homs)
+    assert all(f.hom_flag in (None, hom) for f, hom in zip(interned, homs))
 
 
 def _counted_det_mod(monkeypatch):
     """The determinant module with its steps, pivot-inverse lookups and raw
-    inversions each appended to a list as they run."""
+    inversions (``matrices._pivot_inverse`` calls ``_inverse``) each appended
+    to a list as they run; a lookup is recorded as the (factor, values) of
+    the map looked up."""
     import groupdet.determinant as det_mod
+    import groupdet.matrices as mat_mod
 
     steps, lookups, inversions = [], [], []
-    step, lookup, inverse = det_mod._step, det_mod._pivot_inverse, det_mod._inverse
+    step, lookup, inverse = det_mod._step, det_mod._pivot_inverse, mat_mod._inverse
 
     def counted_step(factors, node, p):
         out = step(factors, node, p)
         steps.append((node[0] + (p,), out is not None))
         return out
 
-    def counted_lookup(g, values):
-        lookups.append((g, values))
-        return lookup(g, values)
+    def counted_lookup(f):
+        lookups.append((f.domain, f.values))
+        return lookup(f)
 
     def counted_inverse(values):
         inversions.append(values)
@@ -620,7 +688,7 @@ def _counted_det_mod(monkeypatch):
 
     monkeypatch.setattr(det_mod, "_step", counted_step)
     monkeypatch.setattr(det_mod, "_pivot_inverse", counted_lookup)
-    monkeypatch.setattr(det_mod, "_inverse", counted_inverse)
+    monkeypatch.setattr(mat_mod, "_inverse", counted_inverse)
     return det_mod, steps, lookups, inversions
 
 
@@ -676,6 +744,32 @@ def test_elimination_walks_each_sequence_afresh_and_inverts_each_pivot_once(monk
             assert sorted(inversions) == sorted(v for _, v in new if len(set(v)) == len(v))
             seen |= new
     assert seen and len(seen) <= sum(len(enumerate_homs(g, g)) for g in facs)
+
+
+def test_decide_verdicts_hold_cold_warm_and_on_fresh_factors():
+    """A memo answers only for the values it was formed from: on every member
+    of M(S3 x C4) and M(C2 x C2 x C3), over the shared factors and over fresh
+    copies whose memos start empty, two passes of decide give the same
+    outcomes, and every verdict is is_bijective(recompose(m))."""
+    for specs in (("S3", "C4"), ("C2", "C2", "C3")):
+        for facs in (tuple(build_group(s) for s in specs), _fresh(*specs)):
+            pg = ProductGroup.of(*facs)
+            mats = enumerate_m_matrices(facs)
+            expected = [is_bijective(recompose(m, pg)) for m in mats]
+            passes = []
+            for _ in range(2):
+                outcomes = []
+                for m, want in zip(mats, expected):
+                    try:
+                        verdict = is_invertible_via_det(m)
+                    except DeterminantUndefinedError as exc:
+                        outcomes.append(("undefined", exc.pivot_index))
+                        continue
+                    assert verdict == want, (specs, m)
+                    outcomes.append(("decided", verdict))
+                passes.append(outcomes)
+            assert passes[0] == passes[1], specs
+            assert ("decided", True) in passes[0] and ("decided", False) in passes[0]
 
 
 def test_two_by_two_calls_step_once_per_branch(monkeypatch):
@@ -755,19 +849,21 @@ def test_both_branch_views_read_one_chain_per_branch(monkeypatch):
 
 
 def test_pivot_inverse_decides_bijectivity_and_keeps_each_inverse():
-    """On every endomorphism of S3, D8, Q8 and C12: None when it is not a
-    bijection, else the inverse value tuple, and the same object when asked
-    again."""
-    from groupdet.determinant import _pivot_inverse
+    """On every endomorphism of S3, D8, Q8 and C12: False when it is not a
+    bijection, else the inverse as a map of the factor, and the same object
+    when asked again, for the map or for a new map of equal values."""
+    from groupdet.matrices import _pivot_inverse
 
     for g in _fresh("S3", "D8", "Q8", "C12"):
         endos = enumerate_homs(g, g)
         assert any(is_bijective(f) for f in endos) and not all(is_bijective(f) for f in endos)
         for f in endos:
-            w = _pivot_inverse(g, f.values)
+            w = _pivot_inverse(f)
             if not is_bijective(f):
-                assert w is None, (g.name, f.values)
+                assert w is False, (g.name, f.values)
                 continue
-            assert all(w[f.values[x]] == x for x in range(g.order)), (g.name, f.values)
-            assert all(f.values[w[y]] == y for y in range(g.order)), (g.name, f.values)
-            assert _pivot_inverse(g, f.values) is w
+            assert w.domain is g and w.codomain is g, (g.name, f.values)
+            assert all(w(f(x)) == x for x in range(g.order)), (g.name, f.values)
+            assert all(f(w(y)) == y for y in range(g.order)), (g.name, f.values)
+            assert _pivot_inverse(f) is w
+            assert _pivot_inverse(GroupMap(g, g, f.values)) is w

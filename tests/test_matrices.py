@@ -192,10 +192,16 @@ def test_decompose_swap_automorphism():
 
 
 def test_decompose_recompose_round_trip_on_autos():
+    """Round trip, with every entry interned: value-equal entries of any two
+    decompositions are one object, so the memos kept on it serve both."""
     pg = _pg("C2", "C4")
-    for phi in enumerate_autos(pg.product):
+    seen, autos = {}, enumerate_autos(pg.product)
+    for phi in autos + autos:
         m = decompose(phi, pg)
         assert recompose(m, pg).values == phi.values
+        for e in (e for row in m.entries for e in row):
+            assert seen.setdefault((id(e.domain), id(e.codomain), e.values), e) is e
+    assert len(seen) < 4 * len(autos)
 
 
 def test_decompose_passes_full_validation_on_catalog_products():
