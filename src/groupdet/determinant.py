@@ -17,12 +17,10 @@ trying candidate sequences in a fixed order and walking each from the
 matrix until a pivot is not bijective.  Each step (``_step``) forms its new
 entries through the matrix product's memos, kept on a left operand under
 the right one's id: composites by ``matrices._composite``, differences,
-their images checked to commute, by ``matrices._diff``.  A step keeps its
-pivot's inverse, so the inverse runs back along the chain without
-inverting a pivot again: the final 1 x 1 determinant is inverted, then
-each earlier state from the inverse of the state its pivot left, by the
-2 x 2 block formulas.  The public functions are views of that chain; the
-determinants they return and the entries of an inverse are interned maps.
+their images checked to commute, by ``matrices._diff``.  The inverse runs
+back along the chain (``_unwind``) through the same memos and the pivot
+inverses the steps kept, by the 2 x 2 block formulas, so a repeated invert
+forms no map.  Determinants and inverse entries are interned maps.
 
 Every bijectivity test and every inverse, of a pivot or of a determinant,
 is one lookup in ``_pivot_inverse``, which keeps the answer on the map:
@@ -41,9 +39,9 @@ from typing import Optional
 
 from .errors import DeterminantUndefinedError, InversionError, PreconditionError, StructuralError
 from .groups import FiniteGroup
-from .maps import GroupMap, _check_commuting
-from .matrices import _NO_MEMO, EndoMatrix, _built_matrix, _composite, _diff, _interned, in_A
-from .matrices import _pivot_inverse, _product_of_composites
+from .maps import GroupMap
+from .matrices import _NO_MEMO, EndoMatrix, _built_matrix, _composite, _diff, _negated, _sum, in_A
+from .matrices import _pivot_inverse, _sum_of_composites
 
 __all__ = [
     "DetIffReport",
@@ -130,12 +128,6 @@ def _chain(m: EndoMatrix, sequences: Optional[Sequence[tuple[int, ...]]] = None)
     raise DeterminantUndefinedError(why, pivot_index=p)
 
 
-def _last(m: EndoMatrix, chain: list[tuple]) -> tuple[int, GroupMap]:
-    """The survivor of a full chain of m and its determinant."""
-    _, (s,), e, _ = chain[-1]
-    return s, e[s * len(m.factors) + s]
-
-
 def f_determinant(m: EndoMatrix, images: Optional[Sequence[int]] = None) -> list[tuple]:
     """The chain of partial determinants along the elimination sequence ``images``.
 
@@ -172,7 +164,8 @@ def det_A(m: EndoMatrix) -> GroupMap:
     """The canonical determinant of a member of A (all pivots automorphisms)."""
     if not in_A(m):
         raise PreconditionError("det_A needs diagonal automorphisms and central off-diagonal images")
-    return _last(m, _chain(m, (_canonical_images(m.n),)))[1]
+    _, (s,), e, _ = _chain(m, (_canonical_images(m.n),))[-1]
+    return e[s * m.n + s]
 
 
 def determinant_step_bound(h: FiniteGroup, k: FiniteGroup, branch: str = "h") -> int:
@@ -230,8 +223,8 @@ def branch_determinant(m: EndoMatrix, branch: str = "auto") -> tuple[str, GroupM
     """
     if len(m.factors) != 2:
         raise PreconditionError("branch determinants exist only for 2 x 2 matrices")
-    s, det = _last(m, _chain(m, _sequences(m.factors, branch)))
-    return "hk"[s], det
+    _, (s,), e, _ = _chain(m, _sequences(m.factors, branch))[-1]
+    return "hk"[s], e[s * 2 + s]
 
 
 def is_invertible_via_det(m: EndoMatrix) -> bool:
@@ -245,60 +238,56 @@ def is_invertible_via_det(m: EndoMatrix) -> bool:
     return _pivot_inverse(e[s * len(m.factors) + s]) is not False
 
 
-def _unwind(factors: tuple[FiniteGroup, ...], state: tuple, left: tuple, inv: dict) -> None:
+def _unwind(n: int, state: tuple, left: tuple, inv: list) -> None:
     """One step back along the chain: extend ``inv`` to the inverse of ``state``.
 
     ``left`` is the node D over ``rest`` that eliminating the pivot p from
-    ``state`` leaves, with w = entry(p, p)^-1, and ``inv`` holds the value
-    tuples of D^-1 (the chain's maps are read by value).  With b the column
-    of p over ``rest`` and c its row, the inverse of ``state`` is
+    ``state`` leaves, w = entry(p, p)^-1, and ``inv[i * n + j]`` is entry
+    (i, j) of D^-1.  With b the column of p over ``rest`` and c its row,
 
         ( D^-1,             -D^-1 . b . w               )
         ( -w . c . D^-1,    (1 + w . c . D^-1 . b) . w  )
 
-    Every state and every D^-1 is the matrix of an endomorphism of the product
-    of its factors, so each sum over ``rest`` runs along one row, whose images
-    commute; the 1 + theta sum keeps its check.
+    is the inverse of ``state``, each term read from the memos and summed
+    in ascending order.  Every state and every D^-1 is the matrix of an
+    endomorphism, so each sum runs along one row, whose images commute;
+    ``_sum`` checks it all the same, the 1 + theta sum included.
     """
-    e, n = state[2], len(factors)
-    p, rest, wmap = left[0][-1], left[1], left[3]
-    fp, w = factors[p], wmap.values
+    e = state[2]
+    p, rest, w = left[0][-1], left[1], left[3]
     # each b . w is in b's memo: the step that left D formed it
-    bw = {}
+    bw = []
     for j in rest:
         b = e[j * n + p]
-        bw[j] = ((b._composites or _NO_MEMO).get(wmap._id) or _composite(b, wmap)).values
-    c = [e[p * n + k].values for k in rest]
-    # (D^-1 . b . w)_i for i in rest
-    col = [_product_of_composites(factors[i], [(inv[i, j], bw[j]) for j in rest]) for i in rest]
-    for i, u in zip(rest, col):
-        neg = factors[i].inverse
-        inv[i, p] = tuple([neg[y] for y in u])
-    neg = fp.inverse
+        bw.append((b._composites or _NO_MEMO).get(w._id) or _composite(b, w))
+    c = [e[p * n + k] for k in rest]
+    col = []  # D^-1 . b . w
+    for i in rest:
+        col.append(_sum_of_composites([inv[i * n + j] for j in rest], bw))
+        inv[i * n + p] = _negated(col[-1])
     for j in rest:
-        v = _product_of_composites(fp, [(ck, inv[k, j]) for ck, k in zip(c, rest)])
-        inv[p, j] = tuple([neg[w[y]] for y in v])
+        v = _sum_of_composites(c, [inv[k * n + j] for k in rest])
+        inv[p * n + j] = _negated((w._composites or _NO_MEMO).get(v._id) or _composite(w, v))
     # theta . w = w . c . D^-1 . b . w, so (1 + theta) . w = w + theta . w
-    theta_w = [w[y] for y in _product_of_composites(fp, list(zip(c, col)))]
-    _check_commuting(fp, w, theta_w)
-    t = fp.table
-    inv[p, p] = tuple([t[a][b] for a, b in zip(w, theta_w)])
+    theta = _sum_of_composites(c, col)
+    theta_w = (w._composites or _NO_MEMO).get(theta._id) or _composite(w, theta)
+    inv[p * n + p] = (w._sums or _NO_MEMO).get(theta_w._id) or _sum(w, theta_w)
 
 
 def _inverse_from(m: EndoMatrix, chain: list[tuple]) -> Optional[EndoMatrix]:
-    """The inverse of m: the final determinant of its chain inverted, then the
-    chain walked back by ``_unwind``.  None when that determinant is not
-    bijective, so m is singular."""
-    s, det = _last(m, chain)
-    det_inv = _pivot_inverse(det)
+    """The inverse of m, its entries the maps ``_unwind`` reads: the final
+    determinant of its chain inverted, then the chain walked back.  None
+    when that determinant is not bijective, so m is singular."""
+    _, (s,), e, _ = chain[-1]
+    n = m.n
+    det_inv = _pivot_inverse(e[s * n + s])
     if det_inv is False:
         return None
-    inv = {(s, s): det_inv.values}
-    f, n = m.factors, len(m.factors)
+    inv = [None] * (n * n)
+    inv[s * n + s] = det_inv
     for k in range(len(chain) - 1, 0, -1):
-        _unwind(f, chain[k - 1], chain[k], inv)
-    rows = [tuple([_interned(f[j], f[i], inv[i, j], None) for j in range(n)]) for i in range(n)]
-    return _built_matrix(f, tuple(rows))
+        _unwind(n, chain[k - 1], chain[k], inv)
+    return _built_matrix(m.factors, tuple(zip(*[iter(inv)] * n)))  # rows of n
 
 
 def invert_via_det(m: EndoMatrix) -> EndoMatrix:

@@ -60,7 +60,7 @@ class GroupMap:
     false one raises StructuralError.  Instances are value-immutable and safe
     to share.  ``_id`` is a small int unique to the map; ``_composites``,
     ``_sums`` and ``_diffs`` are the memos the matrix product and the
-    determinant's elimination keep on a left operand, None until its first
+    determinant and inverse keep on a left operand, None until its first
     miss (``matrices._composite``, ``_sum`` and ``_diff``).  ``_inv`` is the
     inverse ``matrices._pivot_inverse`` found, an interned map, or False
     when the map is not bijective; None until asked.

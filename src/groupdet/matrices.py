@@ -127,14 +127,9 @@ def _product_group(product: FiniteGroup) -> ProductGroup:
 def _product_of_composites(
     g: FiniteGroup, pairs: Sequence[tuple[Sequence[int], Sequence[int]]]
 ) -> tuple[int, ...]:
-    """x -> prod_k outer_k[inner_k[x]] in g, multiplied in the order given.
-
-    Each pair (outer, inner) holds two value tuples; every inner has the same
-    domain, and every outer maps into g.  No commutation is checked: callers
-    pass terms read along one row of a valid matrix, whose images commute.
-    They are ``recompose`` and the back-substitution of
-    ``determinant.invert_via_det``, which sums along rows of its chain states
-    and of their inverses.
+    """x -> prod_k outer_k[inner_k[x]] in g, in the order given, over value
+    tuples (outer, inner) with one inner domain.  No commutation is checked:
+    the one caller, ``recompose``, passes terms along rows of a valid matrix.
     """
     t = g.table
     (outer, inner), *rest = pairs
@@ -279,7 +274,7 @@ def identity_matrix(factors: Sequence[FiniteGroup]) -> EndoMatrix:
 @_memoised
 def _intern_table(dom: FiniteGroup, cod: FiniteGroup) -> dict:
     """The one map per value tuple dom -> cod that the matrix product, ``decompose``
-    or the determinant's elimination has formed or looked up."""
+    or the determinant layer has formed or looked up."""
     return {}
 
 
@@ -321,6 +316,27 @@ def _diff(f: GroupMap, g: GroupMap) -> GroupMap:
     f._diffs = memo = f._diffs or {}
     memo[g._id] = h = _interned(f.domain, cod, tuple([t[a][neg[b]] for a, b in zip(fv, gv)]), None)
     return h
+
+
+@_memoised
+def _zero(dom: FiniteGroup, cod: FiniteGroup) -> GroupMap:
+    """The interned zero map dom -> cod, kept on dom; a negation is a difference from it."""
+    return _interned(dom, cod, (cod.identity,) * dom.order, True)
+
+
+def _negated(f: GroupMap) -> GroupMap:
+    """x -> f(x)^-1, kept on the zero map under f's id (``_diff``)."""
+    z = _zero(f.domain, f.codomain)
+    return (z._diffs or _NO_MEMO).get(f._id) or _diff(z, f)
+
+
+def _sum_of_composites(fs: Sequence[GroupMap], gs: Sequence[GroupMap]) -> GroupMap:
+    """The sum of fs[k] . gs[k], ascending in k, through the memos (``_composite``, ``_sum``)."""
+    x = None
+    for f, g in zip(fs, gs):
+        t = (f._composites or _NO_MEMO).get(g._id) or _composite(f, g)
+        x = t if x is None else (x._sums or _NO_MEMO).get(t._id) or _sum(x, t)
+    return x
 
 
 def _pivot_inverse(f: GroupMap) -> GroupMap | bool:

@@ -660,6 +660,72 @@ def test_elimination_claims_no_homomorphism_it_has_not_checked():
     homs = [GroupMap(s3, s3, f.values).is_homomorphism() for f in interned]
     assert not all(homs)
     assert all(f.hom_flag in (None, hom) for f, hom in zip(interned, homs))
+    # the way back: the inverse's composites, sums, negations and zero maps
+    for facs, mats in _fresh_aut_matrices():
+        for m in mats:
+            try:
+                invert_via_det(m)
+            except DeterminantUndefinedError:
+                pass
+        if len(facs) == 2:
+            for m in enumerate_A(facs):
+                detiff_check(m)
+        for dom in facs:
+            for cod in facs:
+                interned = list(_intern_table(dom, cod).values())
+                assert interned, (dom.name, cod.name)
+                homs = [GroupMap(dom, cod, f.values).is_homomorphism() for f in interned]
+                assert all(f.hom_flag in (None, hom) for f, hom in zip(interned, homs))
+
+
+def _fresh_aut_matrices():
+    """(factors, every automorphism matrix) of S3 x C4 and C2 x C2 x C3 over
+    fresh factors, whose intern tables and memos start empty."""
+    out = []
+    for specs in (("S3", "C4"), ("C2", "C2", "C3")):
+        facs = _fresh(*specs)
+        out.append((facs, list(enumerate_aut_matrices(ProductGroup.of(*facs)))))
+    return out
+
+
+def test_a_repeated_invert_reads_only_memos(monkeypatch):
+    """A second invert of a matrix forms no map: on every automorphism matrix
+    of S3 x C4 and C2 x C2 x C3 it calls none of the routines that form or
+    intern one, and returns the very entries of the first."""
+    import groupdet.matrices as mat_mod
+
+    names = ("_product_of_composites", "_interned", "_composite", "_sum", "_diff")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    for mod in (mat_mod, determinant):
+        for name in names:
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
+    mats = [m for _, mats in _fresh_aut_matrices() for m in mats]
+    passes = []
+    for _ in range(2):
+        calls.update(dict.fromkeys(names, 0))
+        entries = []
+        for m in mats:
+            try:
+                entries.append(invert_via_det(m).entries)
+            except DeterminantUndefinedError:
+                entries.append(None)
+        passes.append((entries, dict(calls)))
+    (first, cold), (second, warm) = passes
+    assert cold["_composite"] and cold["_interned"], cold
+    assert not any(warm.values()), warm
+    assert sum(e is not None for e in first) > len(mats) // 2
+    for a, b in zip(first, second):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert all(x is y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
 
 
 def _counted_det_mod(monkeypatch):
@@ -749,26 +815,43 @@ def test_elimination_walks_each_sequence_afresh_and_inverts_each_pivot_once(monk
 def test_decide_verdicts_hold_cold_warm_and_on_fresh_factors():
     """A memo answers only for the values it was formed from: on every member
     of M(S3 x C4) and M(C2 x C2 x C3), over the shared factors and over fresh
-    copies whose memos start empty, two passes of decide give the same
-    outcomes, and every verdict is is_bijective(recompose(m))."""
+    copies whose memos start empty, two passes of decide and invert give the
+    same outcomes.  Every verdict is is_bijective(recompose(m)), every
+    inverse is decompose(invert(recompose(m))), and over three factors its
+    product with m is the identity both ways."""
     for specs in (("S3", "C4"), ("C2", "C2", "C3")):
         for facs in (tuple(build_group(s) for s in specs), _fresh(*specs)):
             pg = ProductGroup.of(*facs)
+            ident = identity_matrix(facs)
             mats = enumerate_m_matrices(facs)
-            expected = [is_bijective(recompose(m, pg)) for m in mats]
+            phis = [recompose(m, pg) for m in mats]
+            expected = [decompose(invert(phi), pg) if is_bijective(phi) else None for phi in phis]
             passes = []
             for _ in range(2):
                 outcomes = []
                 for m, want in zip(mats, expected):
-                    try:
-                        verdict = is_invertible_via_det(m)
-                    except DeterminantUndefinedError as exc:
-                        outcomes.append(("undefined", exc.pivot_index))
-                        continue
-                    assert verdict == want, (specs, m)
-                    outcomes.append(("decided", verdict))
+                    for fn in (is_invertible_via_det, invert_via_det):
+                        try:
+                            got = fn(m)
+                        except DeterminantUndefinedError as exc:
+                            outcomes.append(("undefined", exc.pivot_index))
+                            continue
+                        except InversionError:
+                            assert want is None, (specs, m)
+                            outcomes.append(("singular", None))
+                            continue
+                        if fn is is_invertible_via_det:
+                            assert got == (want is not None), (specs, m)
+                            outcomes.append(("decided", got))
+                            continue
+                        assert got == want, (specs, m)
+                        if len(facs) == 3:
+                            assert matrix_multiply(m, got) == ident == matrix_multiply(got, m)
+                        outcomes.append(("inverted", got.key()))
                 passes.append(outcomes)
             assert passes[0] == passes[1], specs
+            kinds = {kind for kind, _ in passes[0]}
+            assert {"decided", "inverted", "singular"} <= kinds, specs
             assert ("decided", True) in passes[0] and ("decided", False) in passes[0]
 
 
