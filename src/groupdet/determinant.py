@@ -15,9 +15,9 @@ entry(i,j) - entry(i,p) . pivot^-1 . entry(p,j).
 One private routine, ``_chain``, does every elimination, on interned maps,
 trying candidate sequences in a fixed order and walking each from the
 matrix until a pivot is not bijective.  Each step (``_step``) forms its new
-entries through the matrix product's memos, kept on a left operand under
-the right one's id: composites by ``matrices._composite``, differences,
-their images checked to commute, by ``matrices._diff``.  The inverse runs
+entries through the memos of the map algebra, kept on a left operand under
+the right one's id: composites by ``maps._composite``, differences, their
+images checked to commute, by ``maps._diff``.  The inverse runs
 back along the chain (``_unwind``) through the same memos and the pivot
 inverses the steps kept, by the 2 x 2 block formulas, so a repeated invert
 forms no map.  Determinants and inverse entries are interned maps.
@@ -39,9 +39,8 @@ from typing import Optional
 
 from .errors import DeterminantUndefinedError, InversionError, PreconditionError, StructuralError
 from .groups import FiniteGroup
-from .maps import GroupMap
-from .matrices import _NO_MEMO, EndoMatrix, _built_matrix, _composite, _diff, _negated, _sum, in_A
-from .matrices import _pivot_inverse, _sum_of_composites
+from .maps import _NO_MEMO, GroupMap, _composite, _diff, _negated, _pivot_inverse, _sum
+from .matrices import EndoMatrix, _built_matrix, _sum_of_composites, in_A
 
 __all__ = [
     "DetIffReport",

@@ -51,7 +51,7 @@ def _memoised(fn):
     and unnamed, so each value is asked for one way and has one key.  It is
     generated to that arity rather than written with ``*args``: CPython 3.11
     runs a call to a fixed-arity Python function without a new C-level
-    frame, and ``matrices._intern_table`` is read for each map that the
+    frame, and ``maps._intern_table`` is read for each map that the
     matrix product, ``decompose`` or the determinant's elimination forms or
     looks up (a ``*args`` wrapper cost about 15% of ``matmul``
     benchmark throughput when the matrix product's memos were kept here, on

@@ -3,9 +3,10 @@
 A ``GroupMap`` is a total function stored as a value array.  Composition
 applies the right-hand map first, matching the usual reading of a juxtaposed
 product of maps.  The pointwise sum (f + g)(x) = f(x) * g(x) and difference
-(f - g)(x) = f(x) * g(x)^-1 multiply images left to right; call sites that
-evaluate identities relying on commuting images pass ``require_commuting=True``
-so the assumption is checked rather than silently used.
+(f - g)(x) = f(x) * g(x)^-1 multiply images left to right, and raise
+NoncommutingImagesError unless f(x) and g(x) commute for every x: only then
+is a sum of homomorphisms a homomorphism.  Every operation returns the one
+interned map of its values (``_interned``), kept on its left operand.
 """
 from __future__ import annotations
 
@@ -59,11 +60,11 @@ class GroupMap:
     then pinned.  A ``hom`` claim passed to the constructor is checked, and a
     false one raises StructuralError.  Instances are value-immutable and safe
     to share.  ``_id`` is a small int unique to the map; ``_composites``,
-    ``_sums`` and ``_diffs`` are the memos the matrix product and the
-    determinant and inverse keep on a left operand, None until its first
-    miss (``matrices._composite``, ``_sum`` and ``_diff``).  ``_inv`` is the
-    inverse ``matrices._pivot_inverse`` found, an interned map, or False
-    when the map is not bijective; None until asked.
+    ``_sums`` and ``_diffs`` are the memos of the map algebra on a left
+    operand, keyed by the right one's id, None until its first miss
+    (``_composite``, ``_sum`` and ``_diff`` below).  ``_inv`` is the inverse
+    ``_pivot_inverse`` found, an interned map, or False when the map is not
+    bijective; None until asked.
     """
 
     __slots__ = ("domain", "codomain", "values", "_hom", "_image", "_id",
@@ -151,10 +152,9 @@ def _derived_map(
 
     ``values`` must be a tuple of codomain indices, one per domain element; it
     is stored as given, without the public constructor's coercion, range and
-    ``hom`` checks.  Callers are the identity and zero maps, the map algebra
-    and the hom/auto search below, the product code (``ProductGroup``,
-    ``recompose``, the intern tables of ``matrices``), and the chain walk of
-    ``autcompare``.
+    ``hom`` checks.  Callers are the identity map, the intern table
+    (``_interned``) and the hom/auto search below, the product code
+    (``ProductGroup``, ``recompose``), and the chain walk of ``autcompare``.
     """
     f = object.__new__(GroupMap)
     f.domain = domain
@@ -171,9 +171,107 @@ def identity_map(g: FiniteGroup) -> GroupMap:
     return _derived_map(g, g, tuple(range(g.order)), hom=True)
 
 
+# Read in place of a memo not yet made; never written.
+_NO_MEMO: dict = {}
+
+
+@_memoised
+def _intern_table(dom: FiniteGroup, cod: FiniteGroup) -> dict:
+    """The one map per value tuple dom -> cod that the map algebra, ``decompose``
+    or the determinant layer has formed or looked up."""
+    return {}
+
+
+def _interned(dom: FiniteGroup, cod: FiniteGroup, values: tuple, hom: Optional[bool]) -> GroupMap:
+    """The interned map dom -> cod with these values, made on first sight; a
+    known ``hom`` flag is recorded on a map found unflagged."""
+    table = _intern_table(dom, cod)
+    f = table.get(values)
+    if f is None:
+        f = table[values] = _derived_map(dom, cod, values, hom)
+    elif f._hom is None:
+        f._hom = hom
+    return f
+
+
+@_memoised
 def zero_map(domain: FiniteGroup, codomain: FiniteGroup) -> GroupMap:
-    """The constant map onto the codomain identity."""
-    return _derived_map(domain, codomain, (codomain.identity,) * domain.order, hom=True)
+    """The constant map onto the codomain identity: the interned one, kept on
+    the domain.  A negation is a difference from it (``_negated``)."""
+    return _interned(domain, codomain, (codomain.identity,) * domain.order, True)
+
+
+def _composite(f: GroupMap, g: GroupMap) -> GroupMap:
+    """The composite x -> f(g(x)), kept on f under g's id; a homomorphism when
+    f and g are known to be (an elimination's differences may not be)."""
+    fv, hom = f.values, True if f._hom and g._hom else None
+    f._composites = memo = f._composites or {}
+    memo[g._id] = h = _interned(g.domain, f.codomain, tuple([fv[v] for v in g.values]), hom)
+    return h
+
+
+def _check_commuting(g: FiniteGroup, xs: Sequence[int], ys: Sequence[int]) -> None:
+    """Raise unless xs[k] and ys[k] commute in g for every k."""
+    t = g.table
+    for a, b in zip(xs, ys):
+        if t[a][b] != t[b][a]:
+            raise NoncommutingImagesError(f"images {a} and {b} do not commute in {g.name}")
+
+
+def _sum(f: GroupMap, g: GroupMap) -> GroupMap:
+    """The pointwise sum x -> f(x) * g(x), kept on f under g's id once its
+    images are checked to commute; a sum that raises is not kept."""
+    cod, fv, gv = f.codomain, f.values, g.values
+    _check_commuting(cod, fv, gv)
+    t = cod.table
+    f._sums = memo = f._sums or {}
+    memo[g._id] = h = _interned(f.domain, cod, tuple([t[a][b] for a, b in zip(fv, gv)]), None)
+    return h
+
+
+def _diff(f: GroupMap, g: GroupMap) -> GroupMap:
+    """The pointwise difference x -> f(x) * g(x)^-1, kept on f under g's id once
+    its images are checked to commute; a difference that raises is not kept."""
+    cod, fv, gv = f.codomain, f.values, g.values
+    _check_commuting(cod, fv, gv)
+    t, neg = cod.table, cod.inverse
+    f._diffs = memo = f._diffs or {}
+    memo[g._id] = h = _interned(f.domain, cod, tuple([t[a][neg[b]] for a, b in zip(fv, gv)]), None)
+    return h
+
+
+def _negated(f: GroupMap) -> GroupMap:
+    """x -> f(x)^-1, kept on the zero map under f's id (``_diff``)."""
+    z = zero_map(f.domain, f.codomain)
+    return (z._diffs or _NO_MEMO).get(f._id) or _diff(z, f)
+
+
+def _inverse(values: tuple[int, ...]) -> tuple[int, ...]:
+    """The inverse of a bijection held as a value tuple."""
+    out = [0] * len(values)
+    for x, y in enumerate(values):
+        out[y] = x
+    return tuple(out)
+
+
+def _pivot_inverse(f: GroupMap) -> GroupMap | bool:
+    """The inverse of f, an interned map codomain -> domain; False when f is
+    not a bijection.
+
+    Kept on f (``GroupMap._inv``).  A map asked first is resolved through its
+    intern table, so each distinct (domain, codomain, values) is tested and
+    inverted once; the answer depends on the values alone, so it never goes
+    stale.
+    """
+    w = f._inv
+    if w is None:
+        dom, cod, v = f.domain, f.codomain, f.values
+        e = _interned(dom, cod, v, f._hom)
+        if e._inv is None:
+            bijective = len(set(v)) == len(v) == cod.order
+            e._inv = bijective and _interned(cod, dom, _inverse(v), f._hom)
+        w = f._inv = e._inv
+    return w
 
 
 def _check_composable(f: GroupMap, g: GroupMap) -> None:
@@ -185,11 +283,10 @@ def _check_composable(f: GroupMap, g: GroupMap) -> None:
 
 
 def compose(f: GroupMap, g: GroupMap) -> GroupMap:
-    """The composite x -> f(g(x)); the right-hand map applies first."""
+    """The composite x -> f(g(x)); the right-hand map applies first
+    (``_composite``)."""
     _check_composable(f, g)
-    fv = f.values
-    hom = True if (f._hom and g._hom) else None
-    return _derived_map(g.domain, f.codomain, tuple(fv[v] for v in g.values), hom)
+    return (f._composites or _NO_MEMO).get(g._id) or _composite(f, g)
 
 
 def _check_parallel(f: GroupMap, g: GroupMap) -> None:
@@ -197,41 +294,23 @@ def _check_parallel(f: GroupMap, g: GroupMap) -> None:
         raise StructuralError("pointwise operations need identical domain and codomain")
 
 
-def _check_commuting(g: FiniteGroup, xs: Sequence[int], ys: Sequence[int]) -> None:
-    """Raise unless xs[k] and ys[k] commute in g for every k."""
-    t = g.table
-    for a, b in zip(xs, ys):
-        if t[a][b] != t[b][a]:
-            raise NoncommutingImagesError(f"images {a} and {b} do not commute in {g.name}")
-
-
-def pointwise_sum(f: GroupMap, g: GroupMap, require_commuting: bool = False) -> GroupMap:
-    """x -> f(x) * g(x), multiplying images left to right."""
+def pointwise_sum(f: GroupMap, g: GroupMap) -> GroupMap:
+    """x -> f(x) * g(x), multiplying images left to right; the images must
+    commute (``_sum``)."""
     _check_parallel(f, g)
-    t = f.codomain.table
-    if require_commuting:
-        _check_commuting(f.codomain, f.values, g.values)
-    return _derived_map(
-        f.domain, f.codomain, tuple(t[a][b] for a, b in zip(f.values, g.values))
-    )
+    return (f._sums or _NO_MEMO).get(g._id) or _sum(f, g)
 
 
-def pointwise_diff(f: GroupMap, g: GroupMap, require_commuting: bool = False) -> GroupMap:
-    """x -> f(x) * g(x)^-1, multiplying images left to right."""
+def pointwise_diff(f: GroupMap, g: GroupMap) -> GroupMap:
+    """x -> f(x) * g(x)^-1, multiplying images left to right; the images must
+    commute (``_diff``)."""
     _check_parallel(f, g)
-    t = f.codomain.table
-    inv = f.codomain.inverse
-    if require_commuting:
-        _check_commuting(f.codomain, f.values, g.values)
-    return _derived_map(
-        f.domain, f.codomain, tuple(t[a][inv[b]] for a, b in zip(f.values, g.values))
-    )
+    return (f._diffs or _NO_MEMO).get(g._id) or _diff(f, g)
 
 
 def negate(f: GroupMap) -> GroupMap:
-    """x -> f(x)^-1."""
-    inv = f.codomain.inverse
-    return _derived_map(f.domain, f.codomain, tuple(inv[v] for v in f.values))
+    """x -> f(x)^-1 (``_negated``)."""
+    return _negated(f)
 
 
 def is_bijective(f: GroupMap) -> bool:
@@ -242,23 +321,17 @@ def is_bijective(f: GroupMap) -> bool:
     return len(set(v)) == len(v)
 
 
-def _inverse(values: tuple[int, ...]) -> tuple[int, ...]:
-    """The inverse of a bijection held as a value tuple."""
-    out = [0] * len(values)
-    for x, y in enumerate(values):
-        out[y] = x
-    return tuple(out)
-
-
 def invert(f: GroupMap) -> GroupMap:
-    """Functional inverse of a bijection, built by swapping the graph.
+    """Functional inverse of a bijection (``_pivot_inverse``).
 
     The inverse of a bijective homomorphism is marked as a homomorphism.
     """
-    if not is_bijective(f):
+    w = _pivot_inverse(f)
+    if w is False:
         raise InversionError(f"map is not bijective: {f!r}")
-    hom = True if f._hom else None
-    return _derived_map(f.codomain, f.domain, _inverse(f.values), hom)
+    if f._hom and w._hom is None:
+        w._hom = True
+    return w
 
 
 def is_central_automorphism(f: GroupMap) -> bool:
@@ -621,8 +694,8 @@ def power_map(f: GroupMap, k: int) -> GroupMap:
     """k-fold composite of an endomorphism with itself (k >= 1)."""
     if not f.is_endo():
         raise PreconditionError("powers are defined for endomorphisms only")
-    if k < 1:
-        raise PreconditionError(f"power must be >= 1, got {k}")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 1:
+        raise PreconditionError(f"power must be an int >= 1, got {k!r}")
     acc = f
     for _ in range(k - 1):
         acc = compose(f, acc)

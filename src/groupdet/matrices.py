@@ -26,11 +26,13 @@ from .errors import (
 )
 from .groups import FiniteGroup, _memoised, build_group, direct_product
 from .maps import (
+    _NO_MEMO,
     GroupMap,
     _chain_listing,
-    _check_commuting,
+    _composite,
     _derived_map,
-    _inverse,
+    _interned,
+    _sum,
     compose,
     enumerate_autos,
     enumerate_homs,
@@ -70,8 +72,6 @@ _M_MATRIX_LIMIT = 2_000_000
 # n^3 terms (making it took 0.16 s and 36 MB at n = 16, 1.0 s and 270 MB at
 # n = 32, on a 2-core x86-64 box with Python 3.11.7).
 _MULTIPLY_FACTOR_LIMIT = 16
-# Read by the code of _multiplier in place of a memo not yet made; never written.
-_NO_MEMO: dict = {}
 
 class ProductGroup:
     """A direct product together with its canonical injections and projections.
@@ -271,65 +271,6 @@ def identity_matrix(factors: Sequence[FiniteGroup]) -> EndoMatrix:
     return _built_matrix(facs, rows)
 
 
-@_memoised
-def _intern_table(dom: FiniteGroup, cod: FiniteGroup) -> dict:
-    """The one map per value tuple dom -> cod that the matrix product, ``decompose``
-    or the determinant layer has formed or looked up."""
-    return {}
-
-
-def _interned(dom: FiniteGroup, cod: FiniteGroup, values: tuple, hom: Optional[bool]) -> GroupMap:
-    """The interned map dom -> cod with these values, made on first sight."""
-    table = _intern_table(dom, cod)
-    f = table.get(values)
-    if f is None:
-        f = table[values] = _derived_map(dom, cod, values, hom)
-    return f
-
-
-def _composite(f: GroupMap, g: GroupMap) -> GroupMap:
-    """The composite x -> f(g(x)), kept on f under g's id; a homomorphism when
-    f and g are known to be (an elimination's differences may not be)."""
-    fv, hom = f.values, True if f._hom and g._hom else None
-    f._composites = memo = f._composites or {}
-    memo[g._id] = h = _interned(g.domain, f.codomain, tuple([fv[v] for v in g.values]), hom)
-    return h
-
-
-def _sum(f: GroupMap, g: GroupMap) -> GroupMap:
-    """The pointwise sum x -> f(x) * g(x), kept on f under g's id once its
-    images are checked to commute; a sum that raises is not kept."""
-    cod, fv, gv = f.codomain, f.values, g.values
-    _check_commuting(cod, fv, gv)
-    t = cod.table
-    f._sums = memo = f._sums or {}
-    memo[g._id] = h = _interned(f.domain, cod, tuple([t[a][b] for a, b in zip(fv, gv)]), None)
-    return h
-
-
-def _diff(f: GroupMap, g: GroupMap) -> GroupMap:
-    """The pointwise difference x -> f(x) * g(x)^-1, kept on f under g's id once
-    its images are checked to commute; a difference that raises is not kept."""
-    cod, fv, gv = f.codomain, f.values, g.values
-    _check_commuting(cod, fv, gv)
-    t, neg = cod.table, cod.inverse
-    f._diffs = memo = f._diffs or {}
-    memo[g._id] = h = _interned(f.domain, cod, tuple([t[a][neg[b]] for a, b in zip(fv, gv)]), None)
-    return h
-
-
-@_memoised
-def _zero(dom: FiniteGroup, cod: FiniteGroup) -> GroupMap:
-    """The interned zero map dom -> cod, kept on dom; a negation is a difference from it."""
-    return _interned(dom, cod, (cod.identity,) * dom.order, True)
-
-
-def _negated(f: GroupMap) -> GroupMap:
-    """x -> f(x)^-1, kept on the zero map under f's id (``_diff``)."""
-    z = _zero(f.domain, f.codomain)
-    return (z._diffs or _NO_MEMO).get(f._id) or _diff(z, f)
-
-
 def _sum_of_composites(fs: Sequence[GroupMap], gs: Sequence[GroupMap]) -> GroupMap:
     """The sum of fs[k] . gs[k], ascending in k, through the memos (``_composite``, ``_sum``)."""
     x = None
@@ -337,24 +278,6 @@ def _sum_of_composites(fs: Sequence[GroupMap], gs: Sequence[GroupMap]) -> GroupM
         t = (f._composites or _NO_MEMO).get(g._id) or _composite(f, g)
         x = t if x is None else (x._sums or _NO_MEMO).get(t._id) or _sum(x, t)
     return x
-
-
-def _pivot_inverse(f: GroupMap) -> GroupMap | bool:
-    """The inverse of the self-map f, an interned map; False when f is not a bijection.
-
-    Kept on f (``GroupMap._inv``).  A map asked first is resolved through its
-    factor's intern table, so each distinct (factor, values) is tested and
-    inverted once; the answer depends on the values alone, so it never goes
-    stale.
-    """
-    w = f._inv
-    if w is None:
-        g, v = f.domain, f.values
-        e = _interned(g, g, v, f._hom)
-        if e._inv is None:
-            e._inv = len(set(v)) == len(v) and _interned(g, g, _inverse(v), f._hom)
-        w = f._inv = e._inv
-    return w
 
 
 def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
@@ -371,7 +294,7 @@ def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
     and ``_sum``).  Every map they form goes through one intern table per
     (domain, codomain), kept on the domain group, so value-equal results are
     one object and the sums of different products share their memos.  The
-    public ``compose`` and ``pointwise_sum`` keep no memo.  The work runs as
+    public ``compose`` and ``pointwise_sum`` read the same memos.  The work runs as
     straight-line code made once per number of factors (``_multiplier``),
     which is at most ``_MULTIPLY_FACTOR_LIMIT``.
     """
@@ -631,7 +554,7 @@ def astruc_factorize(m: EndoMatrix) -> tuple[EndoMatrix, EndoMatrix, EndoMatrix,
     gamma, delta = m.entries[1]
     beta_hat = compose(invert(alpha), compose(beta, invert(delta)))
     # x -> x * (beta_hat(gamma(x)))^-1
-    correction = pointwise_diff(identity_map(h), compose(beta_hat, gamma), require_commuting=True)
+    correction = pointwise_diff(identity_map(h), compose(beta_hat, gamma))
     if not is_bijective(correction):
         raise FactorizationError(
             "unitriangular correction 1 - beta*gamma is not bijective; "

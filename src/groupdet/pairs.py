@@ -266,7 +266,7 @@ def a_subgroup_check(
     """
     _check_enum_bound((h, k), max_product_order)
     for xi, mu in _failing_pairs(h, k):
-        return False, pointwise_sum(identity_map(h), compose(xi, mu), require_commuting=True)
+        return False, pointwise_sum(identity_map(h), compose(xi, mu))
     return True, None
 
 

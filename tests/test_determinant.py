@@ -39,13 +39,12 @@ from groupdet import (
     is_bijective,
     is_invertible_via_det,
     matrix_multiply,
-    negate,
-    pointwise_diff,
     recompose,
     zero_map,
 )
 from groupdet import determinant
-from groupdet.matrices import _built_matrix, _intern_table
+from groupdet.maps import _intern_table
+from groupdet.matrices import _built_matrix
 
 
 def _pg(*specs):
@@ -230,20 +229,41 @@ def _tried_orders(facs):
     return [(2, 1), (1, 2), (0, 2), (2, 0), (0, 1), (1, 0)]
 
 
+def _raw_inverse(v):
+    """The inverse of a bijection held as a value tuple."""
+    out = [0] * len(v)
+    for x, y in enumerate(v):
+        out[y] = x
+    return tuple(out)
+
+
+def _raw_composite(*vs):
+    """The composite of value tuples, the last applied first."""
+    out = vs[-1]
+    for v in reversed(vs[:-1]):
+        out = tuple(v[x] for x in out)
+    return out
+
+
+def _raw_diff(g, a, b):
+    """x -> a(x) * b(x)^-1 in g, on value tuples."""
+    return tuple(g.table[x][g.inverse[y]] for x, y in zip(a, b))
+
+
 def _dead_pivot(m, order):
     """The first pivot of ``order`` that is not bijective once the earlier
-    ones are eliminated, or None; computed with maps operations only."""
-    state = {(i, j): m.entries[i][j] for i in range(m.n) for j in range(m.n)}
+    ones are eliminated, or None; computed on raw value tuples."""
+    state = {(i, j): m.entries[i][j].values for i in range(m.n) for j in range(m.n)}
     alive = list(range(m.n))
     for k, p in enumerate(order, 1):
-        if not is_bijective(state[p, p]):
+        if len(set(state[p, p])) != len(state[p, p]):
             return p
         if k == len(order):
             return None
-        w = invert(state[p, p])
+        w = _raw_inverse(state[p, p])
         alive.remove(p)
         state = {
-            (i, j): pointwise_diff(state[i, j], compose(state[i, p], compose(w, state[p, j])))
+            (i, j): _raw_diff(m.factors[i], state[i, j], _raw_composite(state[i, p], w, state[p, j]))
             for i in alive for j in alive
         }
 
@@ -390,16 +410,21 @@ def test_inverse_stays_in_A_with_reciprocal_det():
 
 def _pleasant_inverse(m):
     """The paper's symmetric inverse of a 2 x 2 member of A with bijective
-    determinants, from the public API:
+    determinants, from raw value tuples:
 
         ( det_h^-1,                       -alpha^-1 . beta . det_k^-1 )
         ( -delta^-1 . gamma . det_h^-1,   det_k^-1                    )
     """
-    (alpha, beta), (gamma, delta) = m.entries
-    dh_inv, dk_inv = invert(det_h(m)), invert(det_k(m))
+    h, k = m.factors
+    (alpha, beta), (gamma, delta) = ((e.values for e in row) for row in m.entries)
+    alpha_inv, delta_inv = _raw_inverse(alpha), _raw_inverse(delta)
+    dh_inv = _raw_inverse(_raw_diff(h, alpha, _raw_composite(beta, delta_inv, gamma)))
+    dk_inv = _raw_inverse(_raw_diff(k, delta, _raw_composite(gamma, alpha_inv, beta)))
+    ne = _raw_diff(h, (h.identity,) * k.order, _raw_composite(alpha_inv, beta, dk_inv))
+    sw = _raw_diff(k, (k.identity,) * h.order, _raw_composite(delta_inv, gamma, dh_inv))
     return (
-        (dh_inv, negate(compose(invert(alpha), compose(beta, dk_inv)))),
-        (negate(compose(invert(delta), compose(gamma, dh_inv))), dk_inv),
+        (GroupMap(h, h, dh_inv), GroupMap(k, h, ne)),
+        (GroupMap(h, k, sw), GroupMap(k, k, dk_inv)),
     )
 
 
@@ -692,6 +717,7 @@ def test_a_repeated_invert_reads_only_memos(monkeypatch):
     """A second invert of a matrix forms no map: on every automorphism matrix
     of S3 x C4 and C2 x C2 x C3 it calls none of the routines that form or
     intern one, and returns the very entries of the first."""
+    import groupdet.maps as maps_mod
     import groupdet.matrices as mat_mod
 
     names = ("_product_of_composites", "_interned", "_composite", "_sum", "_diff")
@@ -703,7 +729,7 @@ def test_a_repeated_invert_reads_only_memos(monkeypatch):
             return fn(*args)
         return call
 
-    for mod in (mat_mod, determinant):
+    for mod in (maps_mod, mat_mod, determinant):
         for name in names:
             if hasattr(mod, name):
                 monkeypatch.setattr(mod, name, counted(name, getattr(mod, name)))
@@ -730,14 +756,14 @@ def test_a_repeated_invert_reads_only_memos(monkeypatch):
 
 def _counted_det_mod(monkeypatch):
     """The determinant module with its steps, pivot-inverse lookups and raw
-    inversions (``matrices._pivot_inverse`` calls ``_inverse``) each appended
+    inversions (``maps._pivot_inverse`` calls ``_inverse``) each appended
     to a list as they run; a lookup is recorded as the (factor, values) of
     the map looked up."""
     import groupdet.determinant as det_mod
-    import groupdet.matrices as mat_mod
+    import groupdet.maps as maps_mod
 
     steps, lookups, inversions = [], [], []
-    step, lookup, inverse = det_mod._step, det_mod._pivot_inverse, mat_mod._inverse
+    step, lookup, inverse = det_mod._step, det_mod._pivot_inverse, maps_mod._inverse
 
     def counted_step(factors, node, p):
         out = step(factors, node, p)
@@ -754,7 +780,7 @@ def _counted_det_mod(monkeypatch):
 
     monkeypatch.setattr(det_mod, "_step", counted_step)
     monkeypatch.setattr(det_mod, "_pivot_inverse", counted_lookup)
-    monkeypatch.setattr(mat_mod, "_inverse", counted_inverse)
+    monkeypatch.setattr(maps_mod, "_inverse", counted_inverse)
     return det_mod, steps, lookups, inversions
 
 
@@ -893,11 +919,12 @@ def test_two_by_two_calls_step_once_per_branch(monkeypatch):
 
 def _corrects_both_pivots(m):
     """m is invertible, and beta . delta^-1 . gamma and gamma . alpha^-1 . beta
-    are both nonzero, so det_h differs from alpha and det_k from delta."""
-    (alpha, beta), (gamma, delta) = m.entries
+    are both nonzero, so det_h differs from alpha and det_k from delta;
+    read from raw value tuples, so no map keeps an inverse."""
+    (alpha, beta), (gamma, delta) = ((e.values for e in row) for row in m.entries)
     h, k = m.factors
-    return (compose(beta, compose(invert(delta), gamma)) != zero_map(h, h)
-            and compose(gamma, compose(invert(alpha), beta)) != zero_map(k, k)
+    return (_raw_composite(beta, _raw_inverse(delta), gamma) != (h.identity,) * h.order
+            and _raw_composite(gamma, _raw_inverse(alpha), beta) != (k.identity,) * k.order
             and is_bijective(recompose(m, ProductGroup.of(h, k))))
 
 
@@ -935,7 +962,7 @@ def test_pivot_inverse_decides_bijectivity_and_keeps_each_inverse():
     """On every endomorphism of S3, D8, Q8 and C12: False when it is not a
     bijection, else the inverse as a map of the factor, and the same object
     when asked again, for the map or for a new map of equal values."""
-    from groupdet.matrices import _pivot_inverse
+    from groupdet.maps import _pivot_inverse
 
     for g in _fresh("S3", "D8", "Q8", "C12"):
         endos = enumerate_homs(g, g)

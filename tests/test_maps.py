@@ -586,14 +586,21 @@ def test_homomorphisms_distribute_over_pointwise_sum(data):
     assert left.values == right.values
 
 
-def test_require_commuting_flag():
-    from groupdet import NoncommutingImagesError
+def test_sums_check_commuting_and_public_operations_share_the_interned_maps(monkeypatch):
+    from groupdet import (
+        NoncommutingImagesError,
+        det_h,
+        enumerate_A,
+        invert_via_det,
+        is_invertible_via_det,
+        matrix_multiply,
+    )
 
     s3 = build_group("S3")
     ident = identity_map(s3)
     # identity + identity evaluates x*x, whose image elements commute with
-    # themselves, so the guarded sum is fine
-    pointwise_sum(ident, ident, require_commuting=True)
+    # themselves, so the checked sum is fine
+    pointwise_sum(ident, ident)
     endos = enumerate_endos(s3)
     noncommuting = None
     for f in endos:
@@ -606,4 +613,78 @@ def test_require_commuting_flag():
             break
     assert noncommuting is not None
     with pytest.raises(NoncommutingImagesError):
-        pointwise_sum(*noncommuting, require_commuting=True)
+        pointwise_sum(*noncommuting)
+    with pytest.raises(NoncommutingImagesError):
+        pointwise_diff(*noncommuting)
+
+    # on operands with equal values but new ids, a public operation returns
+    # the very map the product or the elimination interned
+    h, k = _fresh("D8"), _fresh("C4")
+    m = next(
+        m for m in enumerate_A((h, k))
+        if m.entries[0][1] != zero_map(k, h) and m.entries[1][0] != zero_map(h, k)
+        and is_invertible_via_det(m)
+    )
+    cell = matrix_multiply(m, m).entries[0][1]
+    det = det_h(m)
+    corner = invert_via_det(m).entries[0][1]
+    (alpha, beta), (gamma, delta) = (
+        [GroupMap(e.domain, e.codomain, e.values) for e in row] for row in m.entries
+    )
+    assert pointwise_sum(compose(alpha, beta), compose(beta, delta)) is cell
+    w = invert(delta)
+    assert pointwise_diff(alpha, compose(compose(beta, w), gamma)) is det
+    assert negate(GroupMap(k, h, [h.inv(y) for y in corner.values])) is corner
+    assert zero_map(k, h) is maps._intern_table(k, h)[(h.identity,) * k.order]
+
+    # a repeated public call forms no map
+    calls = [
+        (compose, (alpha, beta)),
+        (pointwise_sum, (alpha, alpha)),
+        (pointwise_diff, (alpha, compose(compose(beta, w), gamma))),
+        (negate, (gamma,)),
+        (invert, (delta,)),
+        (zero_map, (h, k)),
+    ]
+    first = [fn(*args) for fn, args in calls]
+    formed = []
+    monkeypatch.setattr(maps, "_interned", lambda *args: formed.append(args))
+    assert all(fn(*args) is out for (fn, args), out in zip(calls, first))
+    assert formed == []
+
+
+def _inverse_values(values):
+    out = [0] * len(values)
+    for x, y in enumerate(values):
+        out[y] = x
+    return tuple(out)
+
+
+def test_a_known_hom_flag_is_recorded_on_a_map_interned_unflagged():
+    """The inverse of a bijective homomorphism is marked as one even when a map
+    of its values was interned first with its flag unknown: by a sum, or as
+    the inverse of an unflagged copy; so is a composite of homomorphisms."""
+    for spec in ("S3", "C5"):
+        g = _fresh(spec)
+        zero = zero_map(g, g)
+        a = next(f for f in enumerate_autos(g) if f.values != _inverse_values(f.values))
+        assert a.hom_flag is True
+        summed = pointwise_sum(GroupMap(g, g, a.values), zero)
+        assert summed.hom_flag is None
+        assert compose(a, identity_map(g)) is summed and summed.hom_flag is True
+        summed = pointwise_sum(GroupMap(g, g, _inverse_values(a.values)), zero)
+        assert summed.hom_flag is None
+        assert invert(a) is summed and summed.hom_flag is True
+
+        g = _fresh(spec)
+        a = next(f for f in enumerate_autos(g) if f.values != _inverse_values(f.values))
+        unflagged = invert(GroupMap(g, g, a.values))
+        assert unflagged.hom_flag is None
+        assert invert(a) is unflagged and unflagged.hom_flag is True
+
+
+@pytest.mark.parametrize("k", [2.0, "3", True])
+def test_power_map_takes_only_an_int_of_at_least_one(k):
+    ident = identity_map(build_group("C4"))
+    with pytest.raises(PreconditionError, match="power must be an int >= 1"):
+        power_map(ident, k)

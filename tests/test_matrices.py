@@ -342,18 +342,25 @@ def test_matrix_multiply_memo_keeps_groups_and_failures():
 
 
 def _row_by_column(a, b):
-    """The product's cells from the public compose and pointwise_sum alone,
-    each summed in ascending column order."""
-    n = len(a.factors)
+    """The product's cells from raw value tuples, each summed in ascending
+    column order, its images checked to commute."""
+    facs = a.factors
+    n = len(facs)
     cells = []
     for i in range(n):
+        t = facs[i].table
         row = []
         for j in range(n):
-            acc = compose(a.entries[i][0], b.entries[0][j])
-            for k in range(1, n):
-                term = compose(a.entries[i][k], b.entries[k][j])
-                acc = pointwise_sum(acc, term, require_commuting=True)
-            row.append(acc)
+            acc = None
+            for k in range(n):
+                fv = a.entries[i][k].values
+                term = [fv[x] for x in b.entries[k][j].values]
+                if acc is None:
+                    acc = term
+                else:
+                    assert all(t[x][y] == t[y][x] for x, y in zip(acc, term))
+                    acc = [t[x][y] for x, y in zip(acc, term)]
+            row.append(GroupMap(facs[j], facs[i], acc))
         cells.append(row)
     return cells
 
@@ -473,7 +480,7 @@ def test_matrix_multiply_calls_the_memos_in_the_loop_order(monkeypatch):
 
 
 def test_matrix_multiply_interns_every_map_it_forms():
-    from groupdet import matrices
+    from groupdet import maps
 
     # composites of different operand pairs that are equal by value are one map
     mats = _fresh_m_matrices("S3", "C2")
@@ -481,7 +488,7 @@ def test_matrix_multiply_interns_every_map_it_forms():
     zero = next(e for e in enumerate_homs(s3, s3) if e.image() == {s3.identity})
     homs = enumerate_homs(c2, s3)
     assert len(homs) > 1
-    assert len({id(matrices._composite(zero, g)) for g in homs}) == 1
+    assert len({id(maps._composite(zero, g)) for g in homs}) == 1
     # so are the cells of every product over M(S3 x C2)
     cells = {}
     for a in mats:
