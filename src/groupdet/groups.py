@@ -18,7 +18,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from math import prod
+from math import lcm, prod
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -219,40 +219,48 @@ class FiniteGroup:
         labels: Optional[Sequence[str]] = None,
     ):
         rows, identity = _validate_table(table)
-        self._setup(rows, identity, name, labels)
+        self._setup(rows, identity, name, range(len(rows)) if labels is None else labels)
         if len(set(self.labels)) != self.order:
             twice = next(s for s in self.labels if self.labels.count(s) > 1)
             raise ValidationError(f"label {twice!r} is repeated")
 
     @classmethod
-    def _trusted(cls, rows: tuple, identity: int, name: str, labels: Sequence[str]):
+    def _trusted(cls, rows: tuple, identity: int, name: str, labels, inverse=None):
         """A group from tuple rows known to form a group table with this identity.
 
         Skips validation; only ``_product`` (behind ``direct_product``) and
         ``Subgroup.as_group`` call it, with tables derived from validated groups.
         """
         g = cls.__new__(cls)
-        g._setup(rows, identity, name, labels)
+        g._setup(rows, identity, name, labels, inverse)
         return g
 
-    def _setup(self, rows: tuple, identity: int, name: str, labels: Optional[Sequence[str]]):
+    def _setup(self, rows: tuple, identity: int, name: str, labels, inverse=None):
         order = len(rows)
         self.table = rows
         self.order = order
         self.name = name or f"table of order {order}"
         self.identity = identity
-        self.inverse = tuple(rows[x].index(self.identity) for x in range(order))
+        self.inverse = inverse or tuple(rows[x].index(identity) for x in range(order))
         if labels is not None:
             if len(labels) != order:
                 raise ValidationError(f"expected {order} labels, got {len(labels)}")
-            self.labels = tuple(str(s) for s in labels)
-        else:
-            self.labels = tuple(str(i) for i in range(order))
+            labels = tuple(str(s) for s in labels)
+        self._labels: Optional[tuple[str, ...]] = labels  # None for a product, until read
         # Set by direct_product for the groups it builds (None otherwise).
         self.factors: Optional[tuple[FiniteGroup, ...]] = None
         self.coords: Optional[tuple[tuple[int, ...], ...]] = None
         self._cache: dict = {}
         self._built = next(_build_count)
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """The element names; a product's, the tuples of its factors', are formed on first read."""
+        if self._labels is None:
+            names = [g.labels for g in self.factors]
+            self._labels = tuple(
+                f"({', '.join(map(operator.getitem, names, cs))})" for cs in self.coords)
+        return self._labels
 
     # -- element arithmetic ------------------------------------------------
 
@@ -555,7 +563,9 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
     ``coords[x]`` is the tuple of factor elements of x, and everything else
     reads those.  A product of groups is a group, so the table is not
     validated again; its identity is the number of the tuple of factor
-    identities.  The product is kept on the factor built last (``_product``),
+    identities.  Its inverses, element orders and class sizes are read off the
+    factors' as the table is built, and its labels are formed on first read.
+    The product is kept on the factor built last (``_product``),
     so every caller asking for the same factors gets the same group, and the
     product goes when that factor does: a product with a table file's group
     is not kept alive by an older catalog atom after the file is rewritten.
@@ -577,24 +587,30 @@ def direct_product(*factors: FiniteGroup) -> FiniteGroup:
 @_memoised
 def _product(newest: FiniteGroup, factors: tuple[FiniteGroup, ...]) -> FiniteGroup:
     # Fold in one factor at a time: with n = |g|, the pair (x, y) of an
-    # element x of the product so far and y of g becomes x*n + y.
+    # element x of the product so far and y of g becomes x*n + y, with inverse
+    # (x^-1, y^-1), order lcm(|x|, |y|) and class size |x^G| |y^G|.  Its row
+    # joins shifts[y][w], the numbers of (w, y*z) for z in g, along x's row.
     table: list = [(0,)]
     coords: list[tuple[int, ...]] = [()]
+    inverse, orders, sizes = [0], [1], [1]
     identity = 0
     for g in factors:
         n = g.order
-        table = [
-            tuple([x * n + y for x in row for y in grow]) for row in table for grow in g.table
-        ]
+        shifts = [[tuple([w * n + v for v in row]) for w in range(len(table))] for row in g.table]
+        table = [tuple(itertools.chain(*at(s))) for at in map(_composer, table) for s in shifts]
         coords = [c + (y,) for c in coords for y in range(n)]
+        inverse = [x * n + y for x in inverse for y in g.inverse]
+        orders = [lcm(a, b) for a in orders for b in g.element_orders]
+        sizes = [a * b for a in sizes for b in g.class_sizes]
         identity = identity * n + g.identity
-    labels = ["(" + ", ".join(g.labels[c] for g, c in zip(factors, cs)) + ")" for cs in coords]
     name = " x ".join(
         f"({g.name})" if g.factors is not None else g.name for g in factors
     )
-    product = FiniteGroup._trusted(tuple(table), identity, name, labels)
+    product = FiniteGroup._trusted(tuple(table), identity, name, None, tuple(inverse))
     product.factors = factors
     product.coords = tuple(coords)
+    product._cache[FiniteGroup.element_orders.fget,] = tuple(orders)  # ``_memoised``'s keys
+    product._cache[FiniteGroup.class_sizes.fget,] = tuple(sizes)
     return product
 
 

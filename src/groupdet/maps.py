@@ -465,6 +465,7 @@ def _maps_from_generator_images(
     codomain: FiniteGroup,
     pools: Sequence[Sequence[int]],
     injective: bool = False,
+    start: int = 0,
 ) -> Iterator[tuple[int, ...]]:
     """Yield the values of every homomorphism with gens[i] -> some c in pools[i].
 
@@ -482,17 +483,21 @@ def _maps_from_generator_images(
     map that never assigned the identity has trivial kernel, so it is
     injective.  A caller that needs only one extension takes the first value
     and drops the generator.
+
+    With ``start`` (``_aut_chain``'s endomorphisms fixing gens[:start]) the
+    map is the identity on their closure, where lower levels cannot fail: the
+    search starts at level ``start`` and yields what pools (gens[0],), ... would.
     """
     gens, levels = _prefix_layers(domain)
     tc = codomain.table
     e = codomain.identity
     k = len(gens)
-    values = [-1] * domain.order
+    values = list(range(domain.order)) if start else [-1] * domain.order
     values[domain.identity] = e
+    images = list(gens[:start]) + [-1] * (k - start)
     if k == 0:
         yield tuple(values)
         return
-    images = [-1] * k
     kernel = e if injective else -1  # -1 is no element, so homs never stop here
 
     def descend(i: int) -> Iterator[tuple[int, ...]]:
@@ -514,7 +519,7 @@ def _maps_from_generator_images(
                 else:
                     yield from descend(i + 1)
 
-    yield from descend(0)
+    yield from descend(start)
 
 
 def enumerate_homs(
@@ -578,7 +583,7 @@ def _aut_chain(g: FiniteGroup, central: bool) -> tuple[tuple[tuple[int, ...], ..
     A_i.  The candidates are the elements of the order and class size of
     gens[i] (``_candidate_images``), which include every image of gens[i]
     under an automorphism.  A candidate c not yet in the orbit gets one
-    search, with gens[:i] pinned to themselves and gens[i] sent to c.  The
+    search from level i, with gens[:i] fixed and gens[i] sent to c.  The
     search either stops at its first completion t_c, an element of A_i that
     becomes a mover, or ends without one, which proves that no member of A_i
     sends gens[i] to c.  After each hit the orbit is closed under the
@@ -605,13 +610,12 @@ def _aut_chain(g: FiniteGroup, central: bool) -> tuple[tuple[tuple[int, ...], ..
     movers: list[tuple[int, ...]] = []
     levels = []
     for i in reversed(range(len(gens))):
-        pinned = [(x,) for x in gens[:i]]
         orbit = {gens[i]: tuple(range(g.order))}
         for c in pools[i]:
             if c in orbit:
                 continue
             search = _maps_from_generator_images(
-                g, g, pinned + [(c,)] + pools[i + 1:], injective=True
+                g, g, pools[:i] + [(c,)] + pools[i + 1:], injective=True, start=i
             )
             t = next(search, None)
             if t is None:

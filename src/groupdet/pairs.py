@@ -22,6 +22,7 @@ from .groups import (
     _memoised,
     build_group,
     common_nontrivial_factor,
+    direct_product,
 )
 from .maps import (
     GroupMap,
@@ -33,7 +34,7 @@ from .maps import (
     is_normal_endo,
     pointwise_sum,
 )
-from .matrices import DEFAULT_AUT_ENUM_LIMIT, ProductGroup, _check_enum_bound, map_to_dict
+from .matrices import DEFAULT_AUT_ENUM_LIMIT, _check_enum_bound, map_to_dict
 
 __all__ = [
     "PairWitness",
@@ -343,7 +344,8 @@ def classify_pair(
     A-side fact once and reads neither the pair pass nor the common-factor
     search, so the cross-checks compare independent routes.  It decides
     whether A is inside Aut(H x K) too; if so, Aut = A iff |Aut(H x K)| =
-    |A|, and H x K is built only then.  The Aut-level facts degrade to None
+    |A|, and H x K is built only then, by ``direct_product`` alone.  The
+    Aut-level facts degrade to None
     (and ``incomplete=True``) when the product exceeds the enumeration bound.
     """
     hg = build_group(h) if isinstance(h, str) else h
@@ -362,7 +364,7 @@ def classify_pair(
     try:
         a_subgroup, _ = a_subgroup_check(hg, kg, max_product_order)
         a_equals_aut = a_subgroup and (
-            aut_order(ProductGroup.of(hg, kg).product) == _set_order(hg, kg, False)[1]
+            aut_order(direct_product(hg, kg)) == _set_order(hg, kg, False)[1]
         )
     except ResourceLimitError:
         incomplete = True

@@ -431,6 +431,44 @@ def test_unflattened_product_keeps_blocks():
     assert g.name == "C2 x (C2 x C4)"
 
 
+def _table_structure(g):
+    """Inverses, element orders and class sizes of g by plain loops over its table."""
+    t, e, n = g.table, g.identity, g.order
+    inverse = tuple(next(y for y in range(n) if t[x][y] == e) for x in range(n))
+    orders = []
+    for x in range(n):
+        y, k = x, 1
+        while y != e:
+            y, k = t[y][x], k + 1
+        orders.append(k)
+    sizes = tuple(len({t[t[inverse[a]][x]][a] for a in range(n)}) for x in range(n))
+    return inverse, tuple(orders), sizes
+
+
+def test_product_structure_from_factors_matches_its_table():
+    c1, c2, c3, s3 = (build_group(s) for s in ("C1", "C2", "C3", "S3"))
+    products = [build_group(f"{a} x {b}") for i, a in enumerate(CATALOG) for b in CATALOG[i:]]
+    assert len(products) == 55
+    products += [
+        build_group("C2 x C2 x C3"),
+        direct_product(direct_product(s3, s3), c2),
+        direct_product(c2, c1, c3),
+        direct_product(build_group("D8 x C4"), build_group("Q8 x C2")),
+    ]
+    for g in products:
+        assert (g.inverse, g.element_orders, g.class_sizes) == _table_structure(g), g.name
+        names = [f.labels for f in g.factors]
+        assert g.labels == tuple(
+            "(" + ", ".join(names[i][c] for i, c in enumerate(cs)) + ")" for cs in g.coords
+        ), g.name
+    assert products[-3].labels[1] == "((012, 012), 1)"
+    assert products[-1].labels[-1] == "((sr3, 3), (-k, 1))"
+    # The orders and class sizes are given, not walked: no classes are found.
+    fresh = direct_product(*(FiniteGroup(g.table, g.name) for g in (s3, c2)))
+    assert fresh.class_sizes == _table_structure(fresh)[2]
+    assert (FiniteGroup.conjugacy_classes.fget,) not in fresh._cache
+
+
 def test_center_and_derived_subgroup():
     for spec, z_order in CENTER_ORDERS.items():
         g = build_group(spec)

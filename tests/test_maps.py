@@ -38,7 +38,13 @@ from groupdet import (
     zero_map,
 )
 from groupdet import groups, maps
-from groupdet.maps import AUT_LIST_LIMIT, _aut_chain, _chain_listing, _maps_from_generator_images
+from groupdet.maps import (
+    AUT_LIST_LIMIT,
+    _aut_chain,
+    _candidate_images,
+    _chain_listing,
+    _maps_from_generator_images,
+)
 
 HOM_COUNTS = {
     ("C4", "C2"): 2,
@@ -446,6 +452,26 @@ def test_orbit_chain_matches_per_candidate_chain(spec, central):
     if prod(len(reps) for reps in oracle) <= AUT_LIST_LIMIT:
         listing = central_aut_group(g) if central else enumerate_autos(g)
         assert [f.values for f in listing] == _chain_product_values(oracle, g.order)
+
+
+START_SPECS = [s for s in CHAIN_SPECS if build_group(s).order <= 64] + ["E2^4", "Q8 x Q8 x C2"]
+
+
+@pytest.mark.parametrize("spec", START_SPECS)
+def test_search_started_at_its_level_matches_the_pinned_pools(spec):
+    """A chain search started at level i, with gens[:i] fixed, finds the same
+    first completion (or none) as the search with those generators pinned
+    to themselves by one-element pools."""
+    g = build_group(spec)
+    gens = g.generators()
+    pools = _candidate_images(g, g, None, exact_order=True)
+    for i in range(len(gens)):
+        pinned = [(x,) for x in gens[:i]]
+        for c in pools[i]:
+            rest = [(c,)] + pools[i + 1:]
+            started = _maps_from_generator_images(g, g, pools[:i] + rest, injective=True, start=i)
+            slow = _maps_from_generator_images(g, g, pinned + rest, injective=True)
+            assert next(started, None) == next(slow, None), (i, c)
 
 
 def test_is_bijective_examples():

@@ -437,6 +437,7 @@ def test_classify_reads_the_verdict_without_witnesses_or_needless_products(monke
     monkeypatch.setattr(
         matrices, "direct_product", counting("product", matrices.direct_product)
     )
+    monkeypatch.setattr(pairs, "direct_product", counting("product", pairs.direct_product))
     for module in (autcompare, matrices):
         monkeypatch.setattr(module, "decompose", counting("decompose", module.decompose))
     # compare_aut_vs_A and compare_autc_vs_Z both run through this routine.
