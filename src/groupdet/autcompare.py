@@ -26,6 +26,7 @@ from .maps import (
     _chain_order,
     _chain_products,
     _derived_map,
+    _interned,
     _inverse,
     compose,
     enumerate_homs,
@@ -153,16 +154,17 @@ def _counted_comparison(
 
     Witnesses, up to WITNESS_CAP per side: ``set_minus_aut`` holds
     [[lam, lam.xi^-1], [nu.mu, nu]] over the failing (xi, mu) in order,
-    then lam, then nu fastest, lam and nu walked through the chain products
-    (members of the set by construction, so built unchecked); ``aut_minus_set``
-    holds the members of the chain of H x K (level 0 fastest) outside the set,
+    then lam, then nu fastest, lam and nu the interned maps of the chain
+    products (members of the set by construction, so built unchecked);
+    ``aut_minus_set`` holds the members of the chain of H x K (level 0
+    fastest) outside the set, each made as a map that is not kept and
     decomposed one at a time until all of them, or WITNESS_CAP, are found.
     """
     _check_enum_bound((h, k), max_product_order)
     pg = ProductGroup.of(h, k)
 
     def autos(g: FiniteGroup):
-        return (_derived_map(g, g, v, hom=True) for v in _chain_products(g, central))
+        return (_interned(g, g, v, True) for v in _chain_products(g, central))
 
     diagonal, set_order = _set_order(h, k, central)
     failing = _failing_pairs(h, k)
@@ -173,9 +175,10 @@ def _counted_comparison(
         for xi, mu in first for lam in autos(h) for nu in autos(k)
     ), WITNESS_CAP))
     in_both = set_order - diagonal * n_failing
-    aut = _chain_order(pg.product, central)
+    p = pg.product
+    aut = _chain_order(p, central)
     member = in_Z if central else in_A
-    chain = (decompose(f, pg) for f in autos(pg.product))
+    chain = (decompose(_derived_map(p, p, v, hom=True), pg) for v in _chain_products(p, central))
     aut_minus_set = tuple(islice(
         (m for m in chain if not member(m)), min(WITNESS_CAP, aut - in_both)
     ))
@@ -260,16 +263,13 @@ def verify_stem_semidirect(
         )
     members = enumerate_A((h, k), max_product_order)
     all_keys = {m.key() for m in members}
-    id_h = identity_map(h).values
-    id_k = identity_map(k).values
-    zero_kh = zero_map(k, h).values
-    zero_hk = zero_map(h, k).values
-    diag = [m for m in members
-            if m.entries[0][1].values == zero_kh and m.entries[1][0].values == zero_hk]
-    nset = [m for m in members
-            if m.entries[0][0].values == id_h and m.entries[1][1].values == id_k]
-    upper = [m for m in nset if m.entries[1][0].values == zero_hk]
-    lower = [m for m in nset if m.entries[0][1].values == zero_kh]
+    # the entries, identity and zero maps are interned: one map per value tuple
+    id_h, id_k = identity_map(h), identity_map(k)
+    zero_kh, zero_hk = zero_map(k, h), zero_map(h, k)
+    diag = [m for m in members if m.entries[0][1] is zero_kh and m.entries[1][0] is zero_hk]
+    nset = [m for m in members if m.entries[0][0] is id_h and m.entries[1][1] is id_k]
+    upper = [m for m in nset if m.entries[1][0] is zero_hk]
+    lower = [m for m in nset if m.entries[0][1] is zero_kh]
     n_keys = {m.key() for m in nset}
 
     n_is_subgroup = all(

@@ -23,8 +23,9 @@ inverses the steps kept, by the 2 x 2 block formulas, so a repeated invert
 forms no map.  Determinants and inverse entries are interned maps.
 
 Every bijectivity test and every inverse, of a pivot or of a determinant,
-is one lookup in ``_pivot_inverse``, which keeps the answer on the map:
-across calls each distinct (factor, values) is tested and inverted once.
+is one lookup in ``_pivot_inverse``, which keeps the answer on the map; the
+library keeps one map per (factor, values), so each is tested and inverted
+once, across calls.
 
 A determinant can be *undefined* (no bijective pivot at some step) without
 the matrix being singular; that situation raises DeterminantUndefinedError

@@ -5,8 +5,10 @@ applies the right-hand map first, matching the usual reading of a juxtaposed
 product of maps.  The pointwise sum (f + g)(x) = f(x) * g(x) and difference
 (f - g)(x) = f(x) * g(x)^-1 multiply images left to right, and raise
 NoncommutingImagesError unless f(x) and g(x) commute for every x: only then
-is a sum of homomorphisms a homomorphism.  Every operation returns the one
-interned map of its values (``_interned``), kept on its left operand.
+is a sum of homomorphisms a homomorphism.  The library keeps one map per
+(domain, codomain, values), made by ``_interned``: every operation reads its
+operands as those maps (``_adopted``) and returns one, kept on its left
+operand, and so do the listings, identity, zero and product maps.
 """
 from __future__ import annotations
 
@@ -64,7 +66,8 @@ class GroupMap:
     operand, keyed by the right one's id, None until its first miss
     (``_composite``, ``_sum`` and ``_diff`` below).  ``_inv`` is the inverse
     ``_pivot_inverse`` found, an interned map, or False when the map is not
-    bijective; None until asked.
+    bijective; None until asked.  A map built here is outside the intern
+    table until an operation or ``EndoMatrix`` adopts it (``_adopted``).
     """
 
     __slots__ = ("domain", "codomain", "values", "_hom", "_image", "_id",
@@ -152,9 +155,11 @@ def _derived_map(
 
     ``values`` must be a tuple of codomain indices, one per domain element; it
     is stored as given, without the public constructor's coercion, range and
-    ``hom`` checks.  Callers are the identity map, the intern table
-    (``_interned``) and the hom/auto search below, the product code
-    (``ProductGroup``, ``recompose``), and the chain walk of ``autcompare``.
+    ``hom`` checks.  The maps the library keeps are made here by ``_interned``
+    alone.  The other callers' maps are never kept or never reach the map
+    algebra, so interning them would only grow the tables: ``recompose``'s
+    result (interned, it would live as long as its product), the composites
+    of ``pairs._CompositeFacts`` and ``autcompare``'s walk over Aut(H x K).
     """
     f = object.__new__(GroupMap)
     f.domain = domain
@@ -167,24 +172,21 @@ def _derived_map(
     return f
 
 
-def identity_map(g: FiniteGroup) -> GroupMap:
-    return _derived_map(g, g, tuple(range(g.order)), hom=True)
-
-
 # Read in place of a memo not yet made; never written.
 _NO_MEMO: dict = {}
 
 
 @_memoised
 def _intern_table(dom: FiniteGroup, cod: FiniteGroup) -> dict:
-    """The one map per value tuple dom -> cod that the map algebra, ``decompose``
-    or the determinant layer has formed or looked up."""
+    """The one map per value tuple dom -> cod that the library has made,
+    listed or been handed (``_adopted``)."""
     return {}
 
 
 def _interned(dom: FiniteGroup, cod: FiniteGroup, values: tuple, hom: Optional[bool]) -> GroupMap:
-    """The interned map dom -> cod with these values, made on first sight; a
-    known ``hom`` flag is recorded on a map found unflagged."""
+    """The interned map dom -> cod with these values, made on first sight: the
+    one maker of the maps the library keeps.  A known ``hom`` flag is
+    recorded on a map found unflagged."""
     table = _intern_table(dom, cod)
     f = table.get(values)
     if f is None:
@@ -192,6 +194,12 @@ def _interned(dom: FiniteGroup, cod: FiniteGroup, values: tuple, hom: Optional[b
     elif f._hom is None:
         f._hom = hom
     return f
+
+
+@_memoised
+def identity_map(g: FiniteGroup) -> GroupMap:
+    """The identity of g: the interned one, kept on g."""
+    return _interned(g, g, tuple(range(g.order)), True)
 
 
 @_memoised
@@ -256,61 +264,65 @@ def _inverse(values: tuple[int, ...]) -> tuple[int, ...]:
 
 def _pivot_inverse(f: GroupMap) -> GroupMap | bool:
     """The inverse of f, an interned map codomain -> domain; False when f is
-    not a bijection.
-
-    Kept on f (``GroupMap._inv``).  A map asked first is resolved through its
-    intern table, so each distinct (domain, codomain, values) is tested and
-    inverted once; the answer depends on the values alone, so it never goes
-    stale.
-    """
+    not a bijection.  Kept on f (``GroupMap._inv``): f is the one interned
+    map of its values, so each is tested and inverted once, and the answer,
+    which depends on the values alone, never goes stale."""
     w = f._inv
     if w is None:
-        dom, cod, v = f.domain, f.codomain, f.values
-        e = _interned(dom, cod, v, f._hom)
-        if e._inv is None:
-            bijective = len(set(v)) == len(v) == cod.order
-            e._inv = bijective and _interned(cod, dom, _inverse(v), f._hom)
-        w = f._inv = e._inv
+        bijective = len(set(f.values)) == f.domain.order == f.codomain.order
+        w = f._inv = bijective and _interned(f.codomain, f.domain, _inverse(f.values), f._hom)
     return w
 
 
-def _check_composable(f: GroupMap, g: GroupMap) -> None:
+def _adopted(f: GroupMap) -> GroupMap:
+    """The interned map of f's values, f itself when they are new; forms no
+    map.  A hom flag known to f alone is recorded by ``_interned``."""
+    dom, cod, v = f.domain, f.codomain, f.values
+    e = _intern_table(dom, cod).setdefault(v, f)
+    return e if e._hom is not None or f._hom is None else _interned(dom, cod, v, f._hom)
+
+
+def _composable(f: GroupMap, g: GroupMap) -> tuple[GroupMap, GroupMap]:
+    """The interned maps of f and g (``_adopted``), once f . g is defined."""
     if g.codomain is not f.domain:
         raise StructuralError(
             f"cannot compose: right map lands in {g.codomain.name}, "
             f"left map starts at {f.domain.name}"
         )
+    return _adopted(f), _adopted(g)
 
 
 def compose(f: GroupMap, g: GroupMap) -> GroupMap:
     """The composite x -> f(g(x)); the right-hand map applies first
     (``_composite``)."""
-    _check_composable(f, g)
+    f, g = _composable(f, g)
     return (f._composites or _NO_MEMO).get(g._id) or _composite(f, g)
 
 
-def _check_parallel(f: GroupMap, g: GroupMap) -> None:
+def _parallel(f: GroupMap, g: GroupMap) -> tuple[GroupMap, GroupMap]:
+    """The interned maps of f and g (``_adopted``), once they are parallel."""
     if f.domain is not g.domain or f.codomain is not g.codomain:
         raise StructuralError("pointwise operations need identical domain and codomain")
+    return _adopted(f), _adopted(g)
 
 
 def pointwise_sum(f: GroupMap, g: GroupMap) -> GroupMap:
     """x -> f(x) * g(x), multiplying images left to right; the images must
     commute (``_sum``)."""
-    _check_parallel(f, g)
+    f, g = _parallel(f, g)
     return (f._sums or _NO_MEMO).get(g._id) or _sum(f, g)
 
 
 def pointwise_diff(f: GroupMap, g: GroupMap) -> GroupMap:
     """x -> f(x) * g(x)^-1, multiplying images left to right; the images must
     commute (``_diff``)."""
-    _check_parallel(f, g)
+    f, g = _parallel(f, g)
     return (f._diffs or _NO_MEMO).get(g._id) or _diff(f, g)
 
 
 def negate(f: GroupMap) -> GroupMap:
     """x -> f(x)^-1 (``_negated``)."""
-    return _negated(f)
+    return _negated(_adopted(f))
 
 
 def is_bijective(f: GroupMap) -> bool:
@@ -326,6 +338,7 @@ def invert(f: GroupMap) -> GroupMap:
 
     The inverse of a bijective homomorphism is marked as a homomorphism.
     """
+    f = _adopted(f)
     w = _pivot_inverse(f)
     if w is False:
         raise InversionError(f"map is not bijective: {f!r}")
@@ -552,7 +565,7 @@ def _hom_listing(
     """``enumerate_homs`` with images in ``allowed`` (None for anywhere)."""
     pools = _candidate_images(domain, codomain, allowed, exact_order=False)
     found = sorted(_maps_from_generator_images(domain, codomain, pools))
-    return tuple(_derived_map(domain, codomain, v, hom=True) for v in found)
+    return tuple(_interned(domain, codomain, v, True) for v in found)
 
 
 def enumerate_endos(g: FiniteGroup) -> tuple[GroupMap, ...]:
@@ -681,7 +694,7 @@ def _chain_listing(g: FiniteGroup, central: bool) -> tuple[GroupMap, ...]:
             f"over the listing bound {AUT_LIST_LIMIT}"
         )
     values = sorted(_chain_products(g, central))
-    return tuple(_derived_map(g, g, v, hom=True) for v in values)
+    return tuple(_interned(g, g, v, True) for v in values)
 
 
 def enumerate_autos(g: FiniteGroup) -> tuple[GroupMap, ...]:
@@ -714,21 +727,14 @@ def fitting_decomposition(f: GroupMap) -> tuple[int, DirectFactorization]:
     """
     if not is_normal_endo(f):
         raise PreconditionError("fitting decomposition needs a normal endomorphism")
-    g = f.domain
-    e = g.identity
-    power = f
-    r = 1
+    g, e = f.domain, f.domain.identity
+    power, r, last = f, 0, None
     while True:
-        im_r = frozenset(power.values)
-        ker_r = frozenset(x for x in range(g.order) if power.values[x] == e)
-        nxt = compose(f, power)
-        im_n = frozenset(nxt.values)
-        ker_n = frozenset(x for x in range(g.order) if nxt.values[x] == e)
-        if im_r == im_n and ker_r == ker_n:
+        # power is f^(r+1); last holds the image and kernel of f^r
+        im_ker = power.image(), frozenset(x for x, y in enumerate(power.values) if y == e)
+        if im_ker == last:
             break
-        power = nxt
-        r += 1
-        if r > g.order:
+        if r == g.order:
             raise StructuralError("image/kernel chains failed to stabilize")
-    factorization = DirectFactorization(g, Subgroup(g, im_r), Subgroup(g, ker_r))
-    return r, factorization
+        last, power, r = im_ker, compose(f, power), r + 1
+    return r, DirectFactorization(g, Subgroup(g, last[0]), Subgroup(g, last[1]))

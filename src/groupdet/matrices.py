@@ -29,6 +29,7 @@ from .maps import (
     _NO_MEMO,
     GroupMap,
     _chain_listing,
+    _adopted,
     _composite,
     _derived_map,
     _interned,
@@ -66,8 +67,6 @@ __all__ = [
 ]
 
 DEFAULT_AUT_ENUM_LIMIT = 64
-# enumerate_m_matrices refuses a set of more matrices than this.
-_M_MATRIX_LIMIT = 2_000_000
 # matrix_multiply refuses matrices over more factors than this: its code has
 # n^3 terms (making it took 0.16 s and 36 MB at n = 16, 1.0 s and 270 MB at
 # n = 32, on a 2-core x86-64 box with Python 3.11.7).
@@ -89,17 +88,14 @@ class ProductGroup:
         self.product = product
         self.factors = product.factors
         self.projections = tuple(
-            _derived_map(product, f, column, hom=True)
+            _interned(product, f, column, True)
             for f, column in zip(self.factors, zip(*product.coords))
         )
         index = {c: x for x, c in enumerate(product.coords)}
         ids = tuple(f.identity for f in self.factors)
         self.injections = tuple(
-            _derived_map(
-                f,
-                product,
-                tuple(index[ids[:i] + (y,) + ids[i + 1:]] for y in range(f.order)),
-                hom=True,
+            _interned(
+                f, product, tuple(index[ids[:i] + (y,) + ids[i + 1:]] for y in range(f.order)), True
             )
             for i, f in enumerate(self.factors)
         )
@@ -149,6 +145,7 @@ class EndoMatrix:
 
     Construction validates the shape, the entry domains and codomains, the
     homomorphism property of every entry, and the row commutation condition.
+    Its entries are the interned maps of the given maps' values (``_adopted``).
     Matrices that are valid by how they were made (enumerations, products,
     decompositions, inverses) come from ``_built_matrix`` instead.
     """
@@ -164,7 +161,7 @@ class EndoMatrix:
         n = len(facs)
         if not n:
             raise StructuralError("a matrix needs at least one factor")
-        rows = tuple(tuple(row) for row in entries)
+        rows = tuple(tuple(_adopted(e) for e in row) for row in entries)
         if len(rows) != n or any(len(r) != n for r in rows):
             raise StructuralError(f"expected a {n} x {n} matrix of maps")
         self.factors = facs
@@ -239,7 +236,6 @@ def decompose(phi: GroupMap, pg: Optional[ProductGroup] = None) -> EndoMatrix:
     )
     # entry (i, j) is pi_i . phi . iota_j, a homomorphism; a row commutes because
     # elements of different factors commute in the product and phi keeps them so.
-    # Interned, so value-equal entries of two decompositions share their memos.
     return _built_matrix(facs, rows)
 
 
@@ -291,12 +287,10 @@ def matrix_multiply(a: EndoMatrix, b: EndoMatrix) -> EndoMatrix:
     Each composite and sum is kept on its left operand, keyed by the right
     operand's id (``GroupMap._id``): it is computed, and for a sum its
     commutation checked, the first time that pair is seen (``_composite``
-    and ``_sum``).  Every map they form goes through one intern table per
-    (domain, codomain), kept on the domain group, so value-equal results are
-    one object and the sums of different products share their memos.  The
-    public ``compose`` and ``pointwise_sum`` read the same memos.  The work runs as
-    straight-line code made once per number of factors (``_multiplier``),
-    which is at most ``_MULTIPLY_FACTOR_LIMIT``.
+    and ``_sum``).  Every map they form is interned, so value-equal results
+    are one object, whose memos every product and the public ``compose`` and
+    ``pointwise_sum`` share.  The work runs as straight-line code made once
+    per number of factors (``_multiplier``), at most ``_MULTIPLY_FACTOR_LIMIT``.
     """
     factors = a.factors
     if factors != b.factors:
@@ -516,16 +510,13 @@ def enumerate_m_matrices(factors: Sequence[FiniteGroup]) -> Sequence[EndoMatrix]
 
     Rows are filtered independently by ``_commuting_rows`` (the condition only
     couples entries within a row), and the set holds only those row choices:
-    its members are their combinations in ``itertools.product`` order.  ``_M_MATRIX_LIMIT`` guards
-    against runaway products.  Every entry comes from ``enumerate_homs`` with
-    the right domain and codomain, and every row passed the commutation
-    filter, so the matrices come from ``_built_matrix`` unchecked.
+    its members are their combinations in ``itertools.product`` order, built
+    on access.  Every entry comes from ``enumerate_homs`` with the right
+    domain and codomain, and every row passed the commutation filter, so the
+    matrices come from ``_built_matrix`` unchecked.
     """
     facs = tuple(factors)
-    mats = _MatrixSet(facs, [_commuting_rows(facs, target) for target in facs])
-    if len(mats) > _M_MATRIX_LIMIT:
-        raise ResourceLimitError(f"{len(mats)} matrices exceed the bound {_M_MATRIX_LIMIT}")
-    return mats
+    return _MatrixSet(facs, [_commuting_rows(facs, target) for target in facs])
 
 
 def enumerate_aut_matrices(

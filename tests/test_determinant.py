@@ -19,6 +19,7 @@ from groupdet import (
     branch_determinant,
     build_group,
     catalog_groups,
+    central_aut_group,
     compose,
     decompose,
     det_A,
@@ -977,3 +978,83 @@ def test_pivot_inverse_decides_bijectivity_and_keeps_each_inverse():
             assert all(f(w(y)) == y for y in range(g.order)), (g.name, f.values)
             assert _pivot_inverse(f) is w
             assert _pivot_inverse(GroupMap(g, g, f.values)) is w
+
+
+def _memo_entries(facs):
+    """Entries of the map-algebra memos on the interned maps between ``facs``."""
+    return sum(
+        len(memo or ())
+        for dom in facs for cod in facs for f in _intern_table(dom, cod).values()
+        for memo in (f._composites, f._sums, f._diffs)
+    )
+
+
+def test_every_map_the_library_keeps_is_the_one_interned_map_of_its_values():
+    """Listings, identity and zero maps, product projections and injections
+    and decompose entries are each ``_intern_table(dom, cod)[values]``, over
+    the catalog, its products of order <= 32 and C2 x C2 x C3.  Deciding and
+    inverting every member of M(S3 x C4) and M(C2 x C2 x C3) then leaves no
+    two live maps of one (domain, codomain, values)."""
+    import gc
+
+    def interned(f):
+        return _intern_table(f.domain, f.codomain).get(f.values) is f
+
+    cat = catalog_groups()
+    products = [ProductGroup.of(*p) for p in itertools.combinations_with_replacement(cat, 2)
+                if p[0].order * p[1].order <= 32]
+    products.append(_pg("C2", "C2", "C3"))
+    for g in cat:
+        for k in cat:
+            homs = enumerate_homs(g, k) + enumerate_homs(g, k, restrict_codomain=k.center())
+            assert all(map(interned, homs)), (g.name, k.name)
+    for g in cat + [pg.product for pg in products]:
+        kept = enumerate_autos(g) + central_aut_group(g) + (identity_map(g), zero_map(g, g))
+        assert all(map(interned, kept)), g.name
+    for pg in products:
+        assert all(map(interned, pg.projections + pg.injections)), pg
+        entries = [e for f in enumerate_autos(pg.product) for row in decompose(f, pg).entries
+                   for e in row]
+        assert all(map(interned, entries)), pg
+
+    groups = set()
+    for specs in (("S3", "C4"), ("C2", "C2", "C3")):
+        facs = _fresh(*specs)
+        groups.update(facs)
+        for m in enumerate_m_matrices(facs):
+            if _decided_invertible(m):
+                invert_via_det(m)
+    gc.collect()
+    live = [f for f in gc.get_objects() if isinstance(f, GroupMap) and f.domain in groups]
+    assert len({f.key() for f in live}) == len(live) > 0
+
+
+def _decided_invertible(m):
+    """The determinant's verdict on m; False when it has no pivot route."""
+    try:
+        return is_invertible_via_det(m)
+    except DeterminantUndefinedError:
+        return False
+
+
+def test_inverting_outside_copies_keeps_the_memos_bounded():
+    """100,000 inverts of the invertible members of M(S3 x C4), each rebuilt
+    from new maps of its values through the validated constructor: the
+    constructor holds the interned maps, so the memos end where one pass
+    over the members leaves them."""
+    facs = _fresh("S3", "C4")
+    members = [m for m in enumerate_m_matrices(facs) if _decided_invertible(m)]
+    assert len(members) == 24
+
+    def copy(m):
+        return EndoMatrix(facs, [[GroupMap(e.domain, e.codomain, e.values) for e in row]
+                                 for row in m.entries])
+
+    inverses = [invert_via_det(copy(m)).entries for m in members]
+    after_one_pass = _memo_entries(facs)
+    for i in range(100_000):
+        invert_via_det(copy(members[i % len(members)]))
+    assert _memo_entries(facs) == after_one_pass
+    for m, inverse in zip(members, inverses):
+        again = invert_via_det(copy(m)).entries
+        assert all(a is b for ra, rb in zip(again, inverse) for a, b in zip(ra, rb))

@@ -679,6 +679,19 @@ def test_sums_check_commuting_and_public_operations_share_the_interned_maps(monk
     assert formed == []
 
 
+def test_outside_operands_leave_no_memo_entries_of_their_own():
+    """200,000 composites with new maps of the 10 endomorphisms of S3: each
+    operand is read as the interned map of its values, so the left operand
+    keeps at most one memo entry per endomorphism."""
+    g = _fresh("S3")
+    endos = [f.values for f in enumerate_endos(g)]
+    assert len(endos) == 10
+    f = enumerate_autos(g)[-1]
+    for i in range(200_000):
+        compose(f, GroupMap(g, g, endos[i % 10]))
+    assert len(f._composites) <= 10
+
+
 def _inverse_values(values):
     out = [0] * len(values)
     for x, y in enumerate(values):
@@ -689,24 +702,44 @@ def _inverse_values(values):
 def test_a_known_hom_flag_is_recorded_on_a_map_interned_unflagged():
     """The inverse of a bijective homomorphism is marked as one even when a map
     of its values was interned first with its flag unknown: by a sum, or as
-    the inverse of an unflagged copy; so is a composite of homomorphisms."""
+    the inverse of an unflagged copy; so is a listed automorphism, and a
+    composite of homomorphisms.  Listed maps are interned, so each group is
+    fresh and its values are interned unflagged before anything is listed."""
     for spec in ("S3", "C5"):
-        g = _fresh(spec)
-        zero = zero_map(g, g)
-        a = next(f for f in enumerate_autos(g) if f.values != _inverse_values(f.values))
-        assert a.hom_flag is True
-        summed = pointwise_sum(GroupMap(g, g, a.values), zero)
-        assert summed.hom_flag is None
-        assert compose(a, identity_map(g)) is summed and summed.hom_flag is True
-        summed = pointwise_sum(GroupMap(g, g, _inverse_values(a.values)), zero)
-        assert summed.hom_flag is None
-        assert invert(a) is summed and summed.hom_flag is True
+        v = next(f.values for f in enumerate_autos(_fresh(spec)) if f.values != _inverse_values(f.values))
 
         g = _fresh(spec)
-        a = next(f for f in enumerate_autos(g) if f.values != _inverse_values(f.values))
-        unflagged = invert(GroupMap(g, g, a.values))
+        zero = zero_map(g, g)
+        summed = pointwise_sum(GroupMap(g, g, v), zero)
+        assert summed.hom_flag is None
+        inverse = pointwise_sum(GroupMap(g, g, _inverse_values(v)), zero)
+        assert inverse.hom_flag is None
+        a = next(f for f in enumerate_autos(g) if f.values == v)
+        assert a.hom_flag is True
+        assert compose(a, identity_map(g)) is summed and summed.hom_flag is True
+        assert invert(a) is inverse and inverse.hom_flag is True
+
+        g = _fresh(spec)
+        unflagged = invert(GroupMap(g, g, v))
         assert unflagged.hom_flag is None
+        a = next(f for f in enumerate_autos(g) if f.values == v)
         assert invert(a) is unflagged and unflagged.hom_flag is True
+
+        # a flag that only an outside operand knows reaches the interned map
+        g = _fresh(spec)
+        unflagged = invert(GroupMap(g, g, v))
+        assert unflagged.hom_flag is None
+        assert invert(GroupMap(g, g, v, hom=True)) is unflagged and unflagged.hom_flag is True
+
+    # S3 onto the subgroup {1, t} of a reflection t, then an automorphism: a
+    # composite whose values no listing of automorphisms meets
+    g = _fresh("S3")
+    a = next(f for f in enumerate_autos(g) if f.values != _inverse_values(f.values))
+    t = next(x for x in range(g.order) if g.element_orders[x] == 2)
+    onto = [t if g.element_orders[x] == 2 else g.identity for x in range(g.order)]
+    summed = pointwise_sum(GroupMap(g, g, [a(y) for y in onto]), zero_map(g, g))
+    assert summed.hom_flag is None
+    assert compose(a, GroupMap(g, g, onto, hom=True)) is summed and summed.hom_flag is True
 
 
 @pytest.mark.parametrize("k", [2.0, "3", True])

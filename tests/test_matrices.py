@@ -722,12 +722,10 @@ def test_matrix_sets_are_sequences_built_on_access():
         assert isinstance(head, tuple) and head == tuple(itertools.islice(s, 12)), where
 
 
-def test_m_matrix_set_is_not_materialised(monkeypatch):
+def test_m_matrix_set_is_not_materialised():
     # 313,600 matrices over D8 x D8, each built only when indexed: the set
     # holds the 560 row choices per row, not its members.
     import tracemalloc
-
-    from groupdet import matrices
 
     d8 = build_group("D8")
     enumerate_homs(d8, d8)
@@ -739,10 +737,17 @@ def test_m_matrix_set_is_not_materialised(monkeypatch):
         tracemalloc.stop()
     assert len(mats) == 313_600
     assert peak < 1_000_000
-    # The bound is on the set's size, checked when the set is made.
-    monkeypatch.setattr(matrices, "_M_MATRIX_LIMIT", 313_599)
-    with pytest.raises(ResourceLimitError):
-        enumerate_m_matrices((d8, d8))
+    # No bound on the set's size: over C8 x C8 x C8 it takes 3 x 512 rows.
+    # Its last member has x -> 7x = -x in every cell, so it recomposes to
+    # (x1, x2, x3) -> (s, s, s) with s = -(x1 + x2 + x3).
+    c8 = build_group("C8")
+    mats = enumerate_m_matrices((c8,) * 3)
+    assert len(mats) == 134_217_728
+    seven = tuple(7 * x % 8 for x in range(8))
+    assert all(e.values == seven for row in mats[-1].entries for e in row)
+    coords = direct_product(c8, c8, c8).coords
+    f = recompose(mats[-1])
+    assert all(coords[f(x)] == (-sum(c) % 8,) * 3 for x, c in enumerate(coords))
 
 
 def test_aut_matrices_all_in_A_for_stem_pair():
