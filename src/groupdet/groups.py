@@ -375,7 +375,7 @@ class FiniteGroup:
         gens: list[int] = []
         reached = [self.identity]
         seen = {self.identity}
-        by_order = sorted(range(self.order), key=lambda x: (-self.element_orders[x], x))
+        by_order = sorted(range(self.order), key=self.element_orders.__getitem__, reverse=True)
         for x in by_order:
             if x not in seen:
                 gens.append(x)
@@ -859,7 +859,7 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]
     with each generator sent to an element of the same order and class size;
     between groups of equal order it is a bijection.
     """
-    from .maps import _candidate_images, _maps_from_generator_images
+    from .maps import _candidate_images, _first_isomorphism
 
     if g1.order != g2.order:
         return None
@@ -874,7 +874,7 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]
     ):
         return None
     pools = _candidate_images(g1, g2, None, exact_order=True)
-    return next(_maps_from_generator_images(g1, g2, pools, injective=True), None)
+    return _first_isomorphism(g1, g2, pools)
 
 
 @_memoised

@@ -416,15 +416,15 @@ def _prefix_layers(domain: FiniteGroup):
     gens[:i]).  Each step (target, source, j, new) reads
     f(source) * f(gens[j]), where target = source * gens[j] in the domain.
     A ``new`` step assigns that value to target, the first time target is
-    defined; its source is always defined earlier.  Every other step compares
-    it with the value target already has.  The compare steps of level i are
-    the products that level newly defines: every x of the previous closure
-    with gens[i], and every x of the new layer with each gens[j], j <= i,
-    less the products that assign a layer element, which hold by
-    construction.  Over levels 0..i they cover every element of the closure
-    with every generator so far, each once.  Each compare step comes right
-    after the later of its two ends is assigned, so a failing candidate
-    stops as early as the level allows.
+    defined.  Every other step compares it with the value target already has.
+
+    Each level is one LIFO walk: an element of the previous closure meets
+    gens[i] only, and each new element meets gens[:i+1], so over levels
+    0..i every element of the closure meets every generator so far exactly
+    once.  A pair whose product the walk has not reached defines it, from a
+    source assigned earlier; every other pair becomes a compare step, filed
+    right after the later of its two ends is assigned, so a failing
+    candidate stops as early as the level allows.
 
     Some compare steps are implied by the others: the products of the
     previous closure K with gens[i] follow from the new-layer steps, the map
@@ -437,81 +437,56 @@ def _prefix_layers(domain: FiniteGroup):
     """
     gens = domain.generators()
     t = domain.table
-    seen = [False] * domain.order
-    seen[domain.identity] = True
+    rank = [-1] * domain.order  # -1 until reached
     members = [domain.identity]
     levels = []
     for i in range(len(gens)):
-        old = len(members)
-        new: list[tuple[int, int, int]] = []
-        queue = list(members)
+        # rank 0: the previous closure; rank m: the m-th new element, whose
+        # bucket holds its step, then the compare steps whose later end it is.
+        for x in members:
+            rank[x] = 0
+        buckets: list[list[tuple[int, int, int, bool]]] = [[]]
+        pairs = list(enumerate(gens[:i + 1]))
+        queue = members[:]
         while queue:
             x = queue.pop()
-            for j in range(i + 1):
-                y = t[x][gens[j]]
-                if not seen[y]:
-                    seen[y] = True
-                    new.append((y, x, j))
+            row, rx = t[x], rank[x]
+            for j, gen in pairs if rx else pairs[i:]:
+                y = row[gen]
+                ry = rank[y]
+                if ry < 0:
+                    rank[y] = len(buckets)
                     members.append(y)
+                    buckets.append([(y, x, j, True)])
                     queue.append(y)
-        defining = {(x, j) for _, x, j in new}
-        pairs = [(x, i) for x in members[:old]]
-        pairs += [(x, j) for x in members[old:] for j in range(i + 1)]
-        # ready[m] holds the compare steps whose later end is the m-th
-        # new element; ready[0] those with both ends in the old closure.
-        rank = {y: m for m, (y, _, _) in enumerate(new, 1)}
-        ready: list[list[tuple[int, int, int, bool]]] = [[] for _ in range(len(new) + 1)]
-        for x, j in pairs:
-            if (x, j) not in defining:
-                xg = t[x][gens[j]]
-                ready[max(rank.get(x, 0), rank.get(xg, 0))].append((xg, x, j, False))
-        steps = ready[0]
-        for m, (y, x, j) in enumerate(new, 1):
-            steps.append((y, x, j, True))
-            steps += ready[m]
-        levels.append(tuple(steps))
+                else:
+                    buckets[max(rx, ry)].append((y, x, j, False))
+        levels.append(tuple(step for bucket in buckets for step in bucket))
     return gens, tuple(levels)
 
 
 def _maps_from_generator_images(
-    domain: FiniteGroup,
-    codomain: FiniteGroup,
-    pools: Sequence[Sequence[int]],
-    injective: bool = False,
-    start: int = 0,
+    domain: FiniteGroup, codomain: FiniteGroup, pools: Sequence[Sequence[int]]
 ) -> Iterator[tuple[int, ...]]:
     """Yield the values of every homomorphism with gens[i] -> some c in pools[i].
 
-    A depth-first search over generator images, in pool order.  Level i sets
-    the image of gens[i] and runs the level's steps (``_prefix_layers``); it
-    stops at the first compare step with f(x * g) != f(x) * f(g).  Levels
-    0..i together check every element of the closure with every generator so
-    far, which makes a map that passes them a homomorphism on that closure.
-
-    With ``injective``, a candidate is also dropped as soon as a step assigns
-    the identity to a new element.  The values a step assigns are fixed by the
-    generator images, so if the candidate completes, the completed map is a
-    homomorphism that sends that non-identity element to the identity: its
-    kernel is not trivial and it is not injective.  Conversely a completed
-    map that never assigned the identity has trivial kernel, so it is
-    injective.  A caller that needs only one extension takes the first value
-    and drops the generator.
-
-    With ``start`` (``_aut_chain``'s endomorphisms fixing gens[:start]) the
-    map is the identity on their closure, where lower levels cannot fail: the
-    search starts at level ``start`` and yields what pools (gens[0],), ... would.
+    A depth-first search over generator images, in pool order, that walks
+    the whole tree.  Level i sets the image of gens[i] and runs the level's
+    steps (``_prefix_layers``); it stops at the first compare step with
+    f(x * g) != f(x) * f(g).  Levels 0..i together check every element of
+    the closure with every generator so far, which makes a map that passes
+    them a homomorphism on that closure.  ``_first_isomorphism`` is the same
+    search stopped at its first injective completion.
     """
     gens, levels = _prefix_layers(domain)
     tc = codomain.table
-    e = codomain.identity
     k = len(gens)
-    values = list(range(domain.order)) if start else [-1] * domain.order
-    values[domain.identity] = e
-    images = list(gens[:start]) + [-1] * (k - start)
+    values = [-1] * domain.order
+    values[domain.identity] = codomain.identity
+    images = [-1] * k
     if k == 0:
         yield tuple(values)
         return
-    kernel = e if injective else -1  # -1 is no element, so homs never stop here
 
     def descend(i: int) -> Iterator[tuple[int, ...]]:
         steps = levels[i]
@@ -521,8 +496,6 @@ def _maps_from_generator_images(
             for target, source, j, new in steps:
                 v = tc[values[source]][images[j]]
                 if new:
-                    if v == kernel:
-                        break
                     values[target] = v
                 elif values[target] != v:
                     break
@@ -532,7 +505,61 @@ def _maps_from_generator_images(
                 else:
                     yield from descend(i + 1)
 
-    yield from descend(start)
+    yield from descend(0)
+
+
+def _first_isomorphism(
+    domain: FiniteGroup, codomain: FiniteGroup, pools: Sequence[Sequence[int]],
+    start: int = 0, slack: Optional[Sequence[int]] = None,
+) -> Optional[tuple[int, ...]]:
+    """The values of the first injective homomorphism of the search of
+    ``_maps_from_generator_images`` over these pools, or None.
+
+    A candidate is dropped as soon as a step assigns the identity to a new
+    element.  The values a step assigns are fixed by the generator images,
+    so a completion would be a homomorphism with a nontrivial kernel.  A
+    completion that never assigned the identity has trivial kernel, so it is
+    injective; between groups of equal order it is an isomorphism.
+
+    With ``start`` (``_aut_chain``'s automorphisms fixing gens[:start]) the
+    map is the identity on their closure, where lower levels cannot fail:
+    the search starts at level ``start`` and finds what pools (gens[0],), ...
+    would.  A node of level j is given up once more than ``slack[j]`` of its
+    candidates fail; every node that extends meets ``_aut_chain``'s bounds.
+    """
+    gens, levels = _prefix_layers(domain)
+    tc = codomain.table
+    e = codomain.identity
+    k = len(gens)
+    values = list(range(domain.order)) if start else [-1] * domain.order
+    values[domain.identity] = e
+    images = list(gens[:start]) + [-1] * (k - start)
+    slack = slack or [len(pool) for pool in pools]
+
+    def descend(i: int) -> Optional[tuple[int, ...]]:
+        if i == k:
+            return tuple(values)
+        steps, spare = levels[i], slack[i]
+        for c in pools[i]:
+            images[i] = c
+            for target, source, j, new in steps:
+                v = tc[values[source]][images[j]]
+                if new:
+                    if v == e:
+                        break
+                    values[target] = v
+                elif values[target] != v:
+                    break
+            else:
+                found = descend(i + 1)
+                if found is not None:
+                    return found
+            if not spare:
+                return None
+            spare -= 1
+        return None
+
+    return descend(start)
 
 
 def enumerate_homs(
@@ -597,15 +624,25 @@ def _aut_chain(g: FiniteGroup, central: bool) -> tuple[tuple[tuple[int, ...], ..
     gens[i] (``_candidate_images``), which include every image of gens[i]
     under an automorphism.  A candidate c not yet in the orbit gets one
     search from level i, with gens[:i] fixed and gens[i] sent to c.  The
-    search either stops at its first completion t_c, an element of A_i that
-    becomes a mover, or ends without one, which proves that no member of A_i
-    sends gens[i] to c.  After each hit the orbit is closed under the
-    movers: a point d with representative r_d and a mover s give the point
-    s(d) with representative s r_d, composed as value tuples, which lies in
-    A_i and sends gens[i] to s(d).  So the closure stays inside the orbit
-    under A_i, and never reaches a candidate whose search failed.  A
-    candidate in that orbit is either reached by the closure or found by its
-    own search, so at the end the orbit is complete.
+    search (``_first_isomorphism``) either stops at its first completion
+    t_c, an element of A_i that becomes a mover, or ends without one, which
+    proves that no member of A_i sends gens[i] to c.  After each hit the
+    orbit is closed under the movers, incrementally: the new mover meets the
+    old points and every mover meets the new ones.  A point d with
+    representative r_d and a mover s give the point s(d) with representative
+    s r_d, composed as value tuples, which lies in A_i and sends gens[i] to
+    s(d).  So the closure stays inside the orbit under A_i.  A candidate in
+    that orbit is either reached by the closure or found by its own search,
+    so at the end the orbit is complete.
+
+    Two exact cuts keep the searches from proving a failure twice.  A failed
+    candidate rules out its whole orbit under the movers: they lie in A_i,
+    so the complement of the A_i-orbit of gens[i] is A_i-invariant.  And a
+    search gives up a node at a deeper level j once more than
+    |pool_j| - |O_j| candidates have failed there, O_j the orbit of level j:
+    if the node extends to an automorphism psi, every psi a with a in A_j
+    extends it too and sends gens[j] to psi(a(gens[j])), so |O_j| distinct
+    candidates of pool_j complete.
 
     With ``central`` the chain is that of Aut_c(g), the central automorphisms
     (f(x) x^-1 in Z(g) for every x): the pool of each generator x keeps only
@@ -621,29 +658,32 @@ def _aut_chain(g: FiniteGroup, central: bool) -> tuple[tuple[tuple[int, ...], ..
         z, tg, inv = g.center_set(), g.table, g.inverse
         pools = [[c for c in pool if tg[c][inv[x]] in z] for x, pool in zip(gens, pools)]
     movers: list[tuple[int, ...]] = []
-    levels = []
+    levels: list[tuple[tuple[int, ...], ...]] = [()] * len(gens)
+    slack = [0] * len(gens)  # failures a node of level j may have (``_first_isomorphism``)
     for i in reversed(range(len(gens))):
-        orbit = {gens[i]: tuple(range(g.order))}
+        # the representative of each orbit point; None for a ruled-out candidate
+        known = {gens[i]: tuple(range(g.order))}
         for c in pools[i]:
-            if c in orbit:
+            if c in known:
                 continue
-            search = _maps_from_generator_images(
-                g, g, pools[:i] + [(c,)] + pools[i + 1:], injective=True, start=i
-            )
-            t = next(search, None)
+            t = _first_isomorphism(g, g, pools[:i] + [(c,)] + pools[i + 1:], i, slack)
             if t is None:
-                continue
-            movers.append(t)
-            queue = list(orbit)
+                known[c] = None
+                queue = [(c, movers)]
+            else:
+                movers.append(t)
+                queue = [(d, (t,)) for d, r in known.items() if r]
             while queue:
-                d = queue.pop()
-                for s in movers:
+                d, ms = queue.pop()
+                r = known[d]
+                for s in ms:
                     e = s[d]
-                    if e not in orbit:
-                        orbit[e] = _composer(orbit[d])(s)  # s r
-                        queue.append(e)
-        levels.append(tuple(orbit[c] for c in pools[i] if c in orbit))
-    return tuple(reversed(levels))
+                    if e not in known:
+                        known[e] = r and _composer(r)(s)  # s r
+                        queue.append((e, movers))
+        levels[i] = reps = tuple(known[c] for c in pools[i] if known[c])
+        slack[i] = len(pools[i]) - len(reps)
+    return tuple(levels)
 
 
 def _chain_order(g: FiniteGroup, central: bool) -> int:

@@ -16,7 +16,10 @@ factor exactly when their decompositions share an indecomposable.
 - D8 x C4 and Q8 x C2: the indecomposable factors are {D8, C4} and
   {Q8, C2}, so no factor is shared.  The pair is incompatible and centrally
   incompatible.  The product has order 512, over the default bound of 64,
-  so the Aut-level facts are left open (``incomplete``).
+  so the Aut-level facts are left open (``incomplete``).  At bound 4096
+  they are decided: A is closed, and by Bidwell, Curran and McCaughan
+  Aut(H x K) = A.  Its ``total_length`` 2 is pinned to the output of the
+  code before the chain's failing searches were cut; no theorem gives it.
 - S4 x S4 and C2: S4 is indecomposable and Z(S4 x S4) = 1, so S4 x S4 has
   no C2 factor.  The pair is incompatible and centrally incompatible; the
   product has order 1152, over the default bound, so it is ``incomplete``.
@@ -40,11 +43,18 @@ factor exactly when their decompositions share an indecomposable.
   in the elements of order 2 of C4 x C4, which are squares, and tau kills
   squares, so tau.sigma = 0.
 
+The orders |Aut(D8 x C4 x Q8 x C2)| = 100,663,296 and
+|Aut(D16 x C4 x C4)| = 196,608 are pinned to the same earlier output.  The
+first is also |A| of the pair D8 x C4 and Q8 x C2 (Bidwell, Curran and
+McCaughan's product), as that pair's Aut = A verdict requires.
+
 The budgets are fixed; a run over them means the code got slower.
 """
 import time
 
-from groupdet import DEFAULT_AUT_ENUM_LIMIT, classify_pair
+import pytest
+
+from groupdet import DEFAULT_AUT_ENUM_LIMIT, FiniteGroup, aut_order, build_group, classify_pair
 
 
 def _timed(h, k, bound=DEFAULT_AUT_ENUM_LIMIT):
@@ -91,6 +101,31 @@ def test_d8_x_c4_and_q8_x_c2_share_no_factor_at_the_default_bound():
     assert report.centrally_incompatible
     print(f"LARGE PAIR D8 x C4 / Q8 x C2: {elapsed:.2f}s")
     assert elapsed < 5.0
+
+
+def test_d8_x_c4_and_q8_x_c2_share_no_factor_at_bound_4096():
+    report, elapsed = _timed("D8 x C4", "Q8 x C2", 4096)
+    assert not report.incomplete
+    assert report.common_factor is None
+    assert report.incompatible
+    assert report.centrally_incompatible
+    assert report.totally_incompatible and report.total_length == 2
+    assert report.a_is_subgroup is True
+    assert report.a_equals_aut is True
+    print(f"LARGE PAIR D8 x C4 / Q8 x C2 at 4096: {elapsed:.2f}s")
+    assert elapsed < 3.0
+
+
+@pytest.mark.parametrize(
+    "spec, order", [("D8 x C4 x Q8 x C2", 100_663_296), ("D16 x C4 x C4", 196_608)]
+)
+def test_aut_order_of_a_large_product(spec, order):
+    g = FiniteGroup(build_group(spec).table, name=spec)  # nothing is kept on it yet
+    start = time.perf_counter()
+    assert aut_order(g) == order
+    elapsed = time.perf_counter() - start
+    print(f"LARGE AUT {spec}: {elapsed:.2f}s")
+    assert elapsed < 1.0
 
 
 def test_s4_x_s4_and_c2_share_no_factor_at_the_default_bound():

@@ -43,7 +43,8 @@ from groupdet.maps import (
     _aut_chain,
     _candidate_images,
     _chain_listing,
-    _maps_from_generator_images,
+    _first_isomorphism,
+    _prefix_layers,
 )
 
 HOM_COUNTS = {
@@ -347,15 +348,15 @@ def test_enumerate_autos_refuses_over_the_listing_bound():
 
 
 def _count_searches(monkeypatch):
-    """Count the generator-image searches started from now on."""
+    """Count the generator-image searches started from now on: hom
+    enumerations and isomorphism searches alike."""
     calls = []
-    search = maps._maps_from_generator_images
+    for name in ("_maps_from_generator_images", "_first_isomorphism"):
+        def counted(*args, _search=getattr(maps, name), **kwargs):
+            calls.append(args[0])
+            return _search(*args, **kwargs)
 
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(maps, "_maps_from_generator_images", counted)
+        monkeypatch.setattr(maps, name, counted)
     return calls
 
 
@@ -411,10 +412,7 @@ def _per_candidate_chain(g, central):
         pinned = [(x,) for x in gens[:i]]
         reps = []
         for c in pools[i]:
-            search = _maps_from_generator_images(
-                g, g, pinned + [(c,)] + pools[i + 1:], injective=True
-            )
-            found = next(search, None)
+            found = _first_isomorphism(g, g, pinned + [(c,)] + pools[i + 1:])
             if found is not None:
                 reps.append(found)
         levels.append(reps)
@@ -469,9 +467,45 @@ def test_search_started_at_its_level_matches_the_pinned_pools(spec):
         pinned = [(x,) for x in gens[:i]]
         for c in pools[i]:
             rest = [(c,)] + pools[i + 1:]
-            started = _maps_from_generator_images(g, g, pools[:i] + rest, injective=True, start=i)
-            slow = _maps_from_generator_images(g, g, pinned + rest, injective=True)
-            assert next(started, None) == next(slow, None), (i, c)
+            started = _first_isomorphism(g, g, pools[:i] + rest, start=i)
+            slow = _first_isomorphism(g, g, pinned + rest)
+            assert started == slow, (i, c)
+
+
+@pytest.mark.parametrize("central", [False, True], ids=["full", "central"])
+@pytest.mark.parametrize("spec", START_SPECS)
+def test_chain_bounds_change_no_first_completion(spec, central):
+    """A node of level j extends to |O_j| completions or to none, so giving
+    it up after |pool_j| - |O_j| + 1 failures (the chain's own bounds) finds
+    the same first completion, or none, as the unbounded search."""
+    g = build_group(spec)
+    gens, t, inv = g.generators(), g.table, g.inverse
+    center = g.center_set()
+    pools = [[c for c in pool if not central or t[c][inv[x]] in center]
+             for x, pool in zip(gens, _candidate_images(g, g, None, exact_order=True))]
+    slack = [len(pool) - len(reps) for pool, reps in zip(pools, _aut_chain(g, central))]
+    for i in range(len(gens)):
+        for c in pools[i]:
+            rest = pools[:i] + [(c,)] + pools[i + 1:]
+            bounded = _first_isomorphism(g, g, rest, start=i, slack=slack)
+            assert bounded == _first_isomorphism(g, g, rest, start=i), (i, c)
+
+
+@pytest.mark.parametrize("spec", CHAIN_SPECS + ["E2^4", "Q8 x Q8 x C2"])
+def test_prefix_layers_meet_each_product_once_after_its_ends(spec):
+    g = build_group(spec)
+    gens, levels = _prefix_layers(g)
+    t = g.table
+    assigned, met = {g.identity}, []
+    for i, steps in enumerate(levels):
+        for target, source, j, new in steps:
+            assert j <= i and t[source][gens[j]] == target
+            assert source in assigned
+            assert (target in assigned) != new
+            assigned.add(target)
+            met.append((source, j))
+        assert sorted(met) == sorted((x, j) for x in assigned for j in range(i + 1))
+    assert len(assigned) == g.order
 
 
 def test_is_bijective_examples():
