@@ -34,7 +34,7 @@ and callers fall back to a direct bijectivity check.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -140,6 +140,8 @@ def f_determinant(m: EndoMatrix, images: Optional[Sequence[int]] = None) -> list
     maps shared with other chains and products.
     """
     n = m.n
+    if not isinstance(images, (Iterable, type(None))):
+        raise PreconditionError(f"images must be a sequence of ints, got {images!r}")
     images = _canonical_images(n) if images is None else tuple(images)
     ints = all(type(i) is int and 0 <= i < n for i in images)
     if not ints or len(set(images)) != len(images) or len(images) >= n:

@@ -18,7 +18,7 @@ import itertools
 import operator
 import re
 from dataclasses import dataclass
-from math import lcm, prod
+from math import factorial, lcm, prod
 from operator import itemgetter
 from typing import Iterable, Optional, Sequence
 
@@ -190,8 +190,8 @@ def _validate_table(table: Iterable[Iterable[int]]) -> tuple[tuple[tuple[int, ..
     return rows, e
 
 
-# direct_product refuses a product of larger order: its table has order^2
-# entries, and at order 7,200 (S5 x C60) `groupdet bench` peaked at 1.9 GB.
+# direct_product and the catalog atoms refuse a group of larger order: its
+# table has order^2 entries; at order 7,200 (S5 x C60) `bench` peaked at 1.9 GB.
 _PRODUCT_ORDER_LIMIT = 8_192
 
 # Numbers the groups in the order they are built (FiniteGroup._built), so
@@ -762,8 +762,12 @@ def group_from_table(table: Sequence[Sequence[int]], name: str = "") -> FiniteGr
 
 
 _ATOM_RE = re.compile(r"^(?:C(\d+)|D(\d+)|S(\d+)|Q8|E(\d+)\^(\d+))$")
-# First letter of a catalog atom -> its constructor, called on the atom's numbers.
-_ATOMS = {"C": cyclic, "D": dihedral, "S": symmetric, "Q": quaternion8, "E": elementary_abelian}
+# First letter of a catalog atom -> its constructor and its order, each called
+# on the atom's numbers; an order is exact up to _PRODUCT_ORDER_LIMIT and over
+# it beyond, as 8! and 2^14 are.
+_ATOMS = {"C": (cyclic, lambda n: n), "D": (dihedral, lambda n: n), "Q": (quaternion8, lambda: 8),
+          "S": (symmetric, lambda n: factorial(min(n, 8))),
+          "E": (elementary_abelian, lambda p, k: p ** min(k, 14))}
 
 # Atom -> (its table file's text, or None for a catalog atom; group).  Kept
 # here, not on a group through _memoised: the key is a string, and an entry
@@ -782,7 +786,11 @@ def _atom_group(atom: str) -> FiniteGroup:
         m = _ATOM_RE.match(atom)
         if not m:
             raise ParseError(f"unrecognized group atom {atom!r}")
-        g = _ATOMS[atom[0]](*(int(d) for d in m.groups() if d is not None))
+        nums = [int(d) for d in m.groups() if d is not None]
+        build, order = _ATOMS[atom[0]]
+        if order(*nums) > _PRODUCT_ORDER_LIMIT:
+            raise ResourceLimitError(f"{atom} has order over the bound {_PRODUCT_ORDER_LIMIT}")
+        g = build(*nums)
     _build_cache[atom] = (text, g)
     return g
 
@@ -821,7 +829,8 @@ def build_group(spec: str) -> FiniteGroup:
     Each atom's group is kept per atom, so repeated builds return the same
     object; a table file is read on every build, and its kept group is
     returned only while the text is unchanged.  A product expression is the
-    ``direct_product`` of its atoms' groups, one factor per atom.
+    ``direct_product`` of its atoms' groups, one factor per atom.  A catalog
+    atom over ``_PRODUCT_ORDER_LIMIT`` is refused before its table is built.
     """
     if not isinstance(spec, str):
         raise ParseError(f"group expression {spec!r} is not a string")
@@ -855,11 +864,11 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]
 
     After cheap invariant checks (the first is the multiset of pairs of
     element order and class size, which an isomorphism preserves), takes the
-    first injective homomorphism of the generator-image search in ``maps``,
-    with each generator sent to an element of the same order and class size;
-    between groups of equal order it is a bijection.
+    first injective completion of ``maps._completions`` (the identity its
+    ``kernel``), with each generator sent to an element of the same order
+    and class size; between groups of equal order it is a bijection.
     """
-    from .maps import _candidate_images, _first_isomorphism
+    from .maps import _candidate_images, _completions
 
     if g1.order != g2.order:
         return None
@@ -874,7 +883,7 @@ def are_isomorphic(g1: FiniteGroup, g2: FiniteGroup) -> Optional[tuple[int, ...]
     ):
         return None
     pools = _candidate_images(g1, g2, None, exact_order=True)
-    return _first_isomorphism(g1, g2, pools)
+    return next(_completions(g1, g2, pools, g2.identity), None)
 
 
 @_memoised

@@ -391,8 +391,8 @@ def _candidate_images(
     With ``exact_order`` (for isomorphisms, so between groups of equal order)
     it has the generator's order and class size, since an isomorphism maps
     conjugacy classes onto classes of the same size.  The candidates cut
-    that way extend to no isomorphism, so every search over these pools
-    finds the same maps in the same order, the first completion included.
+    that way extend to no isomorphism, so ``_completions`` yields the same
+    isomorphisms over these pools in the same order, the first included.
     """
     pool = range(codomain.order) if allowed is None else allowed
     orders = codomain.element_orders
@@ -465,37 +465,51 @@ def _prefix_layers(domain: FiniteGroup):
     return gens, tuple(levels)
 
 
-def _maps_from_generator_images(
-    domain: FiniteGroup, codomain: FiniteGroup, pools: Sequence[Sequence[int]]
+def _completions(
+    domain: FiniteGroup, codomain: FiniteGroup, pools: Sequence[Sequence[int]],
+    kernel: int, start: int = 0, slack: Optional[Sequence[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield the values of every homomorphism with gens[i] -> some c in pools[i].
+    """Yield the values of every homomorphism with gens[i] -> some c in pools[i],
+    in pool order.  Callers take all of them (``_hom_listing``) or the first
+    (``_aut_chain``, ``are_isomorphic``), where the search then stops.
 
-    A depth-first search over generator images, in pool order, that walks
-    the whole tree.  Level i sets the image of gens[i] and runs the level's
-    steps (``_prefix_layers``); it stops at the first compare step with
-    f(x * g) != f(x) * f(g).  Levels 0..i together check every element of
-    the closure with every generator so far, which makes a map that passes
-    them a homomorphism on that closure.  ``_first_isomorphism`` is the same
-    search stopped at its first injective completion.
+    A depth-first search over generator images.  Level i sets the image of
+    gens[i] and runs the level's steps (``_prefix_layers``); it stops at the
+    first compare step with f(x * g) != f(x) * f(g).  Levels 0..i together
+    check every element of the closure with every generator so far, which
+    makes a map that passes them a homomorphism on that closure.
+
+    A candidate is also dropped as soon as a step assigns ``kernel`` to a new
+    element; -1, which no element is, cuts nothing.  The values a step
+    assigns are fixed by the generator images, so with ``kernel`` the
+    codomain identity a completion would be a homomorphism with a nontrivial
+    kernel; one that never assigned it is injective, and between groups of
+    equal order an isomorphism.
+
+    With ``start`` (``_aut_chain``'s automorphisms fixing gens[:start]) the
+    map is the identity on their closure, where lower levels cannot fail:
+    the search starts at level ``start`` and finds what pools (gens[0],), ...
+    would.  A node of level j is given up once more than ``slack[j]`` of its
+    candidates fail, by default never; every node that extends meets
+    ``_aut_chain``'s bounds.
     """
     gens, levels = _prefix_layers(domain)
     tc = codomain.table
     k = len(gens)
-    values = [-1] * domain.order
+    values = list(range(domain.order)) if start else [-1] * domain.order
     values[domain.identity] = codomain.identity
-    images = [-1] * k
-    if k == 0:
-        yield tuple(values)
-        return
+    images = list(gens[:start]) + [-1] * (k - start)
+    slack = slack or [len(pool) for pool in pools]
 
     def descend(i: int) -> Iterator[tuple[int, ...]]:
-        steps = levels[i]
-        last = i + 1 == k
+        steps, spare, last = levels[i], slack[i], i + 1 == k
         for c in pools[i]:
             images[i] = c
             for target, source, j, new in steps:
                 v = tc[values[source]][images[j]]
                 if new:
+                    if v == kernel:
+                        break
                     values[target] = v
                 elif values[target] != v:
                     break
@@ -504,62 +518,11 @@ def _maps_from_generator_images(
                     yield tuple(values)
                 else:
                     yield from descend(i + 1)
-
-    yield from descend(0)
-
-
-def _first_isomorphism(
-    domain: FiniteGroup, codomain: FiniteGroup, pools: Sequence[Sequence[int]],
-    start: int = 0, slack: Optional[Sequence[int]] = None,
-) -> Optional[tuple[int, ...]]:
-    """The values of the first injective homomorphism of the search of
-    ``_maps_from_generator_images`` over these pools, or None.
-
-    A candidate is dropped as soon as a step assigns the identity to a new
-    element.  The values a step assigns are fixed by the generator images,
-    so a completion would be a homomorphism with a nontrivial kernel.  A
-    completion that never assigned the identity has trivial kernel, so it is
-    injective; between groups of equal order it is an isomorphism.
-
-    With ``start`` (``_aut_chain``'s automorphisms fixing gens[:start]) the
-    map is the identity on their closure, where lower levels cannot fail:
-    the search starts at level ``start`` and finds what pools (gens[0],), ...
-    would.  A node of level j is given up once more than ``slack[j]`` of its
-    candidates fail; every node that extends meets ``_aut_chain``'s bounds.
-    """
-    gens, levels = _prefix_layers(domain)
-    tc = codomain.table
-    e = codomain.identity
-    k = len(gens)
-    values = list(range(domain.order)) if start else [-1] * domain.order
-    values[domain.identity] = e
-    images = list(gens[:start]) + [-1] * (k - start)
-    slack = slack or [len(pool) for pool in pools]
-
-    def descend(i: int) -> Optional[tuple[int, ...]]:
-        if i == k:
-            return tuple(values)
-        steps, spare = levels[i], slack[i]
-        for c in pools[i]:
-            images[i] = c
-            for target, source, j, new in steps:
-                v = tc[values[source]][images[j]]
-                if new:
-                    if v == e:
-                        break
-                    values[target] = v
-                elif values[target] != v:
-                    break
-            else:
-                found = descend(i + 1)
-                if found is not None:
-                    return found
             if not spare:
-                return None
+                return
             spare -= 1
-        return None
 
-    return descend(start)
+    return descend(start) if start < k else iter([tuple(values)])
 
 
 def enumerate_homs(
@@ -591,7 +554,7 @@ def _hom_listing(
 ) -> tuple[GroupMap, ...]:
     """``enumerate_homs`` with images in ``allowed`` (None for anywhere)."""
     pools = _candidate_images(domain, codomain, allowed, exact_order=False)
-    found = sorted(_maps_from_generator_images(domain, codomain, pools))
+    found = sorted(_completions(domain, codomain, pools, -1))
     return tuple(_interned(domain, codomain, v, True) for v in found)
 
 
@@ -623,9 +586,9 @@ def _aut_chain(g: FiniteGroup, central: bool) -> tuple[tuple[tuple[int, ...], ..
     A_i.  The candidates are the elements of the order and class size of
     gens[i] (``_candidate_images``), which include every image of gens[i]
     under an automorphism.  A candidate c not yet in the orbit gets one
-    search from level i, with gens[:i] fixed and gens[i] sent to c.  The
-    search (``_first_isomorphism``) either stops at its first completion
-    t_c, an element of A_i that becomes a mover, or ends without one, which
+    search from level i, with gens[:i] fixed and gens[i] sent to c: the
+    first completion of ``_completions``, the identity its ``kernel``.  That
+    is t_c, an element of A_i that becomes a mover, or there is none, which
     proves that no member of A_i sends gens[i] to c.  After each hit the
     orbit is closed under the movers, incrementally: the new mover meets the
     old points and every mover meets the new ones.  A point d with
@@ -659,14 +622,14 @@ def _aut_chain(g: FiniteGroup, central: bool) -> tuple[tuple[tuple[int, ...], ..
         pools = [[c for c in pool if tg[c][inv[x]] in z] for x, pool in zip(gens, pools)]
     movers: list[tuple[int, ...]] = []
     levels: list[tuple[tuple[int, ...], ...]] = [()] * len(gens)
-    slack = [0] * len(gens)  # failures a node of level j may have (``_first_isomorphism``)
+    slack = [0] * len(gens)  # failures before a search gives up a node of level j
     for i in reversed(range(len(gens))):
         # the representative of each orbit point; None for a ruled-out candidate
         known = {gens[i]: tuple(range(g.order))}
         for c in pools[i]:
             if c in known:
                 continue
-            t = _first_isomorphism(g, g, pools[:i] + [(c,)] + pools[i + 1:], i, slack)
+            t = next(_completions(g, g, pools[:i] + [(c,)] + pools[i + 1:], g.identity, i, slack), None)
             if t is None:
                 known[c] = None
                 queue = [(c, movers)]

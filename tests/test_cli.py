@@ -112,6 +112,15 @@ def test_product_over_the_order_bound_exit_2(capsys):
     assert "14400" in out.err and "Traceback" not in out.err
 
 
+def test_atom_over_the_order_bound_exit_2(capsys):
+    # C20000 is refused from its number, before its 20,000^2 table is built.
+    assert main(["classify", "C20000", "C2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.count("\n") == 1 and out.err.startswith("error: ")
+    assert "C20000" in out.err and "Traceback" not in out.err
+
+
 def test_parse_errors_exit_1(capsys):
     assert main(["classify", "C0", "C4"]) == 1
     assert main(["classify", "D3", "C4"]) == 1

@@ -110,7 +110,7 @@ def test_f_determinant_sequence_validation():
     assert f_determinant(ident)[-1][:2] == ((2, 1), (0,))
     assert f_determinant(ident, (0, 2))[-1][1] == (1,)
     assert f_determinant(ident, [2])[-1][1] == (0, 1)
-    for bad in ((1, 1), (3,), (-1,), ("a",), (2, 1, 0)):
+    for bad in ((1, 1), (3,), (-1,), ("a",), (2, 1, 0), 5):
         with pytest.raises(PreconditionError):
             f_determinant(ident, bad)
 

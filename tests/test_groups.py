@@ -3,6 +3,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +14,7 @@ from groupdet import (
     FiniteGroup,
     GroupMap,
     ParseError,
+    ResourceLimitError,
     StructuralError,
     Subgroup,
     ValidationError,
@@ -46,6 +48,18 @@ def test_catalog_builds_with_expected_orders():
 def test_build_group_caches_per_spec():
     assert build_group("S3") is build_group("S3")
     assert build_group("C2 x C4") is build_group("C2 x C4")
+
+
+def test_atoms_over_the_order_bound_are_refused_before_they_are_built():
+    # Each order is worked out from the atom's numbers; a table would hold
+    # order^2 entries, and S<n> and E<p>^<k> grow past any table at once.
+    for spec in ("C8193", "D8194", "S8", "E2^14", "E3^9", "E8209^1", "S1000000",
+                 "E2^1000000000", "C20000 x C2", "C2 x D20000"):
+        t0 = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match="over the bound 8192"):
+            build_group(spec)
+        assert time.perf_counter() - t0 < 1.0, spec
+    assert not any(a in groups._build_cache for a in ("C8193", "S8", "C20000"))
 
 
 def test_identity_and_inverse_axioms():
